@@ -106,7 +106,7 @@ class _Run:
         if self.uni == MATCH:
             s = match(t, x)
             return None if s is None else s.apply(t_out)
-        rt, rt_out = rename_many((t, t_out), avoid=term_vars(x))
+        rt, rt_out = rename_many((t, t_out))
         s = unify(x, rt)
         return None if s is None else s.apply(rt_out)
 
@@ -279,9 +279,7 @@ def _resolve_stripped(run, t_in, t_out, payload):
     if run.uni == MATCH:
         s = match(stripped_in, payload)
         return None if s is None else s.apply(stripped_out)
-    rt_in, rt_out = rename_many(
-        (stripped_in, stripped_out), avoid=term_vars(payload)
-    )
+    rt_in, rt_out = rename_many((stripped_in, stripped_out))
     s = unify(payload, rt_in)
     return None if s is None else s.apply(rt_out)
 

@@ -11,7 +11,7 @@ from chainform.chainir import compile_to_registry
 from chainform.fixtures import load_fixture
 from chainform.oracle import canonical_answer
 from chainform.syntax import parse_goal
-from chainform.terms import canonical, match, rename_many, term_vars, unify
+from chainform.terms import canonical, match, rename_many, unify
 from chainform.transform import compile_goal, transform_definite, transform_moded
 
 
@@ -155,7 +155,7 @@ def first_answer_steps(registry, x, qs, uni):
         if uni == "match":
             s = match(t_in, t)
             return None if s is None else s.apply(t_out)
-        r_in, r_out = rename_many((t_in, t_out), avoid=term_vars(t))
+        r_in, r_out = rename_many((t_in, t_out))
         s = unify(t, r_in)
         return None if s is None else s.apply(r_out)
 

@@ -1,4 +1,5 @@
-"""Random small-program generators for the form-law properties.
+"""Random small-program and goal generators for the form laws and the
+differential tests.
 
 The moded generator builds clauses by construction: every source group
 (head input, body outputs) draws from its own pool of fresh variables, so
@@ -10,8 +11,8 @@ from __future__ import annotations
 
 import random
 
-from chainform.syntax import ModeDirective, SourceClause, SourceProgram
-from chainform.terms import Compound, Constant, fresh_var
+from chainform.syntax import Goal, ModeDirective, SourceClause, SourceProgram
+from chainform.terms import Compound, Constant, fresh_var, is_ground
 
 CONSTS = [Constant("a"), Constant("b"), Constant(0)]
 FUNCTORS = [("f", 1), ("g", 2)]
@@ -119,3 +120,15 @@ def random_definite_program(rng: random.Random) -> SourceProgram:
                 )
             clauses.append(SourceClause(head, tuple(body)))
     return SourceProgram(tuple(clauses), (), "random-definite")
+
+
+def random_open_goal(rng: random.Random, program: SourceProgram) -> Goal:
+    """A goal on one of the program's predicates with at least one variable."""
+    name, arity = rng.choice(
+        sorted({(c.head.functor, len(c.head.args)) for c in program.clauses})
+    )
+    pool = [fresh_var("G%d" % i) for i in range(rng.randint(1, 3))]
+    args = [_random_term(rng, pool) for _ in range(arity)]
+    if all(is_ground(a) for a in args):
+        args[rng.randrange(arity)] = pool[0]
+    return Goal(Compound(name, tuple(args)))

@@ -118,7 +118,7 @@ class TestRename:
     def test_fresh_and_alpha_equivalent(self):
         X, Y = fresh_var("X"), fresh_var("Y")
         t = f(X, Y)
-        r = rename_apart(t, {X})
+        r = rename_apart(t)
         assert alpha_equivalent(t, r)
         assert X not in term_vars(r)
         assert Y not in term_vars(r)
@@ -138,6 +138,15 @@ class TestRename:
         t1, t2 = rename_many((f(X), g(X)))
         assert t1.args[0] == t2.args[0]
         assert t1.args[0] != X
+
+    def test_rename_many_shares_ground_subterms(self):
+        X = fresh_var("X")
+        lst = mk_list([a, b])
+        whole = f(lst, g(a))
+        t1, t2 = rename_many((f(X, lst), whole))
+        assert t1.args[0] != X
+        assert t1.args[1] is lst
+        assert t2 is whole
 
 
 class TestVarsAndApply:
@@ -175,6 +184,14 @@ class TestVarsAndApply:
         assert is_ground(f(a, g(b)))
         assert not is_ground(f(a, X))
 
+    def test_ground_flag(self):
+        X = fresh_var("X")
+        assert f(a, g(b)).ground
+        assert Compound("p", ()).ground
+        assert not f(a, X).ground
+        assert not g(f(a, g(X)), b).ground
+        assert not mk_list([a], X).ground
+
 
 # Random-term strategies.  Left/right variable pools are disjoint so that
 # pattern and subject share no variables in the matching law.
@@ -202,7 +219,39 @@ shared_pairs = st.tuples(
 disjoint_pairs = st.tuples(_terms(_LEFT_VARS), _terms(_RIGHT_VARS))
 
 
+def _variable_free(t):
+    # Independent of the kernel: neither the ground flag nor term_vars.
+    if type(t) is Variable:
+        return False
+    if type(t) is Compound:
+        return all(_variable_free(x) for x in t.args)
+    return True
+
+
+def _assert_ground_flags(t):
+    # The flag is exact at every compound node, not only at the root.
+    if type(t) is Compound:
+        assert t.ground == _variable_free(t)
+        for x in t.args:
+            _assert_ground_flags(x)
+    assert is_ground(t) == _variable_free(t)
+
+
 class TestAlgebraicLaws:
+    @given(shared_pairs)
+    @settings(max_examples=300)
+    def test_ground_flag_is_exact(self, pair):
+        x, y = pair
+        _assert_ground_flags(x)
+        _assert_ground_flags(rename_apart(x))
+        _assert_ground_flags(canonical(x))
+        s = unify(x, y)
+        if s is not None:
+            _assert_ground_flags(s.apply(x))
+            _assert_ground_flags(s.apply(y))
+            for _, t in s.items():
+                _assert_ground_flags(t)
+
     @given(shared_pairs)
     @settings(max_examples=300)
     def test_unifier_unifies_both_sides(self, pair):
