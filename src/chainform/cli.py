@@ -1,7 +1,8 @@
 """Command-line interface: check, transform, solve, repl, stats.
 
 Exit codes: 0 success, 1 a requested check failed (or the goal could not be
-compiled), 2 parse error, 3 step budget exhausted.
+compiled), 2 parse error, 3 step budget exhausted, 4 out of memory or of
+recursion depth (a term nested too deeply for the parser or the kernel).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .engines import (
     BudgetExceededError,
     enumerate_prolog,
     eval_abcde,
-    eval_bounded,
     eval_continuation,
     eval_stream,
 )
@@ -48,6 +48,12 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_RESOURCE = 4
+
+# The parser and the term kernel recurse into compound terms, so deeply
+# nested terms need more than Python's default recursion limit.  main()
+# raises it only while a command runs.
+RECURSION_LIMIT = 100_000
 
 # Known source/converted clause counts for bundled fixtures.
 REFERENCE_COUNTS = {"split": (2, 4), "append": (2, 4)}
@@ -134,6 +140,8 @@ def _eval_options(p):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
     try:
         return COMMANDS[args.command](args)
     except ParseError as err:
@@ -142,6 +150,14 @@ def main(argv=None) -> int:
     except BudgetExceededError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_BUDGET
+    except (RecursionError, MemoryError) as err:
+        print(
+            "error: out of resources (%s)" % (str(err) or type(err).__name__),
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def entry():
@@ -287,19 +303,21 @@ def cmd_solve(args) -> int:
         return EXIT_CHECK_FAILED
     goal = plan.goal
     if args.engine == "bounded":
-        result = eval_bounded(
+        # The first answer the goal accepts, and the composition steps spent
+        # finding it; raw answers the goal's own bindings reject are skipped.
+        enum = enumerate_prolog(
             plan.initial, plan.continuations, registry, uni, budget
         )
-        decoded = plan.decode(result.answer) if result.answer is not None else None
+        decoded = _next_decoded(enum, plan)
         if args.format == "jsonl":
             payload = {
                 "answer": _binding_json(goal, decoded) if decoded is not None else None,
-                "resource": result.resource,
+                "resource": enum.steps,
             }
             print(json.dumps(payload))
         else:
             print(_binding_line(goal, decoded) if decoded is not None else "no answers")
-            print("resource=%d" % result.resource)
+            print("resource=%d" % enum.steps)
         return EXIT_OK
     if args.engine == "abcde":
         answers = eval_abcde(plan.initial, plan.continuations, registry, uni, budget)
@@ -348,19 +366,28 @@ def cmd_repl(args) -> int:
         _drive(enum, plan)
 
 
+def _next_decoded(enum, plan):
+    """The next answer the goal's own bindings accept, decoded; None once
+    the search is exhausted."""
+    while True:
+        raw = enum.next()
+        if raw is None:
+            return None
+        decoded = plan.decode(raw)
+        if decoded is not None:
+            return decoded
+
+
 def _drive(enum, plan):
     while True:
         try:
-            raw = enum.next()
+            decoded = _next_decoded(enum, plan)
         except BudgetExceededError as err:
             print("error: %s" % err)
             return
-        if raw is None:
+        if decoded is None:
             print("no more answers")
             return
-        decoded = plan.decode(raw)
-        if decoded is None:
-            continue  # filtered by the goal's own bindings
         print(_binding_line(plan.goal, decoded))
         try:
             reply = input("more? (y/n) ")

@@ -1,11 +1,11 @@
-"""Four deterministic metainterpreters over a registry.
+"""Deterministic metainterpreters over a registry.
 
-All four traverse the same search space: alternatives in definition order,
-depth first, continuation major.  Answer lists are multisets in that order
-(duplicates are kept; alternative results are concatenated, not merged).
-The engines agree element for element; in unify mode answers may contain
-variables introduced by renaming, so cross-engine comparison is up to a
-bijective renaming of those (terms.canonical normalizes them away).
+The paper formulates one traversal five ways: alternatives in definition
+order, depth first, continuation major.  Answer lists are multisets in that
+order (duplicates are kept; alternative results are concatenated, not
+merged).  The formulations agree element for element; in unify mode answers
+may contain variables introduced by renaming, so cross-engine comparison is
+up to a bijective renaming of those (terms.canonical normalizes them away).
 
 * eval_abcde evaluates term-list against continuation-list compositions by
   structural recursion: decompose the term list, decompose the continuation,
@@ -20,6 +20,10 @@ bijective renaming of those (terms.canonical normalizes them away).
 * eval_bounded constructs at most one proof and reports the number of
   composition steps spent across every branch explored on the way.
 
+All five are views over one loop, _search, which makes the traversal's state
+explicit: a stack of choice points, and the continuation as a cons list, so
+no formulation recurses in Python and none copies the continuation.
+
 Unit resolution has two variants.  In match mode (for ground evaluation over
 G-chain programs) the query term is matched one-way against the unit input.
 In unify mode the unit clause is renamed apart from the query term and fully
@@ -28,7 +32,6 @@ unified with it, so query variables stay stable for the goal decoder.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,8 +48,6 @@ from .terms import (
     term_vars,
     unify,
 )
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 DEFAULT_BUDGET = 10**6
 
@@ -72,21 +73,29 @@ class BoundedResult:
         return self.answer is not None
 
 
-def _check_uni(uni):
-    if uni not in (MATCH, UNIFY):
-        raise ValueError("uni must be 'match' or 'unify'")
+def _match_unit(t, t_out, x):
+    s = match(t, x)
+    return None if s is None else s.apply(t_out)
+
+
+def _unify_unit(t, t_out, x):
+    rt, rt_out = rename_many((t, t_out))
+    s = unify(x, rt)
+    return None if s is None else s.apply(rt_out)
 
 
 class _Run:
     """Shared state of one evaluation: registry access, unit resolution,
     and the composition-step budget."""
 
-    __slots__ = ("reg", "uni", "remaining", "budget")
+    __slots__ = ("reg", "apply_unit", "remaining", "budget")
 
     def __init__(self, reg: Registry, uni: str, budget: int):
-        _check_uni(uni)
+        if uni not in (MATCH, UNIFY):
+            raise ValueError("uni must be 'match' or 'unify'")
         self.reg = reg
-        self.uni = uni
+        # apply_unit(t_in, t_out, x): the unit clause t_in -> t_out applied to x.
+        self.apply_unit = _match_unit if uni == MATCH else _unify_unit
         self.budget = budget
         self.remaining = budget
 
@@ -103,61 +112,65 @@ class _Run:
 
     def resolve_unit(self, label, x):
         t, t_out = self.reg.unit[label]
-        if self.uni == MATCH:
-            s = match(t, x)
-            return None if s is None else s.apply(t_out)
-        rt, rt_out = rename_many((t, t_out))
-        s = unify(x, rt)
-        return None if s is None else s.apply(rt_out)
+        return self.apply_unit(t, t_out, x)
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive evaluator, structural recursion over both lists.
+# The search core.
+
+
+def _search(run, x, qs, resolve):
+    """Answers of x composed through qs, one at a time, in traversal order.
+
+    The continuation is a cons list of (predicate, rest) pairs ending in
+    None, so a clause body is prepended in O(|body|).  Each composition step
+    ticks the budget and pushes a choice point (state, rest, iterator over
+    the predicate's alternatives).  Alternatives are taken one at a time:
+    a unit clause is resolved, by resolve(label, state) -> state or None,
+    only when the search reaches it, and a non-unit clause prepends its body
+    to rest.  A state is a term, except in eval_stream.
+    """
+    isunit = run.reg.isunit
+    nonunit = run.reg.nonunit
+    ks = None
+    for q in reversed(qs):
+        ks = (q, ks)
+    choices = []
+    while True:
+        if ks is None:
+            yield x
+        else:
+            run.tick()
+            q, rest = ks
+            choices.append((x, rest, iter(run.alternatives(q))))
+        # Take the next alternative that applies, from the newest choice
+        # point that has one left; the search ends when none has.
+        while choices:
+            y, rest, alts = choices[-1]
+            for label in alts:
+                if label not in isunit:
+                    x, ks = y, rest
+                    for q in reversed(nonunit[label]):
+                        ks = (q, ks)
+                    break
+                x = resolve(label, y)
+                if x is not None:
+                    ks = rest
+                    break
+            else:
+                choices.pop()
+                continue
+            break
+        else:
+            return
 
 
 def eval_abcde(x, qs, r: Registry, uni: str = MATCH, budget: int = DEFAULT_BUDGET):
-    """All answers of x composed through qs, in traversal order."""
+    """All answers of x composed through qs, in traversal order: the
+    answers of each alternative of qs[0], concatenated in definition order,
+    each composed through qs[1:]."""
     run = _Run(r, uni, budget)
-    return _a_list(run, [x], tuple(qs))
-
-
-def _a_list(run, xs, qs):
-    # Term-list case: answers of each term, concatenated.
-    out = []
-    for x in xs:
-        out.extend(_a_one(run, x, qs))
-    return out
-
-
-def _a_one(run, x, qs):
-    # Continuation case: empty composition is the identity.
-    if not qs:
-        return [x]
-    run.tick()
-    ys = _b_pred(run, x, qs[0])
-    return _a_list(run, ys, qs[1:])
-
-
-def _b_pred(run, x, q):
-    return _c_alts(run, x, run.alternatives(q))
-
-
-def _c_alts(run, x, labels):
-    out = []
-    for label in labels:
-        out.extend(_d_clause(run, x, label))
-    return out
-
-
-def _d_clause(run, x, label):
-    if label in run.reg.isunit:
-        y = run.resolve_unit(label, x)
-        return [] if y is None else [y]
-    return _a_one(run, x, run.reg.nonunit[label])
-
-
-# ---------------------------------------------------------------------------
-# Continuation-based evaluator.
+    return list(_search(run, x, qs, run.resolve_unit))
 
 
 def eval_continuation(
@@ -166,29 +179,7 @@ def eval_continuation(
     """Same answer list as eval_abcde, computed with an explicit
     continuation list: a non-unit clause prepends its body to the pending
     continuations instead of producing intermediate answer lists."""
-    run = _Run(r, uni, budget)
-    return _ca_one(run, x, tuple(qs))
-
-
-def _ca_one(run, x, qs):
-    if not qs:
-        return [x]
-    run.tick()
-    return _ca_alts(run, x, run.alternatives(qs[0]), qs[1:])
-
-
-def _ca_alts(run, x, labels, qs):
-    out = []
-    for label in labels:
-        out.extend(_ca_clause(run, x, label, qs))
-    return out
-
-
-def _ca_clause(run, x, label, qs):
-    if label in run.reg.isunit:
-        y = run.resolve_unit(label, x)
-        return [] if y is None else _ca_one(run, y, qs)
-    return _ca_one(run, x, run.reg.nonunit[label] + qs)
+    return eval_abcde(x, qs, r, uni, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -219,69 +210,47 @@ def eval_stream(
     the stack is only attached and detached at stack-switching unit steps.
     """
     run = _Run(r, uni, budget)
+    stripped = {}  # unit label -> its stack-less clause, None if it switches
+
+    def resolve(label, state):
+        stack, payload = state
+        try:
+            unit = stripped[label]
+        except KeyError:
+            unit = stripped[label] = _strip_stack(*r.unit[label])
+        if unit is not None:
+            y = run.apply_unit(*unit, payload)
+            return None if y is None else (stack, y)
+        y = run.resolve_unit(label, mk_tuple((stack, *payload.args)))
+        if y is None:
+            return None
+        if not (is_tuple(y) and y.args):
+            raise ValueError("unit %r broke the stack convention: %r" % (label, y))
+        return y.args[0], mk_tuple(y.args[1:])
+
     out = []
     for x in xs:
         if not (is_tuple(x) and x.args and x.args[0] == sigma):
             raise ValueError("term %r does not carry the shared stack" % (x,))
-        out.extend(_st_one(run, sigma, mk_tuple(x.args[1:]), tuple(qs)))
+        state = (sigma, mk_tuple(x.args[1:]))
+        for stack, payload in _search(run, state, qs, resolve):
+            out.extend(affix(stack, (payload,)))
     return out
 
 
-def _preserves_stack(t_in, t_out):
+def _strip_stack(t_in, t_out):
     # A unit clause of the shape (stack | payload) -> (same stack variable |
-    # payload), with the stack variable absent from both payloads.
+    # payload), with the stack variable absent from both payloads, as the
+    # clause on payloads alone; None for any other unit clause.
     if not (is_tuple(t_in) and is_tuple(t_out) and t_in.args and t_out.args):
-        return False
+        return None
     st = t_in.args[0]
     if type(st) is not Variable or t_out.args[0] != st:
-        return False
-    payload_vars = set()
+        return None
     for part in (*t_in.args[1:], *t_out.args[1:]):
-        payload_vars.update(term_vars(part))
-    return st not in payload_vars
-
-
-def _st_one(run, sigma, payload, qs):
-    if not qs:
-        return affix(sigma, [payload])
-    run.tick()
-    out = []
-    for label in run.alternatives(qs[0]):
-        if label not in run.reg.isunit:
-            out.extend(_st_one(run, sigma, payload, run.reg.nonunit[label] + qs[1:]))
-            continue
-        t_in, t_out = run.reg.unit[label]
-        if _preserves_stack(t_in, t_out):
-            y = _resolve_stripped(run, t_in, t_out, payload)
-            if y is not None:
-                out.extend(_st_one(run, sigma, y, qs[1:]))
-        else:
-            y_full = run.resolve_unit(label, mk_tuple((sigma, *payload.args)))
-            if y_full is not None:
-                if not (is_tuple(y_full) and y_full.args):
-                    raise ValueError(
-                        "unit %r broke the stack convention: %r" % (label, y_full)
-                    )
-                out.extend(
-                    _st_one(
-                        run,
-                        y_full.args[0],
-                        mk_tuple(y_full.args[1:]),
-                        qs[1:],
-                    )
-                )
-    return out
-
-
-def _resolve_stripped(run, t_in, t_out, payload):
-    stripped_in = mk_tuple(t_in.args[1:])
-    stripped_out = mk_tuple(t_out.args[1:])
-    if run.uni == MATCH:
-        s = match(stripped_in, payload)
-        return None if s is None else s.apply(stripped_out)
-    rt_in, rt_out = rename_many((stripped_in, stripped_out))
-    s = unify(payload, rt_in)
-    return None if s is None else s.apply(rt_out)
+        if st in term_vars(part):
+            return None
+    return mk_tuple(t_in.args[1:]), mk_tuple(t_out.args[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -299,45 +268,21 @@ class Enumeration:
 
     def __init__(self, run, x, qs):
         self._run = run
-        self._gen = self._search(x, tuple(qs))
-        self._exhausted = False
+        self._gen = _search(run, x, qs, run.resolve_unit)
 
     @property
     def steps(self):
         return self._run.budget - self._run.remaining
 
-    def _search(self, x, qs):
-        if not qs:
-            yield x
-            return
-        self._run.tick()
-        for label in self._run.alternatives(qs[0]):
-            if label in self._run.reg.isunit:
-                y = self._run.resolve_unit(label, x)
-                if y is not None:
-                    yield from self._search(y, qs[1:])
-            else:
-                yield from self._search(x, self._run.reg.nonunit[label] + qs[1:])
-
     def next(self):
-        if self._exhausted:
-            return None
-        try:
-            return next(self._gen)
-        except StopIteration:
-            self._exhausted = True
-            return None
+        # A generator that has returned, raised or been closed stays done.
+        return next(self._gen, None)
 
     def halt(self):
         self._gen.close()
-        self._exhausted = True
 
     def __iter__(self):
-        while True:
-            answer = self.next()
-            if answer is None:
-                return
-            yield answer
+        return self._gen
 
 
 def enumerate_prolog(
@@ -358,41 +303,6 @@ def eval_bounded(
     """The head of eval_abcde's answer list (or no answer), together with
     the number of composition steps spent finding it, failed branches
     included.  Only composition steps count; answer emission is free."""
-    run = _Run(r, uni, budget)
-    answer, resource = _bd_one(run, x, tuple(qs))
-    return BoundedResult(answer, resource)
-
-
-def _bd_one(run, x, qs):
-    if not qs:
-        return x, 0
-    run.tick()
-    z, steps = _bd_alts(run, x, run.alternatives(qs[0]), qs[1:])
-    return z, steps + 1
-
-
-def _bd_alts(run, x, labels, qs):
-    if not labels:
-        return None, 0
-    y, steps = _bd_clause(run, x, labels[0], qs)
-    if y is not None:
-        return y, steps
-    z, more = _bd_alts(run, x, labels[1:], qs)
-    return z, steps + more
-
-
-def _bd_clause(run, x, label, qs):
-    if label in run.reg.isunit:
-        y = run.resolve_unit(label, x)
-        if y is None:
-            return None, 0
-        return _bd_one(run, y, qs)
-    return _bd_one(run, x, run.reg.nonunit[label] + qs)
-
-
-ENGINES = {
-    "abcde": eval_abcde,
-    "continuation": eval_continuation,
-    "stream": eval_stream,
-    "bounded": eval_bounded,
-}
+    enum = enumerate_prolog(x, qs, r, uni, budget)
+    answer = enum.next()
+    return BoundedResult(answer, enum.steps)

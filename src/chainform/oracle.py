@@ -9,13 +9,10 @@ which makes answer extraction a simple zip against the goal's variables.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .syntax import Goal, SourceProgram
-from .terms import Compound, canonical, mk_tuple, rename_many, term_vars, unify
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
+from .terms import Subst, canonical, mk_tuple, rename_many, term_vars, unify
 
 
 @dataclass
@@ -44,19 +41,22 @@ def sld_solve(p: SourceProgram, g: Goal, depth_budget: int = 10_000) -> OracleRe
     goal_vars = term_vars(g.atom)
     answers = []
     truncated = False
-
-    def solve(atoms, answer_shape, used):
-        nonlocal truncated
+    # Each node is (goal atoms, goal variables' instance, steps so far); the
+    # children of a node are pushed in reverse, so they pop in clause order.
+    nodes = [((g.atom,), mk_tuple(goal_vars), 0)]
+    while nodes:
+        atoms, answer_shape, used = nodes.pop()
         if not atoms:
             answers.append(
                 OracleAnswer(dict(zip(goal_vars, answer_shape.args)), used)
             )
-            return
+            continue
         if used >= depth_budget:
             truncated = True
-            return
+            continue
         selected = atoms[0]
         rest = atoms[1:]
+        children = []
         for clause in index.get(
             (selected.functor, len(selected.args)), ()
         ):
@@ -64,14 +64,15 @@ def sld_solve(p: SourceProgram, g: Goal, depth_budget: int = 10_000) -> OracleRe
             s = unify(head, selected)
             if s is None:
                 continue
-            solve(
-                tuple(s.apply(b) for b in body)
-                + tuple(s.apply(r) for r in rest),
-                s.apply(answer_shape),
-                used + 1,
+            children.append(
+                (
+                    tuple(s.apply(b) for b in body)
+                    + tuple(s.apply(r) for r in rest),
+                    s.apply(answer_shape),
+                    used + 1,
+                )
             )
-
-    solve((g.atom,), mk_tuple(goal_vars), 0)
+        nodes.extend(reversed(children))
     return OracleResult(answers, truncated)
 
 
@@ -80,18 +81,5 @@ def canonical_answer(goal: Goal, bindings) -> object:
     Alpha-equivalent answers become equal terms, so answer multisets can be
     compared directly."""
     if isinstance(bindings, dict):
-        items = bindings
-        instance = _apply_mapping(items, goal.atom)
-    else:
-        instance = bindings.apply(goal.atom)
-    return canonical(instance)
-
-
-def _apply_mapping(mapping, t):
-    from .terms import Variable
-
-    if type(t) is Variable:
-        return mapping.get(t, t)
-    if type(t) is Compound:
-        return Compound(t.functor, tuple(_apply_mapping(mapping, a) for a in t.args))
-    return t
+        bindings = Subst(bindings)
+    return canonical(bindings.apply(goal.atom))

@@ -410,24 +410,43 @@ def term_to_str(t, var_names=None):
 
 
 def _render(t, names):
-    if type(t) is Variable:
-        return names.get(t, "%s_%d" % (t.name, t.serial))
-    if type(t) is Constant:
-        if is_nil(t):
-            return "[]"
-        return str(t.symbol)
-    if is_cons(t):
-        items, tail = list_parts(t)
-        inner = ",".join(_render(x, names) for x in items)
-        if is_nil(tail):
-            return "[%s]" % inner
-        return "[%s|%s]" % (inner, _render(tail, names))
-    if is_tuple(t):
-        inner = ",".join(_render(x, names) for x in t.args)
-        return "%s%s%s" % (TUPLE_OPEN, inner, TUPLE_CLOSE)
-    if not t.args:
-        return t.functor
-    return "%s(%s)" % (t.functor, ",".join(_render(x, names) for x in t.args))
+    # An explicit stack of pending pieces, each a string to emit or a term to
+    # render, so terms of any depth print without recursion.
+    out = []
+    pending = [t]
+    while pending:
+        t = pending.pop()
+        if type(t) is str:
+            out.append(t)
+        elif type(t) is Variable:
+            out.append(names.get(t, "%s_%d" % (t.name, t.serial)))
+        elif type(t) is Constant:
+            out.append("[]" if is_nil(t) else str(t.symbol))
+        elif is_cons(t):
+            items, tail = list_parts(t)
+            pending.append("]")
+            if not is_nil(tail):
+                pending.extend((tail, "|"))
+            _push_args(pending, items, "[")
+        elif is_tuple(t):
+            pending.append(TUPLE_CLOSE)
+            _push_args(pending, t.args, TUPLE_OPEN)
+        elif not t.args:
+            out.append(t.functor)
+        else:
+            pending.append(")")
+            _push_args(pending, t.args, t.functor + "(")
+    return "".join(out)
+
+
+def _push_args(pending, args, opening):
+    # Push opening and the comma-separated args so that they pop in reading
+    # order.
+    for i in range(len(args) - 1, 0, -1):
+        pending.extend((args[i], ","))
+    if args:
+        pending.append(args[0])
+    pending.append(opening)
 
 
 def atom_to_str(atom, var_names):

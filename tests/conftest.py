@@ -3,6 +3,7 @@ first-answer step counter."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -125,6 +126,20 @@ def corpus_pipelines():
 @pytest.fixture(scope="session")
 def pipelines():
     return corpus_pipelines()
+
+
+# CPython's default recursion limit.
+DEFAULT_RECURSION_LIMIT = 1000
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run the test at the interpreter's default recursion limit, whatever
+    the limit of the test process is."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)
+    yield
+    sys.setrecursionlimit(saved)
 
 
 def decoded_canonical(pipeline, goal_text, answers):

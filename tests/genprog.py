@@ -132,3 +132,17 @@ def random_open_goal(rng: random.Random, program: SourceProgram) -> Goal:
     if all(is_ground(a) for a in args):
         args[rng.randrange(arity)] = pool[0]
     return Goal(Compound(name, tuple(args)))
+
+
+def random_ground_goal(rng: random.Random, program: SourceProgram) -> Goal:
+    """A goal on one of a moded program's predicates with ground input
+    arguments, as moded evaluation needs.  Each output argument is a fresh
+    variable or, one time in ten, a ground term the answers must match."""
+    directive = rng.choice(program.modes)
+    args = [
+        fresh_var("G%d" % i)
+        if mode == "out" and rng.random() < 0.9
+        else _random_term(rng, [])
+        for i, mode in enumerate(directive.modes)
+    ]
+    return Goal(Compound(directive.predicate, tuple(args)))

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from chainform.cli import main
+import chainform
+from chainform import cli
+from chainform.cli import EXIT_RESOURCE, main
 from chainform.fixtures import fixture_text
 from chainform.syntax import parse_goal
 
@@ -110,6 +115,15 @@ class TestSolve:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["Y = [], Z = [a,b]", "resource=1"]
 
+    def test_bounded_engine_skips_rejected_answers(self, split_file, capsys):
+        # The first raw answer, Y = [], is rejected by the goal's Y = [a]; the
+        # resource counts every step up to the answer that is accepted.
+        assert main(
+            ["solve", split_file, "-g", "s([a,b],[a],Z)", "--engine", "bounded"]
+        ) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == ["Z = [b]", "resource=4"]
+
     def test_append_definite(self, append_file, capsys):
         assert main(
             ["solve", append_file, "-g", "ap(X,Y,[a,b])", "--mode", "definite"]
@@ -157,6 +171,70 @@ class TestSolve:
     def test_nonground_moded_goal_exit_1(self, split_file, capsys):
         assert main(["solve", split_file, "-g", "s(W,Y,Z)"]) == 1
         assert "ground" in capsys.readouterr().err
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(chainform.__file__)))
+
+
+def run_python(args, cwd):
+    """Run a fresh interpreter with chainform importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+
+
+class TestResources:
+    def test_import_leaves_recursion_limit(self, tmp_path):
+        proc = run_python(
+            ["-c", "import sys; before = sys.getrecursionlimit(); "
+             "import chainform.engines, chainform.oracle, chainform.cli; "
+             "print(before, sys.getrecursionlimit())"],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before
+
+    def test_main_restores_recursion_limit(self, split_file, broken_file, capsys):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1234)
+        try:
+            assert main(["solve", split_file, "-g", "s([a],Y,Z)"]) == 0
+            assert sys.getrecursionlimit() == 1234
+            assert main(["check", broken_file]) == 2
+            assert sys.getrecursionlimit() == 1234
+        finally:
+            sys.setrecursionlimit(saved)
+
+    def test_deep_goal_text(self, tmp_path, capsys, default_recursion_limit):
+        # Parsing a numeral 2000 deep recurses deeper than the default limit.
+        path = tmp_path / "length.pl"
+        path.write_text(fixture_text("length"), encoding="utf-8")
+        n = 2000
+        goal = "len([%s],%s0%s)" % (",".join(["e"] * n), "s(" * n, ")" * n)
+        assert main(["solve", str(path), "--mode", "definite", "-g", goal]) == 0
+        assert capsys.readouterr().out.strip() == "true"
+
+    def test_resource_exhaustion_exit_4(self, tmp_path):
+        n = 60000
+        path = tmp_path / "deep.pl"
+        path.write_text("p(%s0%s).\n" % ("s(" * n, ")" * n), encoding="utf-8")
+        proc = run_python(["-m", "chainform.cli", "check", str(path)], tmp_path)
+        assert proc.returncode == EXIT_RESOURCE == 4
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: out of resources")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_memory_error_exit_4(self, split_file, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli.COMMANDS, "check", exhausted)
+        assert main(["check", split_file]) == EXIT_RESOURCE
+        assert capsys.readouterr().err == "error: out of resources (MemoryError)\n"
 
 
 class TestRepl:

@@ -1,5 +1,5 @@
 """Engine tests: the literal evaluator clauses, agreement between all four
-engines, enumeration control, bounded resource counts, budgets."""
+engines, enumeration control, bounded resource counts, budgets, and depth."""
 
 import pytest
 
@@ -21,10 +21,12 @@ from chainform.engines import (
     eval_continuation,
     eval_stream,
 )
-from chainform.syntax import parse_goal, parse_program
+from chainform.syntax import Goal, parse_goal, parse_program
 from chainform.terms import (
+    Compound,
     Constant,
     NIL,
+    Variable,
     canonical,
     is_ground,
     mk_list,
@@ -261,3 +263,44 @@ class TestPurity:
         run1 = [canonical(t) for t in eval_abcde(*args, uni="unify")]
         run2 = [canonical(t) for t in eval_abcde(*args, uni="unify")]
         assert run1 == run2
+
+
+def _numeral_depth(t):
+    # Counted with a loop: comparing or hashing a term this deep would
+    # recurse once per level.
+    depth = 0
+    while type(t) is Compound and t.functor == "s" and len(t.args) == 1:
+        depth += 1
+        t = t.args[0]
+    return depth, t
+
+
+DEPTH_ENGINES = {
+    "abcde": lambda plan, reg: eval_abcde(plan.initial, plan.continuations, reg),
+    "continuation": lambda plan, reg: eval_continuation(
+        plan.initial, plan.continuations, reg
+    ),
+    "stream": lambda plan, reg: eval_stream(
+        NIL, [plan.initial], plan.continuations, reg
+    ),
+    "bounded": lambda plan, reg: [
+        eval_bounded(plan.initial, plan.continuations, reg).answer
+    ],
+    "enumerate": lambda plan, reg: [
+        enumerate_prolog(plan.initial, plan.continuations, reg).next()
+    ],
+}
+
+
+@pytest.mark.parametrize("engine", sorted(DEPTH_ENGINES))
+def test_depth_len_1e5(engine, default_recursion_limit):
+    """Moded len on 10^5 elements: a derivation 10^5 steps deep, whose
+    answer is a numeral 10^5 deep, without deep Python recursion."""
+    n = 10**5
+    pipe = build_pipeline("length", "moded")
+    out = Variable("N")
+    goal = Goal(Compound("len", (mk_list([a] * n), out)))
+    plan = compile_goal(goal, pipe.chain, "moded")
+    (answer,) = DEPTH_ENGINES[engine](plan, pipe.registry)
+    depth, zero = _numeral_depth(plan.decode(answer).get(out))
+    assert depth == n and zero == Constant(0)

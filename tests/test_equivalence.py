@@ -2,8 +2,8 @@
 variables shared between the head and inner atoms, variables shared among
 inner atoms only, repeated variables within an atom, 0-ary predicates,
 duplicate clauses and goals that only the occurs check refutes; then the
-definite pipeline on long lists and on random programs, through all five
-engines."""
+definite pipeline on long lists and on random programs, and the moded
+pipeline on random programs, through all five engines."""
 
 import random
 from collections import Counter
@@ -11,7 +11,12 @@ from collections import Counter
 import pytest
 
 from conftest import build_pipeline, same_answer_sequence
-from genprog import random_definite_program, random_open_goal
+from genprog import (
+    random_definite_program,
+    random_ground_goal,
+    random_moded_program,
+    random_open_goal,
+)
 
 from chainform.chainir import compile_to_registry
 from chainform.engines import (
@@ -25,7 +30,7 @@ from chainform.engines import (
 from chainform.oracle import canonical_answer, sld_solve
 from chainform.syntax import parse_goal, parse_program
 from chainform.terms import NIL
-from chainform.transform import compile_goal, transform_definite
+from chainform.transform import compile_goal, transform_definite, transform_moded
 
 # Goals with no answer because every candidate unifier would bind a variable
 # to a term containing it.
@@ -122,41 +127,41 @@ def test_occurs_check_refutes(text, goals):
         ) == [], goal_text
 
 
-def five_engine_answers(plan, registry, budget):
+def five_engine_answers(plan, registry, budget, uni="unify"):
     """Decoded canonical answers of the four exhaustive engines, by engine,
-    and the decoded canonical first answer of eval_bounded (None when it
-    finds none).  Raises BudgetExceededError when a run hits the budget."""
+    after checking that eval_bounded's answer is the head of eval_abcde's
+    raw answer list.  Raises BudgetExceededError when a run hits the
+    budget."""
     args = (plan.initial, plan.continuations, registry)
     raw = {
-        "abcde": eval_abcde(*args, uni="unify", budget=budget),
-        "continuation": eval_continuation(*args, uni="unify", budget=budget),
+        "abcde": eval_abcde(*args, uni=uni, budget=budget),
+        "continuation": eval_continuation(*args, uni=uni, budget=budget),
         "stream": eval_stream(
             NIL, [plan.initial], plan.continuations, registry,
-            uni="unify", budget=budget,
+            uni=uni, budget=budget,
         ),
-        "enumerate": list(enumerate_prolog(*args, uni="unify", budget=budget)),
+        "enumerate": list(enumerate_prolog(*args, uni=uni, budget=budget)),
     }
-    exhaustive = {
+    bounded = eval_bounded(*args, uni=uni, budget=budget)
+    assert same_answer_sequence(
+        [bounded.answer] if bounded.has_answer else [], raw["abcde"][:1]
+    )
+    return {
         name: [canonical_answer(plan.goal, s) for s in plan.decode_all(answers)]
         for name, answers in raw.items()
     }
-    bounded = eval_bounded(*args, uni="unify", budget=budget)
-    first = None
-    if bounded.has_answer:
-        (s,) = plan.decode_all([bounded.answer])
-        first = canonical_answer(plan.goal, s)
-    return exhaustive, first
 
 
-def assert_engines_match_oracle(reference, goal, exhaustive, first):
-    """Every exhaustive engine gives the oracle's answer multiset, and the
-    bounded engine's answer is the first of them."""
+def assert_engines_match_oracle(reference, goal, exhaustive, ordered=False):
+    """Every exhaustive engine gives the oracle's answer multiset, or with
+    ordered its answer list."""
     assert not reference.truncated
-    want = Counter(canonical_answer(goal, a.bindings) for a in reference.answers)
+    want = [canonical_answer(goal, a.bindings) for a in reference.answers]
     for name, got in exhaustive.items():
-        assert Counter(got) == want, name
-    base = exhaustive["abcde"]
-    assert first == (base[0] if base else None)
+        if ordered:
+            assert got == want, name
+        else:
+            assert Counter(got) == Counter(want), name
 
 
 @pytest.mark.parametrize(
@@ -170,10 +175,10 @@ def assert_engines_match_oracle(reference, goal, exhaustive, first):
 def test_definite_pipeline_at_size(fixture, goal_text, count):
     pipe = build_pipeline(fixture, "definite")
     plan = pipe.plan(goal_text)
-    exhaustive, first = five_engine_answers(plan, pipe.registry, 10**6)
+    exhaustive = five_engine_answers(plan, pipe.registry, 10**6)
     assert len(exhaustive["abcde"]) == count
     reference = sld_solve(pipe.source, plan.goal, 10_000)
-    assert_engines_match_oracle(reference, plan.goal, exhaustive, first)
+    assert_engines_match_oracle(reference, plan.goal, exhaustive)
 
 
 def test_random_definite_programs_match_oracle():
@@ -193,11 +198,42 @@ def test_random_definite_programs_match_oracle():
             continue
         plan = compile_goal(goal, chain, "definite")
         try:
-            exhaustive, first = five_engine_answers(plan, registry, 5_000)
+            exhaustive = five_engine_answers(plan, registry, 5_000)
         except BudgetExceededError:
             continue
-        assert_engines_match_oracle(reference, goal, exhaustive, first)
+        assert_engines_match_oracle(reference, goal, exhaustive)
         compared += 1
         answered += bool(reference.answers)
     # Guard against a generator change that makes the comparison vacuous.
     assert compared >= 150 and answered >= 40
+
+
+def test_random_moded_programs_match_oracle():
+    """Differential test: random moded programs and goals with ground
+    inputs, every engine in match mode under a step budget, against SLD
+    resolution under a depth budget.  Runs where either side was cut off are
+    skipped; the rest must give the oracle's answer list, in order.
+
+    The skipped engine runs loop however large the budget: SLD prunes a
+    call by the pattern of its output arguments, moded evaluation computes
+    every output first and matches it afterwards."""
+    rng = random.Random(7)
+    compared = answered = 0
+    for _ in range(300):
+        program = random_moded_program(rng)
+        chain = transform_moded(program)
+        registry = compile_to_registry(chain)
+        goal = random_ground_goal(rng, program)
+        reference = sld_solve(program, goal, 12)
+        if reference.truncated:
+            continue
+        plan = compile_goal(goal, chain, "moded")
+        try:
+            exhaustive = five_engine_answers(plan, registry, 5_000, uni="match")
+        except BudgetExceededError:
+            continue
+        assert_engines_match_oracle(reference, goal, exhaustive, ordered=True)
+        compared += 1
+        answered += bool(reference.answers)
+    # Guard against a generator change that makes the comparison vacuous.
+    assert compared >= 180 and answered >= 30

@@ -2,8 +2,16 @@
 against native Python list computations."""
 
 from chainform.oracle import canonical_answer, sld_solve
-from chainform.syntax import parse_goal, parse_program
-from chainform.terms import Constant, NIL, canonical, mk_list, term_vars
+from chainform.syntax import Goal, parse_goal, parse_program
+from chainform.terms import (
+    Compound,
+    Constant,
+    NIL,
+    Variable,
+    canonical,
+    mk_list,
+    term_vars,
+)
 
 SPLIT = """\
 s(L, [], L).
@@ -106,6 +114,18 @@ class TestCanonicalAnswer:
         assert canonical_answer(g1, a1.bindings) == canonical_answer(
             g2, a2.bindings
         )
+
+
+def test_deep_derivation_at_default_limit(default_recursion_limit):
+    """member over 5000 elements: derivations up to 5000 steps deep."""
+    n = 5000
+    p = parse_program("member(X,[X|_]).\nmember(X,[_|T]) :- member(X,T).")
+    items = [Constant(i) for i in range(n)]
+    x = Variable("X")
+    result = sld_solve(p, Goal(Compound("member", (x, mk_list(items)))), n + 1)
+    assert not result.truncated
+    assert [ans.bindings[x] for ans in result.answers] == items
+    assert [ans.depth for ans in result.answers] == list(range(1, n + 1))
 
 
 def test_undefined_predicate_fails_finitely():

@@ -19,6 +19,7 @@ from chainform.terms import (
     NIL,
     Variable,
     alpha_equivalent,
+    cons,
     mk_list,
     mk_tuple,
     term_vars,
@@ -166,6 +167,18 @@ class TestPrint:
         assert term_to_str(mk_list([Constant("a"), Constant("b")], X)) == "[a,b|X]"
         assert term_to_str(NIL) == "[]"
         assert term_to_str(mk_tuple([Constant(1)])) == "⟨1⟩"
+        assert term_to_str(mk_tuple([])) == "⟨⟩"
+        assert term_to_str(Compound("f", (Compound("z", ()), NIL))) == "f(z,[])"
+
+    def test_deep_terms_at_default_limit(self, default_recursion_limit):
+        n = 10**5
+        numeral = Constant(0)
+        nested = NIL
+        for _ in range(n):
+            numeral = Compound("s", (numeral,))
+            nested = cons(nested, NIL)
+        assert term_to_str(numeral) == "s(" * n + "0" + ")" * n
+        assert term_to_str(nested) == "[" * n + "[]" + "]" * n
 
     def test_same_named_distinct_vars_disambiguated(self):
         v1 = Variable("X")
