@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .syntax import SourceClause, SourceProgram, term_to_str
-from .terms import fresh_var, rename_many
+from .syntax import SourceClause, SourceProgram, _display_names, term_to_str
+from .terms import Compound, fresh_var, mk_tuple, rename_many, term_vars
 
 
 class UndefinedPredicateError(LookupError):
@@ -70,16 +70,12 @@ class ChainProgram:
         out = []
         for clause in self.clauses:
             if isinstance(clause, Unit):
-                from .terms import Compound
-
                 out.append(
                     SourceClause(
                         Compound(clause.predicate, (clause.input, clause.output))
                     )
                 )
             else:
-                from .terms import Compound
-
                 n = len(clause.body)
                 xs = [fresh_var("X%d" % i) for i in range(n + 1)]
                 head = Compound(clause.head, (xs[0], xs[n]))
@@ -162,14 +158,7 @@ def dump_registry(r: Registry) -> str:
     for label, (t, t_out) in r.unit.items():
         # Rename per line so display names are stable and clause-local.
         rt, rt_out = rename_many((t, t_out))
-        from .syntax import _display_names
-        from .terms import term_vars
-
-        seen = []
-        for v in (*term_vars(rt), *term_vars(rt_out)):
-            if v not in seen:
-                seen.append(v)
-        names = _display_names(seen)
+        names = _display_names(term_vars(mk_tuple((rt, rt_out))))
         lines.append(
             "unit(%s, %s, %s)."
             % (label, term_to_str(rt, names), term_to_str(rt_out, names))

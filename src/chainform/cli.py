@@ -1,8 +1,8 @@
 """Command-line interface: check, transform, solve, repl, stats.
 
 Exit codes: 0 success, 1 a requested check failed (or the goal could not be
-compiled), 2 parse error, 3 step budget exhausted, 4 out of memory or of
-recursion depth (a term nested too deeply for the parser or the kernel).
+compiled), 2 parse error, 3 step budget exhausted, 4 out of memory (or an
+unexpected recursion error).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .syntax import (
     term_to_str,
 )
 from .syntax import _display_names
-from .terms import NIL, is_ground, term_vars
+from .terms import NIL, is_ground, mk_tuple, term_vars
 from .transform import (
     GoalError,
     TransformError,
@@ -49,11 +49,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_BUDGET = 3
 EXIT_RESOURCE = 4
-
-# The parser and the term kernel recurse into compound terms, so deeply
-# nested terms need more than Python's default recursion limit.  main()
-# raises it only while a command runs.
-RECURSION_LIMIT = 100_000
 
 # Known source/converted clause counts for bundled fixtures.
 REFERENCE_COUNTS = {"split": (2, 4), "append": (2, 4)}
@@ -134,14 +129,11 @@ def build_parser():
 def _eval_options(p):
     p.add_argument("file")
     p.add_argument("--mode", choices=("moded", "definite", "auto"), default="auto")
-    p.add_argument("--uni", choices=("match", "unify", "auto"), default="auto")
     p.add_argument("--budget", type=int, default=None)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
     try:
         return COMMANDS[args.command](args)
     except ParseError as err:
@@ -156,8 +148,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_RESOURCE
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def entry():
@@ -252,47 +242,34 @@ def _prepare(args, goal_text):
     chain, mode = _convert(program, args.mode)
     registry = compile_to_registry(chain)
     plan = compile_goal(goal, chain, mode)
-    uni = args.uni
-    if uni == "auto":
-        gchain = check_gchain(chain.to_source()).holds
-        uni = "match" if (gchain and is_ground(plan.initial)) else "unify"
+    gchain = check_gchain(chain.to_source()).holds
+    uni = "match" if (gchain and is_ground(plan.initial)) else "unify"
     budget = args.budget if args.budget is not None else _default_budget()
     return registry, plan, uni, budget
 
 
-def _binding_line(goal: Goal, subst) -> str:
+def _answer(goal: Goal, subst):
+    """The goal's variables, their values under subst, and display names
+    for every variable shown, goal variables first."""
     goal_vars = term_vars(goal.atom)
+    values = [subst.get(v, v) for v in goal_vars]
+    names = _display_names(term_vars(mk_tuple((*goal_vars, *values))))
+    return goal_vars, values, names
+
+
+def _binding_line(goal: Goal, subst) -> str:
+    goal_vars, values, names = _answer(goal, subst)
     if not goal_vars:
         return "true"
-    shown = []
-    terms = [subst.get(v, v) for v in goal_vars]
-    all_vars = list(goal_vars)
-    for t in terms:
-        all_vars.extend(term_vars(t))
-    names = _display_names(_dedupe(all_vars))
-    for v, t in zip(goal_vars, terms):
-        shown.append("%s = %s" % (names[v], term_to_str(t, names)))
-    return ", ".join(shown)
+    return ", ".join(
+        "%s = %s" % (names[v], term_to_str(t, names))
+        for v, t in zip(goal_vars, values)
+    )
 
 
 def _binding_json(goal: Goal, subst) -> dict:
-    goal_vars = term_vars(goal.atom)
-    all_vars = list(goal_vars)
-    terms = [subst.get(v, v) for v in goal_vars]
-    for t in terms:
-        all_vars.extend(term_vars(t))
-    names = _display_names(_dedupe(all_vars))
-    return {
-        names[v]: term_to_str(t, names) for v, t in zip(goal_vars, terms)
-    }
-
-
-def _dedupe(vs):
-    seen = []
-    for v in vs:
-        if v not in seen:
-            seen.append(v)
-    return seen
+    goal_vars, values, names = _answer(goal, subst)
+    return {names[v]: term_to_str(t, names) for v, t in zip(goal_vars, values)}
 
 
 def cmd_solve(args) -> int:

@@ -25,12 +25,14 @@ from .terms import (
     Compound,
     Constant,
     Variable,
-    cons,
     fresh_var,
     is_cons,
     is_nil,
     is_tuple,
     list_parts,
+    mk_list,
+    mk_tuple,
+    term_vars,
 )
 
 TUPLE_OPEN = "⟨"  # ⟨
@@ -215,73 +217,79 @@ class _Parser:
             self.clause_vars[name] = v
         return v
 
+    def accept(self, value):
+        """Consume the next token when it is the punctuation value."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "punct" and tok.value == value:
+            self.pos += 1
+            return True
+        return False
+
     def term(self):
-        tok = self.peek()
-        if tok.kind == "var":
-            self.advance()
-            return self.variable(tok.value)
-        if tok.kind == "int":
-            self.advance()
-            return Constant(tok.value)
-        if tok.kind == "atom":
-            return self.atom_or_constant()
-        if tok.kind == "punct" and tok.value == "[":
-            return self.list_term()
-        if tok.kind == "punct" and tok.value == TUPLE_OPEN:
-            return self.tuple_term()
-        self.error("expected a term")
-
-    def atom_or_constant(self):
-        name_tok = self.expect("atom")
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == "(":
-            self.advance()
-            args = [self.term()]
-            while self.peek().kind == "punct" and self.peek().value == ",":
+        # Open compounds, lists, list tails and tuples wait on an explicit
+        # stack of (opener, items) frames, so terms of any depth parse
+        # without recursion.  The opener is the functor name, "[", "|" (the
+        # tail of a list, which ends its items) or TUPLE_OPEN.
+        frames = []
+        while True:
+            tok = self.peek()
+            if tok.kind == "var":
                 self.advance()
-                args.append(self.term())
-            self.expect("punct", ")")
-            return Compound(name_tok.value, tuple(args))
-        return Constant(name_tok.value)
-
-    def list_term(self):
-        self.expect("punct", "[")
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == "]":
-            self.advance()
-            return NIL
-        items = [self.term()]
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.advance()
-            items.append(self.term())
-        tail = NIL
-        if self.peek().kind == "punct" and self.peek().value == "|":
-            self.advance()
-            tail = self.term()
-        self.expect("punct", "]")
-        out = tail
-        for item in reversed(items):
-            out = cons(item, out)
-        return out
-
-    def tuple_term(self):
-        self.expect("punct", TUPLE_OPEN)
-        args = []
-        if not (self.peek().kind == "punct" and self.peek().value == TUPLE_CLOSE):
-            args.append(self.term())
-            while self.peek().kind == "punct" and self.peek().value == ",":
+                t = self.variable(tok.value)
+            elif tok.kind == "int":
                 self.advance()
-                args.append(self.term())
-        self.expect("punct", TUPLE_CLOSE)
-        return Compound(TUPLE_FUNCTOR, tuple(args))
+                t = Constant(tok.value)
+            elif tok.kind == "atom":
+                self.advance()
+                if self.accept("("):
+                    frames.append((tok.value, []))
+                    continue
+                t = Constant(tok.value)
+            elif self.accept("["):
+                if not self.accept("]"):
+                    frames.append(("[", []))
+                    continue
+                t = NIL
+            elif self.accept(TUPLE_OPEN):
+                if not self.accept(TUPLE_CLOSE):
+                    frames.append((TUPLE_OPEN, []))
+                    continue
+                t = Compound(TUPLE_FUNCTOR, ())
+            else:
+                self.error("expected a term")
+            # t is complete: close every frame it completes, or stop at the
+            # separator before the next item.
+            while frames:
+                opener, items = frames[-1]
+                items.append(t)
+                if opener != "|" and self.accept(","):
+                    break
+                if opener == "[" and self.accept("|"):
+                    frames[-1] = ("|", items)
+                    break
+                frames.pop()
+                if opener == "[":
+                    self.expect("punct", "]")
+                    t = mk_list(items)
+                elif opener == "|":
+                    self.expect("punct", "]")
+                    t = mk_list(items[:-1], items[-1])
+                elif opener == TUPLE_OPEN:
+                    self.expect("punct", TUPLE_CLOSE)
+                    t = Compound(TUPLE_FUNCTOR, tuple(items))
+                else:
+                    self.expect("punct", ")")
+                    t = Compound(opener, tuple(items))
+            else:
+                return t
 
     def head_or_body_atom(self):
-        t = self.atom_or_constant()
+        if self.peek().kind != "atom":
+            self.expect("atom")
+        t = self.term()
         # Normalize 0-ary predicates to empty-args compounds so any atom
         # position is uniformly a Compound.
-        if isinstance(t, Constant):
-            if not isinstance(t.symbol, str):
-                self.error("a predicate name cannot be an integer")
+        if type(t) is Constant:
             return Compound(t.symbol, ())
         return t
 
@@ -295,8 +303,7 @@ class _Parser:
         self.expect("punct", ",")
         self.expect("punct", "[")
         modes = [self.mode_word()]
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.advance()
+        while self.accept(","):
             modes.append(self.mode_word())
         self.expect("punct", "]")
         self.expect("punct", ")")
@@ -312,13 +319,11 @@ class _Parser:
     def clause(self):
         self.clause_vars = {}
         head = self.head_or_body_atom()
-        tok = self.peek()
         body = []
-        if tok.kind == "neck":
+        if self.peek().kind == "neck":
             self.advance()
             body.append(self.head_or_body_atom())
-            while self.peek().kind == "punct" and self.peek().value == ",":
-                self.advance()
+            while self.accept(","):
                 body.append(self.head_or_body_atom())
         self.expect("punct", ".")
         return SourceClause(head, tuple(body))
@@ -345,10 +350,9 @@ class _Parser:
         self.clause_vars = {}
         atom = self.head_or_body_atom()
         tok = self.peek()
-        if tok.kind == "punct" and tok.value == ",":
-            self.error("conjunction goals are not supported (single atom only)")
-        if tok.kind == "punct" and tok.value == ".":
-            self.advance()
+        if self.accept(","):
+            self.error("conjunction goals are not supported (single atom only)", tok)
+        self.accept(".")
         self.expect("eof")
         return Goal(atom)
 
@@ -403,8 +407,6 @@ def _display_names(variables):
 def term_to_str(t, var_names=None):
     """Render a term; lists and tuples get their bracket sugar."""
     if var_names is None:
-        from .terms import term_vars
-
         var_names = _display_names(term_vars(t))
     return _render(t, var_names)
 
@@ -459,16 +461,7 @@ def atom_to_str(atom, var_names):
 
 
 def clause_to_str(clause: SourceClause) -> str:
-    from .terms import term_vars
-
-    occurring = []
-    for atom in (clause.head, *clause.body):
-        occurring.extend(term_vars(atom))
-    seen = []
-    for v in occurring:
-        if v not in seen:
-            seen.append(v)
-    names = _display_names(seen)
+    names = _display_names(term_vars(mk_tuple((clause.head, *clause.body))))
     head = atom_to_str(clause.head, names)
     if clause.is_unit:
         return head + "."
@@ -481,8 +474,6 @@ def directive_to_str(d: ModeDirective) -> str:
 
 
 def goal_to_str(g: Goal) -> str:
-    from .terms import term_vars
-
     names = _display_names(term_vars(g.atom))
     return atom_to_str(g.atom, names)
 

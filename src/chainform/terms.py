@@ -10,11 +10,17 @@ renaming, variable collection) stops at a ground compound instead of
 descending into it.  In unify mode the accumulated tuple is mostly ground
 list structure, so a unit step walks about as much as the unit clause, not
 the whole tuple.
+
+Every walk runs over an explicit stack, so terms of any depth are handled at
+the interpreter's default recursion limit.  The exceptions are
+``Compound.__hash__`` and ``Compound.__repr__``, which no command's path to a
+result uses.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import is_
 from sys import intern
 
 # Name of the term kernel, kept so benchmark results record which one ran.
@@ -89,11 +95,7 @@ class Compound:
         self.ground = ground
 
     def __eq__(self, other):
-        return (
-            type(other) is Compound
-            and other.functor == self.functor
-            and other.args == self.args
-        )
+        return type(other) is Compound and _struct_eq(self, other)
 
     def __hash__(self):
         return hash((self.functor, self.args))
@@ -145,7 +147,7 @@ class Subst:
         b = self.bindings
         if not b:
             return t
-        return _apply(b, t)
+        return _rebuild(t, b.get)
 
     def get(self, v, default=None):
         return self.bindings.get(v, default)
@@ -176,19 +178,79 @@ class Subst:
 EMPTY_SUBST = Subst()
 
 
-def _apply(bindings, t):
-    ty = type(t)
-    if ty is Variable:
-        return bindings.get(t, t)
-    if ty is Compound and not t.ground:
-        args = t.args
-        new = tuple(_apply(bindings, a) for a in args)
-        # Preserve object identity when nothing changed, so that repeated
-        # applications stay allocation-free.
-        if all(n is o for n, o in zip(new, args)):
+def _rebuild(t, leaf, memo=None):
+    """t with every variable v replaced by leaf(v), or kept where leaf(v) is
+    None.
+
+    One walk, over an explicit stack of the compounds being rebuilt, serves
+    substitution, resolution, renaming and canonical numbering.  It goes
+    left to right, so leaf sees the variables in first-occurrence order.
+    Ground compounds are not entered, and a compound in which nothing
+    changed is returned as the same object, so repeated applications stay
+    allocation-free.
+
+    With a memo (a dict), a leaf's result is itself rebuilt and every rebuilt
+    compound is remembered by identity: unify resolves its triangular
+    bindings this way, where one bound subterm can be reached many times.
+    """
+    if type(t) is Variable:
+        r = leaf(t)
+        if r is None:
             return t
-        return Compound(t.functor, new)
-    return t
+        if memo is None:
+            return r
+        t = r
+    if type(t) is not Compound or t.ground:
+        return t
+    if memo is not None:
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit
+    # The compound being rebuilt, its arguments, the results for those
+    # before position i, and the same for every compound enclosing it.
+    frames = []
+    args = t.args
+    n = len(args)
+    out = []
+    i = 0
+    while True:
+        while i < n:
+            a = args[i]
+            i += 1
+            ta = type(a)
+            if ta is Variable:
+                r = leaf(a)
+                if r is None:
+                    out.append(a)
+                    continue
+                if memo is None or type(r) is not Compound or r.ground:
+                    out.append(r)
+                    continue
+                a = r
+            elif ta is not Compound or a.ground:
+                out.append(a)
+                continue
+            if memo is not None:
+                hit = memo.get(id(a))
+                if hit is not None:
+                    out.append(hit)
+                    continue
+            frames.append((t, out, i))
+            t = a
+            args = a.args
+            n = len(args)
+            out = []
+            i = 0
+        new = tuple(out)
+        r = t if all(map(is_, new, args)) else Compound(t.functor, new)
+        if memo is not None:
+            memo[id(t)] = r
+        if not frames:
+            return r
+        t, out, i = frames.pop()
+        out.append(r)
+        args = t.args
+        n = len(args)
 
 
 def apply_subst(s, t):
@@ -216,22 +278,6 @@ def _occurs(v, t, bind):
         elif type(s) is Compound and not s.ground:
             stack.extend(s.args)
     return False
-
-
-def _resolve(t, bind, memo):
-    # Fully resolve t through the triangular bindings (terminates because the
-    # occurs check keeps the binding relation acyclic).
-    t = _walk(t, bind)
-    if type(t) is Compound and not t.ground:
-        key = id(t)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        args = tuple(_resolve(a, bind, memo) for a in t.args)
-        out = t if all(n is o for n, o in zip(args, t.args)) else Compound(t.functor, args)
-        memo[key] = out
-        return out
-    return t
 
 
 def unify(a, b):
@@ -268,8 +314,14 @@ def unify(a, b):
             return None
     if not bind:
         return EMPTY_SUBST
+    # Fully resolve every binding through the triangular ones (this ends
+    # because the occurs check keeps the binding relation acyclic).
+    def leaf(v):
+        r = _walk(v, bind)
+        return None if r is v else r
+
     memo = {}
-    return Subst({v: _resolve(t, bind, memo) for v, t in bind.items()})
+    return Subst({v: _rebuild(t, leaf, memo) for v, t in bind.items()})
 
 
 def match(pattern, subject):
@@ -308,6 +360,8 @@ def _struct_eq(a, b):
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
+        if x is y:
+            continue
         tx = type(x)
         if tx is not type(y):
             return False
@@ -334,19 +388,13 @@ def rename_many(terms):
     """
     mapping = {}
 
-    def walk(t):
-        ty = type(t)
-        if ty is Variable:
-            r = mapping.get(t)
-            if r is None:
-                r = Variable(t.name)
-                mapping[t] = r
-            return r
-        if ty is Compound and not t.ground:
-            return Compound(t.functor, tuple(walk(a) for a in t.args))
-        return t
+    def leaf(v):
+        r = mapping.get(v)
+        if r is None:
+            r = mapping[v] = Variable(v.name)
+        return r
 
-    return tuple(walk(t) for t in terms)
+    return tuple(_rebuild(t, leaf) for t in terms)
 
 
 def rename_apart(t):
@@ -431,16 +479,8 @@ def canonical(t):
     alpha-equivalent terms become structurally equal (and hashable alike)."""
     numbering = {}
 
-    def walk(s):
-        ty = type(s)
-        if ty is Variable:
-            k = numbering.get(s.serial)
-            if k is None:
-                k = len(numbering)
-                numbering[s.serial] = k
-            return Variable("V", -(k + 1))
-        if ty is Compound and not s.ground:
-            return Compound(s.functor, tuple(walk(a) for a in s.args))
-        return s
+    def leaf(v):
+        k = numbering.setdefault(v.serial, len(numbering))
+        return Variable("V", -(k + 1))
 
-    return walk(t)
+    return _rebuild(t, leaf)

@@ -173,8 +173,8 @@ def transform_moded(p: SourceProgram) -> ChainProgram:
             continue
         h_names = [names.fresh("h_%d_%d" % (idx, j)) for j in range(n + 1)]
         body = [h_names[0]]
-        for i, atom in enumerate(view.body, start=1):
-            body.append(entry[(atom.predicate, _atom_arity(p, atom.predicate))])
+        for i, atom in enumerate(clause.body, start=1):
+            body.append(entry[(atom.functor, len(atom.args))])
             body.append(h_names[i])
         clauses.append(NonUnit(hat, tuple(body)))
         provenance.append((idx, "main"))
@@ -196,13 +196,6 @@ def transform_moded(p: SourceProgram) -> ChainProgram:
         },
         name=p.name,
     )
-
-
-def _atom_arity(program, name):
-    for pname, arity in program.predicates():
-        if pname == name:
-            return arity
-    raise KeyError(name)
 
 
 def transform_definite(p: SourceProgram) -> ChainProgram:

@@ -198,19 +198,24 @@ class TestResources:
         before, after = proc.stdout.split()
         assert after == before
 
-    def test_main_restores_recursion_limit(self, split_file, broken_file, capsys):
+    def test_main_leaves_recursion_limit(self, split_file, monkeypatch):
+        seen = []
+
+        def record(args):
+            seen.append(sys.getrecursionlimit())
+            return cli.EXIT_OK
+
         saved = sys.getrecursionlimit()
         sys.setrecursionlimit(1234)
         try:
-            assert main(["solve", split_file, "-g", "s([a],Y,Z)"]) == 0
-            assert sys.getrecursionlimit() == 1234
-            assert main(["check", broken_file]) == 2
+            monkeypatch.setitem(cli.COMMANDS, "check", record)
+            assert main(["check", split_file]) == 0
             assert sys.getrecursionlimit() == 1234
         finally:
             sys.setrecursionlimit(saved)
+        assert seen == [1234]
 
     def test_deep_goal_text(self, tmp_path, capsys, default_recursion_limit):
-        # Parsing a numeral 2000 deep recurses deeper than the default limit.
         path = tmp_path / "length.pl"
         path.write_text(fixture_text("length"), encoding="utf-8")
         n = 2000
@@ -218,15 +223,39 @@ class TestResources:
         assert main(["solve", str(path), "--mode", "definite", "-g", goal]) == 0
         assert capsys.readouterr().out.strip() == "true"
 
-    def test_resource_exhaustion_exit_4(self, tmp_path):
+    def test_deep_clause_checked(self, tmp_path):
         n = 60000
         path = tmp_path / "deep.pl"
         path.write_text("p(%s0%s).\n" % ("s(" * n, ")" * n), encoding="utf-8")
         proc = run_python(["-m", "chainform.cli", "check", str(path)], tmp_path)
-        assert proc.returncode == EXIT_RESOURCE == 4
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: out of resources")
-        assert len(proc.stderr.strip().splitlines()) == 1
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == [
+            "chain: 1 violation(s)",
+            "  clause 1, condition 1: head p is not binary",
+        ]
+
+    @pytest.mark.parametrize("n", [20000, 100000])
+    def test_deep_nonground_clause_answered(self, tmp_path, n):
+        path = tmp_path / "d.pl"
+        path.write_text("p(%sX%s).\n" % ("s(" * n, ")" * n), encoding="utf-8")
+        proc = run_python(
+            ["-m", "chainform.cli", "solve", str(path), "--mode", "definite",
+             "-g", "p(Y)"],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr[-300:]
+        assert proc.stdout == "Y = %sX%s\n" % ("s(" * n, ")" * n)
+
+    def test_recursion_error_exit_4(self, split_file, capsys, monkeypatch):
+        def exhausted(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(cli.COMMANDS, "check", exhausted)
+        assert main(["check", split_file]) == EXIT_RESOURCE
+        assert capsys.readouterr().err == (
+            "error: out of resources (maximum recursion depth exceeded)\n"
+        )
 
     def test_memory_error_exit_4(self, split_file, capsys, monkeypatch):
         def exhausted(args):

@@ -181,6 +181,24 @@ def test_definite_pipeline_at_size(fixture, goal_text, count):
     assert_engines_match_oracle(reference, plan.goal, exhaustive)
 
 
+def test_moded_name_at_two_arities():
+    """Each body atom calls the predicate of its own arity, also when its
+    name is used at another arity too."""
+    program = parse_program(
+        ":- mode(p,[in,out]).\n:- mode(q,[in,out]).\n"
+        "p(a).\nq(X,Y) :- p(X,Y).\np(a,b).\n"
+    )
+    chain = transform_moded(program)
+    goal = parse_goal("q(a,Y)")
+    plan = compile_goal(goal, chain, "moded")
+    exhaustive = five_engine_answers(
+        plan, compile_to_registry(chain), 10_000, uni="match"
+    )
+    reference = sld_solve(program, goal, 100)
+    assert len(reference.answers) == 1
+    assert_engines_match_oracle(reference, goal, exhaustive, ordered=True)
+
+
 def test_random_definite_programs_match_oracle():
     """Differential test: random definite programs and random goals with open
     variables, every engine in unify mode under a step budget, against SLD

@@ -59,6 +59,24 @@ class TestParseProgram:
             parse_program("p(X")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p([a|b,c]).", "expected ']', found ',' (line 1, column 7)"),
+            ("p([a|]).", "expected a term (line 1, column 6)"),
+            ("p([a,]).", "expected a term (line 1, column 6)"),
+            ("p(f(a|b)).", "expected ')', found '|' (line 1, column 6)"),
+            ("p(f()).", "expected a term (line 1, column 5)"),
+            ("p(⟨a|b⟩).", "expected '⟩', found '|' (line 1, column 5)"),
+            ("p(⟨a,b).", "expected '⟩', found ')' (line 1, column 7)"),
+            ("p(a) :- .", "expected 'atom', found '.' (line 1, column 9)"),
+        ],
+    )
+    def test_error_positions(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == message
+
     def test_variables_scoped_per_clause(self):
         p = parse_program("p(X) :- q(X).\nr(X).")
         v1 = term_vars(p.clauses[0].head)[0]
@@ -179,6 +197,23 @@ class TestPrint:
             nested = cons(nested, NIL)
         assert term_to_str(numeral) == "s(" * n + "0" + ")" * n
         assert term_to_str(nested) == "[" * n + "[]" + "]" * n
+
+    @pytest.mark.parametrize(
+        "opening,inner,closing",
+        [("s(", "X", ")"), ("[", "X", "]"), ("⟨", "X", "⟩"), ("[a|", "T", "]")],
+        ids=["compound", "list", "tuple", "tail"],
+    )
+    def test_deep_text_at_default_limit(
+        self, opening, inner, closing, default_recursion_limit
+    ):
+        n = 10**5
+        text = "p(%s)" % (opening * n + inner + closing * n)
+        want = text
+        if opening == "[a|":  # a chain of tails prints as one flat list
+            want = "p([%s|T])" % ",".join(["a"] * n)
+        assert term_to_str(parse_goal(text).atom) == want
+        program = parse_program(text + ".")
+        assert term_to_str(program.clauses[0].head) == want
 
     def test_same_named_distinct_vars_disambiguated(self):
         v1 = Variable("X")

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from chainform.terms import (
     Compound,
     Constant,
+    Subst,
     Variable,
     alpha_equivalent,
     apply_subst,
@@ -71,6 +72,15 @@ class TestUnify:
         assert s.apply(X) == a
         assert s.apply(Y) == a
         assert s.apply(Z) == a
+
+    def test_resolution_follows_later_bindings(self):
+        X, Y, Z = fresh_var("X"), fresh_var("Y"), fresh_var("Z")
+        # The last argument pair is solved first, so X is bound before Y and
+        # Y before Z: each value must be resolved through the later bindings.
+        s = unify(f(Z, Y, X), f(a, g(Z), Y))
+        assert s.get(X) == s.get(Y) == g(a)
+        s = unify(f(Z, Y, X), f(a, g(Z), g(Y)))
+        assert s.get(X) == g(g(a))
 
     def test_result_is_idempotent(self):
         X, Y = fresh_var("X"), fresh_var("Y")
@@ -237,7 +247,53 @@ def _assert_ground_flags(t):
     assert is_ground(t) == _variable_free(t)
 
 
+# Plain recursive reference versions of the kernel's rebuilding walks.
+def _ref_apply(bindings, t):
+    if type(t) is Variable:
+        return bindings.get(t, t)
+    if type(t) is Compound:
+        return Compound(t.functor, tuple(_ref_apply(bindings, x) for x in t.args))
+    return t
+
+
+def _ref_rename(t, mapping):
+    if type(t) is Variable:
+        return mapping.setdefault(t, Variable(t.name))
+    if type(t) is Compound:
+        return Compound(t.functor, tuple(_ref_rename(x, mapping) for x in t.args))
+    return t
+
+
+def _ref_canonical(t, numbering):
+    if type(t) is Variable:
+        k = numbering.setdefault(t.serial, len(numbering))
+        return Variable("V", -(k + 1))
+    if type(t) is Compound:
+        return Compound(
+            t.functor, tuple(_ref_canonical(x, numbering) for x in t.args)
+        )
+    return t
+
+
+_ANY_VARS = _LEFT_VARS + _RIGHT_VARS
+any_bindings = st.dictionaries(
+    st.sampled_from(_ANY_VARS), _terms(_ANY_VARS), max_size=3
+)
+
+
 class TestAlgebraicLaws:
+    @given(_terms(_ANY_VARS), any_bindings)
+    @settings(max_examples=300)
+    def test_walks_agree_with_recursive_reference(self, t, bindings):
+        # Substitution is one structural pass, idempotent bindings or not.
+        assert Subst(bindings).apply(t) == _ref_apply(bindings, t)
+        assert canonical(t) == _ref_canonical(t, {})
+        r = rename_apart(t)
+        assert alpha_equivalent(r, _ref_rename(t, {}))
+        assert not set(term_vars(r)) & set(term_vars(t))
+        unbound = {v: x for v, x in bindings.items() if v not in term_vars(t)}
+        assert Subst(unbound).apply(t) is t
+
     @given(shared_pairs)
     @settings(max_examples=300)
     def test_ground_flag_is_exact(self, pair):
@@ -313,3 +369,60 @@ def test_tuple_helpers():
     assert len(t.args) == 2
     lst = mk_list([a, b])
     assert lst == cons(a, cons(b, NIL))
+
+
+class TestDeepTerms:
+    """Every kernel walk at the default recursion limit, on a non-ground
+    term 10^5 levels deep."""
+
+    N = 10**5
+
+    @staticmethod
+    def numeral(n, base):
+        t = base
+        for _ in range(n):
+            t = Compound("s", (t,))
+        return t
+
+    @staticmethod
+    def depth(t):
+        k = 0
+        while type(t) is Compound:
+            t = t.args[0]
+            k += 1
+        return k, t
+
+    def test_unify(self, default_recursion_limit):
+        X, Y, Z = fresh_var("X"), fresh_var("Y"), fresh_var("Z")
+        deep_x = self.numeral(self.N, X)
+        deep_z = self.numeral(self.N, Z)
+        # Y is bound to deep_x first, so resolving Y rebuilds deep_x under
+        # the binding of X found below it.
+        s = unify(mk_tuple((deep_x, Y)), mk_tuple((deep_z, deep_x)))
+        assert s is not None
+        n, v = self.depth(s.get(Y))
+        assert n == self.N and v in (X, Z) and v not in s
+        assert s.apply(deep_x) == s.apply(deep_z) == s.get(Y)
+        assert unify(X, deep_x) is None
+
+    def test_apply(self, default_recursion_limit):
+        X = fresh_var("X")
+        deep_x = self.numeral(self.N, X)
+        assert self.depth(Subst({X: b}).apply(deep_x)) == (self.N, b)
+        assert Subst({fresh_var("Z"): b}).apply(deep_x) is deep_x
+
+    def test_rename_apart(self, default_recursion_limit):
+        X = fresh_var("X")
+        n, v = self.depth(rename_apart(self.numeral(self.N, X)))
+        assert n == self.N
+        assert type(v) is Variable and v != X
+
+    def test_canonical(self, default_recursion_limit):
+        deep_x = self.numeral(self.N, fresh_var("X"))
+        deep_y = self.numeral(self.N, fresh_var("Y"))
+        assert canonical(deep_x) == canonical(deep_y)
+
+    def test_equality(self, default_recursion_limit):
+        X = fresh_var("X")
+        assert self.numeral(self.N, X) == self.numeral(self.N, X)
+        assert self.numeral(self.N, X) != self.numeral(self.N, fresh_var("Y"))
