@@ -55,12 +55,6 @@ class ChainProgram:
     source_modes: dict = field(default_factory=dict)
     name: str = ""
 
-    def provenance_of(self, clause):
-        for c, p in zip(self.clauses, self.provenance):
-            if c is clause or c == clause:
-                return p
-        raise KeyError(clause)
-
     def predicate_of(self, clause):
         return clause.head if isinstance(clause, NonUnit) else clause.predicate
 

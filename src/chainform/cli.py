@@ -23,7 +23,7 @@ from .engines import (
     eval_continuation,
     eval_stream,
 )
-from .forms import CHECKERS, MissingModeError, check_gchain, check_moded
+from .forms import CHECKERS, MissingModeError, check_gchain
 from .oracle import sld_solve
 from .syntax import (
     Goal,
@@ -187,16 +187,16 @@ def cmd_check(args) -> int:
 # transform
 
 
-def _pick_mode(program, mode):
-    if mode != "auto":
-        return mode
-    if program.fully_moded() and check_moded(program).holds:
-        return "moded"
-    return "definite"
-
-
 def _convert(program, mode):
-    mode = _pick_mode(program, mode)
+    """The chain program and the conversion that made it.  auto takes the
+    moded conversion when the program is moded, the definite one otherwise."""
+    if mode == "auto":
+        if program.fully_moded():
+            try:
+                return transform_moded(program), "moded"
+            except TransformError:
+                pass
+        mode = "definite"
     if mode == "moded":
         return transform_moded(program), mode
     return transform_definite(program), mode
@@ -242,10 +242,16 @@ def _prepare(args, goal_text):
     chain, mode = _convert(program, args.mode)
     registry = compile_to_registry(chain)
     plan = compile_goal(goal, chain, mode)
-    gchain = check_gchain(chain.to_source()).holds
-    uni = "match" if (gchain and is_ground(plan.initial)) else "unify"
+    uni = _unification(chain, plan)
     budget = args.budget if args.budget is not None else _default_budget()
     return registry, plan, uni, budget
+
+
+def _unification(chain, plan):
+    """One-sided matching suffices when the chain program is G-chain and the
+    seed is ground; otherwise unit resolution needs full unification."""
+    gchain = check_gchain(chain.to_source()).holds
+    return "match" if gchain and is_ground(plan.initial) else "unify"
 
 
 def _answer(goal: Goal, subst):
@@ -420,7 +426,7 @@ def _timing_report(rows):
         goal = parse_goal(goal_text)
         registry = compile_to_registry(chain)
         plan = compile_goal(goal, chain, mode)
-        uni = "match" if mode == "moded" else "unify"
+        uni = _unification(chain, plan)
         t0 = time.perf_counter()
         reference = sld_solve(program, goal, depth_budget=100_000)
         t1 = time.perf_counter()

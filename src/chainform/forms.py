@@ -1,11 +1,12 @@
 """Membership checks for the syntactic program classes: moded, chain,
 G-chain, prechain.
 
-The moded check works on the mode-grouped view of each clause: the declared
-'in' argument places of an atom form its input tuple and the 'out' places its
-output tuple, each preserving argument order.  Data flows from the head input
-and the body atoms' outputs (the "source" groups) into the body atoms' inputs
-and the head output (the "sink" groups).
+The moded check works on the mode grouping of each clause: the 'in' argument
+places of an atom, as its directive for that name and arity declares them,
+form its input tuple and the 'out' places its output tuple, each preserving
+argument order.  Data flows from the head input and the body atoms' outputs
+(the "source" groups) into the body atoms' inputs and the head output (the
+"sink" groups).
 """
 
 from __future__ import annotations
@@ -51,58 +52,28 @@ class FormReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ModedAtomView:
-    predicate: str
-    t_in: object  # input tuple term (a sink for data)
-    t_out: object  # output tuple term (a source of data)
+def split_args(args, modes):
+    """The 'in' arguments and the 'out' arguments, each in argument order."""
+    ins = tuple(a for a, m in zip(args, modes) if m == "in")
+    outs = tuple(a for a, m in zip(args, modes) if m == "out")
+    return ins, outs
 
 
-@dataclass(frozen=True)
-class ModedClauseView:
-    predicate: str
-    head_in: object  # input tuple of the head
-    head_out: object  # output tuple of the head
-    body: tuple  # of ModedAtomView
-
-
-def _group(atom, directive):
-    ins = [a for a, m in zip(atom.args, directive.modes) if m == "in"]
-    outs = [a for a, m in zip(atom.args, directive.modes) if m == "out"]
-    return mk_tuple(ins), mk_tuple(outs)
-
-
-def moded_view(clause: SourceClause, program: SourceProgram) -> ModedClauseView:
-    """The mode-grouped form of a clause.  Raises MissingModeError when a
-    used predicate has no directive."""
-    views = []
-    head_dir = program.mode_for(clause.head.functor)
-    if head_dir is None:
-        raise MissingModeError(
-            "no mode directive for predicate %r" % clause.head.functor
-        )
-    head_in, head_out = _group(clause.head, head_dir)
-    for atom in clause.body:
-        d = program.mode_for(atom.functor)
+def moded_groups(clause: SourceClause, program: SourceProgram):
+    """The source groups (head input, then each body atom's output) and the
+    sink groups (each body atom's input, then the head output) of a clause,
+    as tuple terms.  Raises MissingModeError when an atom's predicate has no
+    directive for its arity."""
+    ins, outs = [], []
+    for atom in (clause.head, *clause.body):
+        key = (atom.functor, len(atom.args))
+        d = program.mode_for(*key)
         if d is None:
-            raise MissingModeError(
-                "no mode directive for predicate %r" % atom.functor
-            )
-        t_in, t_out = _group(atom, d)
-        views.append(ModedAtomView(atom.functor, t_in, t_out))
-    return ModedClauseView(clause.head.functor, head_in, head_out, tuple(views))
-
-
-def source_groups(view: ModedClauseView):
-    """The unprimed tuple family: head input first, then each body atom's
-    output, left to right."""
-    return (view.head_in, *(a.t_out for a in view.body))
-
-
-def sink_groups(view: ModedClauseView):
-    """The primed tuple family: each body atom's input, left to right, then
-    the head output."""
-    return (*(a.t_in for a in view.body), view.head_out)
+            raise MissingModeError("no mode directive for predicate %s/%d" % key)
+        t_in, t_out = split_args(atom.args, d.modes)
+        ins.append(mk_tuple(t_in))
+        outs.append(mk_tuple(t_out))
+    return (ins[0], *outs[1:]), (*ins[1:], outs[0])
 
 
 def check_moded(p: SourceProgram) -> FormReport:
@@ -111,9 +82,9 @@ def check_moded(p: SourceProgram) -> FormReport:
     2. the source groups are pairwise variable-disjoint."""
     violations = []
     for idx, clause in enumerate(p.clauses):
-        view = moded_view(clause, p)
-        sources = [set(term_vars(t)) for t in source_groups(view)]
-        sinks = [set(term_vars(t)) for t in sink_groups(view)]
+        source_terms, sink_terms = moded_groups(clause, p)
+        sources = [set(term_vars(t)) for t in source_terms]
+        sinks = [set(term_vars(t)) for t in sink_terms]
         available = set()
         for i, sink in enumerate(sinks):
             available |= sources[i]

@@ -83,10 +83,10 @@ class SourceProgram:
     _mode_index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self._mode_index = {d.predicate: d for d in self.modes}
+        self._mode_index = {(d.predicate, d.arity): d for d in self.modes}
 
-    def mode_for(self, predicate):
-        return self._mode_index.get(predicate)
+    def mode_for(self, name, arity):
+        return self._mode_index.get((name, arity))
 
     def predicates(self):
         """Predicate (name, arity) pairs in first-occurrence order, heads
@@ -99,9 +99,7 @@ class SourceProgram:
         return tuple(seen)
 
     def fully_moded(self):
-        return all(
-            self.mode_for(name) is not None for name, _ in self.predicates()
-        )
+        return all(key in self._mode_index for key in self.predicates())
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +328,20 @@ class _Parser:
 
     def program(self, name=""):
         clauses = []
-        directives = []
+        directives = {}
         while self.peek().kind != "eof":
             if self.peek().kind == "neck":
                 d = self.directive()
-                if any(d.predicate == prev.predicate for prev in directives):
+                key = (d.predicate, d.arity)
+                if key in directives:
                     self.error(
-                        "duplicate mode directive for %r" % d.predicate,
+                        "duplicate mode directive for %s/%d" % key,
                         self.tokens[self.pos - 1],
                     )
-                directives.append(d)
+                directives[key] = d
             else:
                 clauses.append(self.clause())
-        prog = SourceProgram(tuple(clauses), tuple(directives), name)
+        prog = SourceProgram(tuple(clauses), tuple(directives.values()), name)
         _check_directive_arities(prog)
         return prog
 

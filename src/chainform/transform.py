@@ -4,20 +4,26 @@ Both conversions hide pass-on variables (variables bound before a subgoal is
 selected and used again after it succeeds) in a list behaving like a stack,
 threaded through every predicate as an extra leading tuple component.
 
-Moded conversion, per clause with body atoms q_1..q_n: compute, for every
-seam position j, the set of variables that flow across it (bound by a source
-group at or before j, used by a sink group at or after j).  Each seam gets a
-stack term: the seam's pass-on variables consed onto one fresh stack variable
-shared by the whole clause.  The clause becomes one chain clause
-h_0, q̂_1, h_1, ..., q̂_n, h_n over the stack-extended predicates, and each
-h_j is a fresh unit clause pushing and popping exactly the seam difference.
-Unit source clauses collapse to a single stack-preserving unit for the
-stack-extended predicate, which keeps the clause counts minimal.
+Both build the same skeleton.  A clause with body atoms q_1..q_n becomes one
+chain clause h_0, q̂_1, h_1, ..., q̂_n, h_n over the stack-extended
+predicates, and each h_j is a fresh unit clause mapping ⟨σ_j, source group j⟩
+to ⟨σ_{j+1}, sink group j⟩, where σ_j is the stack term at seam j.  The
+source groups are the head input and then each body atom's output; the sink
+groups are each body atom's input and then the head output.  A unit source
+clause collapses to a single stack-preserving unit ⟨σ_0, head input⟩ to
+⟨σ_1, head output⟩ for its stack-extended predicate (σ_0 = σ_1 is the bare
+stack variable), which keeps the clause counts minimal.
+The conversions differ only in their groups and stack terms.
 
-Definite conversion: argument places have no declared roles, so each
-predicate's full argument tuple is replicated into both sides of its
-stack-extended counterpart (a partial identity).  One pass-on set serves
-every seam: all clause variables except those occurring in every atom.
+Moded conversion: the groups come from the mode directives.  Seam j's
+pass-on set holds the variables bound by a source group before it and used
+by a sink group at or after it, and σ_j conses them onto one fresh stack
+variable shared by the whole clause; the outermost two sets are empty.
+
+Definite conversion: argument places have no declared roles, so the grouping
+is the identity: an atom's full argument tuple is both its input and its
+output (a partial identity).  One pass-on set serves every inner seam: all
+clause variables except those occurring in every atom.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .chainir import ChainProgram, NonUnit, Unit
-from .forms import check_moded, moded_view, sink_groups, source_groups
+from .forms import check_moded, moded_groups, split_args
 from .syntax import Goal, SourceClause, SourceProgram
 from .terms import (
     NIL,
@@ -55,7 +61,8 @@ class PassOnProfile:
     """Seam-indexed pass-on variable sets and their stack terms.
 
     Moded clauses have one entry per seam (n + 2 of them, the outermost two
-    always empty); definite clauses have a single entry used at every seam.
+    always empty); definite clauses have a single entry used at every inner
+    seam.
     Variables are listed in first-occurrence order over the clause text.
     """
 
@@ -65,14 +72,7 @@ class PassOnProfile:
 
 
 def _clause_occurrence_order(clause: SourceClause):
-    order = []
-    seen = set()
-    for atom in (clause.head, *clause.body):
-        for v in term_vars(atom):
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-    return order
+    return term_vars(mk_tuple((clause.head, *clause.body)))
 
 
 def _ordered(vset, order):
@@ -88,18 +88,12 @@ def _attach(stack_term, group):
     return mk_tuple((stack_term, *group.args))
 
 
-def pass_on_sets_moded(clause: SourceClause, program: SourceProgram) -> PassOnProfile:
-    """Per-seam pass-on sets of a moded clause.
-
-    Seam j separates the source groups strictly before it from the sink
-    groups at or after it; its pass-on set is the intersection of their
-    variable sets.  Seam 0 and seam n+1 are always empty.
-    """
-    view = moded_view(clause, program)
-    sources = [set(term_vars(t)) for t in source_groups(view)]
-    sinks = [set(term_vars(t)) for t in sink_groups(view)]
+def _pass_on(clause: SourceClause, sources, sinks) -> PassOnProfile:
+    """pass_on_sets_moded over the clause's given source and sink groups."""
+    sources = [set(term_vars(t)) for t in sources]
+    sinks = [set(term_vars(t)) for t in sinks]
     order = _clause_occurrence_order(clause)
-    n = len(view.body)
+    n = len(clause.body)
     stack_var = fresh_var("St")
     sets = []
     for j in range(n + 2):
@@ -108,6 +102,16 @@ def pass_on_sets_moded(clause: SourceClause, program: SourceProgram) -> PassOnPr
         sets.append(_ordered(before & after, order))
     sigmas = tuple(_sigma(vs, stack_var) for vs in sets)
     return PassOnProfile(tuple(sets), sigmas, stack_var)
+
+
+def pass_on_sets_moded(clause: SourceClause, program: SourceProgram) -> PassOnProfile:
+    """Per-seam pass-on sets of a moded clause.
+
+    Seam j separates the source groups strictly before it from the sink
+    groups at or after it; its pass-on set is the intersection of their
+    variable sets.  Seam 0 and seam n+1 are always empty.
+    """
+    return _pass_on(clause, *moded_groups(clause, program))
 
 
 def pass_on_set_definite(clause: SourceClause) -> PassOnProfile:
@@ -135,117 +139,72 @@ class _Names:
         return candidate
 
 
-def _entry_map(program: SourceProgram, names: _Names):
-    entry = {}
-    for name, arity in program.predicates():
-        entry[(name, arity)] = names.fresh(name + "_hat")
-    return entry
-
-
-def transform_moded(p: SourceProgram) -> ChainProgram:
-    """Convert a moded program to chain form (the result is G-chain).
+def _convert(p: SourceProgram, kind, seams, source_modes) -> ChainProgram:
+    """The clause skeleton shared by both conversions.  seams(clause) gives
+    the clause's source groups, its sink groups and its n + 2 stack terms.
 
     Each non-unit source clause with n body atoms yields one chain clause
     plus n + 1 restructuring units named h_<clause>_<j>, unique across the
     program; each unit source clause yields a single stack-preserving unit
     for its stack-extended predicate.
     """
-    report = check_moded(p)
-    if not report.holds:
-        raise TransformError(
-            "program is not moded:\n%s" % report
-        )
     names = _Names(p)
-    entry = _entry_map(p, names)
+    entry = {key: names.fresh(key[0] + "_hat") for key in p.predicates()}
     clauses = []
     provenance = []
     for idx, clause in enumerate(p.clauses, start=1):
-        view = moded_view(clause, p)
+        sources, sinks, sigmas = seams(clause)
+        units = [
+            (_attach(sigmas[j], source), _attach(sigmas[j + 1], sink))
+            for j, (source, sink) in enumerate(zip(sources, sinks))
+        ]
         hat = entry[(clause.head.functor, len(clause.head.args))]
-        profile = pass_on_sets_moded(clause, p)
-        sources = source_groups(view)
-        sinks = sink_groups(view)
-        n = len(view.body)
-        if n == 0:
-            st = profile.stack_var
-            clauses.append(Unit(hat, _attach(st, sources[0]), _attach(st, sinks[0])))
-            provenance.append((idx, "main"))
-            continue
-        h_names = [names.fresh("h_%d_%d" % (idx, j)) for j in range(n + 1)]
-        body = [h_names[0]]
-        for i, atom in enumerate(clause.body, start=1):
-            body.append(entry[(atom.functor, len(atom.args))])
-            body.append(h_names[i])
-        clauses.append(NonUnit(hat, tuple(body)))
         provenance.append((idx, "main"))
-        for j in range(n + 1):
-            unit = Unit(
-                h_names[j],
-                _attach(profile.sigmas[j], sources[j]),
-                _attach(profile.sigmas[j + 1], sinks[j]),
-            )
-            clauses.append(unit)
-            provenance.append((idx, "h_%d" % j))
+        if clause.is_unit:
+            clauses.append(Unit(hat, *units[0]))
+            continue
+        h_names = [names.fresh("h_%d_%d" % (idx, j)) for j in range(len(units))]
+        body = [h_names[0]]
+        for atom, h in zip(clause.body, h_names[1:]):
+            body += (entry[(atom.functor, len(atom.args))], h)
+        clauses.append(NonUnit(hat, tuple(body)))
+        clauses.extend(Unit(h, *unit) for h, unit in zip(h_names, units))
+        provenance.extend((idx, "h_%d" % j) for j in range(len(units)))
     return ChainProgram(
         clauses=tuple(clauses),
         provenance=tuple(provenance),
         entry=entry,
-        kind="moded",
-        source_modes={
-            (d.predicate, d.arity): d.modes for d in p.modes
-        },
+        kind=kind,
+        source_modes=source_modes,
         name=p.name,
     )
+
+
+def transform_moded(p: SourceProgram) -> ChainProgram:
+    """Convert a moded program to chain form (the result is G-chain)."""
+    report = check_moded(p)
+    if not report.holds:
+        raise TransformError("program is not moded:\n%s" % report)
+
+    def seams(clause):
+        sources, sinks = moded_groups(clause, p)
+        return sources, sinks, _pass_on(clause, sources, sinks).sigmas
+
+    modes = {(d.predicate, d.arity): d.modes for d in p.modes}
+    return _convert(p, "moded", seams, modes)
+
+
+def _identity_seams(clause):
+    groups = [mk_tuple(a.args) for a in (clause.head, *clause.body)]
+    profile = pass_on_set_definite(clause)
+    st = profile.stack_var
+    sigmas = (st, *profile.sigmas * len(clause.body), st)
+    return groups, groups[1:] + groups[:1], sigmas
 
 
 def transform_definite(p: SourceProgram) -> ChainProgram:
-    """Convert any definite program to chain form.
-
-    The stack-extended predicates replicate the full argument tuple on both
-    sides; the first and last restructuring units of a clause carry the head
-    tuple, interior ones relate consecutive body tuples, all under one shared
-    pass-on stack term.
-    """
-    names = _Names(p)
-    entry = _entry_map(p, names)
-    clauses = []
-    provenance = []
-    for idx, clause in enumerate(p.clauses, start=1):
-        hat = entry[(clause.head.functor, len(clause.head.args))]
-        profile = pass_on_set_definite(clause)
-        st = profile.stack_var
-        sigma = profile.sigmas[0]
-        head_tuple = mk_tuple(clause.head.args)
-        n = len(clause.body)
-        if n == 0:
-            extended = _attach(st, head_tuple)
-            clauses.append(Unit(hat, extended, extended))
-            provenance.append((idx, "main"))
-            continue
-        body_tuples = [mk_tuple(a.args) for a in clause.body]
-        h_names = [names.fresh("h_%d_%d" % (idx, j)) for j in range(n + 1)]
-        body = [h_names[0]]
-        for i, atom in enumerate(clause.body, start=1):
-            body.append(entry[(atom.functor, len(atom.args))])
-            body.append(h_names[i])
-        clauses.append(NonUnit(hat, tuple(body)))
-        provenance.append((idx, "main"))
-        ins = [_attach(st, head_tuple)] + [
-            _attach(sigma, t) for t in body_tuples
-        ]
-        outs = [_attach(sigma, t) for t in body_tuples] + [
-            _attach(st, head_tuple)
-        ]
-        for j in range(n + 1):
-            clauses.append(Unit(h_names[j], ins[j], outs[j]))
-            provenance.append((idx, "h_%d" % j))
-    return ChainProgram(
-        clauses=tuple(clauses),
-        provenance=tuple(provenance),
-        entry=entry,
-        kind="definite",
-        name=p.name,
-    )
+    """Convert any definite program to chain form."""
+    return _convert(p, "definite", _identity_seams, {})
 
 
 def clause_count_law(p: SourceProgram) -> int:
@@ -294,21 +253,18 @@ def compile_goal(goal: Goal, t: ChainProgram, mode: str) -> GoalPlan:
             raise GoalError(
                 "no modes recorded for %s/%d; use definite mode" % key
             )
-        in_args = tuple(a for a, m in zip(atom.args, modes) if m == "in")
-        out_args = tuple(a for a, m in zip(atom.args, modes) if m == "out")
-        if not all(is_ground(a) for a in in_args):
+        ins, outs = split_args(atom.args, modes)
+        if not all(is_ground(a) for a in ins):
             raise GoalError(
                 "moded evaluation needs ground input arguments in %s"
                 % atom.functor
             )
-        initial = mk_tuple((NIL, *in_args))
-        expected = mk_tuple(out_args)
     elif mode == "definite":
-        initial = mk_tuple((NIL, *atom.args))
-        expected = mk_tuple(atom.args)
+        ins = outs = atom.args
     else:
         raise ValueError("mode must be 'moded' or 'definite'")
-
+    initial = mk_tuple((NIL, *ins))
+    expected = mk_tuple(outs)
     width = len(expected.args)
 
     def decode(answer):

@@ -30,6 +30,14 @@ def append_file(tmp_path):
 
 
 @pytest.fixture
+def two_arity_file(tmp_path):
+    # The directive covers p/2 only; p/1 has none.
+    path = tmp_path / "two.pl"
+    path.write_text(":- mode(p,[in,out]).\np(a).\np(a,b).\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
 def broken_file(tmp_path):
     path = tmp_path / "broken.pl"
     path.write_text("p(X", encoding="utf-8")
@@ -66,6 +74,12 @@ class TestCheck:
         assert "moded: holds" in out and "chain:" in out
 
 
+    def test_directive_of_another_arity_not_borrowed(self, two_arity_file, capsys):
+        assert main(["check", two_arity_file, "--form", "moded"]) == 1
+        out = capsys.readouterr().out
+        assert out.strip() == "moded: error: no mode directive for predicate p/1"
+
+
 class TestTransform:
     def test_split_counts(self, split_file, tmp_path, capsys):
         out = tmp_path / "out.pl"
@@ -96,6 +110,13 @@ class TestTransform:
 
     def test_moded_transform_of_unmoded_fails(self, append_file, capsys):
         assert main(["transform", append_file, "--mode", "moded"]) == 1
+
+    def test_auto_falls_back_when_moded_check_fails(self, tmp_path, capsys):
+        # Every predicate has a directive, but nothing binds p's output.
+        path = tmp_path / "unbound.pl"
+        path.write_text(":- mode(p,[out]).\np(X).\n", encoding="utf-8")
+        assert main(["transform", str(path)]) == 0
+        assert "(definite conversion)" in capsys.readouterr().out
 
 
 class TestSolve:
@@ -164,6 +185,12 @@ class TestSolve:
     def test_budget_env_override(self, looping_file, capsys, monkeypatch):
         monkeypatch.setenv("CHAINFORM_BUDGET", "50")
         assert main(["solve", looping_file, "-g", "p(a)"]) == 3
+
+    def test_name_at_two_arities_auto(self, two_arity_file, capsys):
+        assert main(["solve", two_arity_file, "-g", "p(a)"]) == 0
+        assert capsys.readouterr().out.strip() == "true"
+        assert main(["solve", two_arity_file, "-g", "p(a,Y)"]) == 0
+        assert capsys.readouterr().out.strip() == "Y = b"
 
     def test_unknown_predicate_exit_1(self, split_file, capsys):
         assert main(["solve", split_file, "-g", "nosuch(X)"]) == 1

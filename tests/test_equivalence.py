@@ -185,7 +185,7 @@ def test_moded_name_at_two_arities():
     """Each body atom calls the predicate of its own arity, also when its
     name is used at another arity too."""
     program = parse_program(
-        ":- mode(p,[in,out]).\n:- mode(q,[in,out]).\n"
+        ":- mode(p,[in]).\n:- mode(p,[in,out]).\n:- mode(q,[in,out]).\n"
         "p(a).\nq(X,Y) :- p(X,Y).\np(a,b).\n"
     )
     chain = transform_moded(program)

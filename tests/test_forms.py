@@ -10,7 +10,7 @@ from chainform.forms import (
     check_gchain,
     check_moded,
     check_prechain,
-    moded_view,
+    moded_groups,
 )
 from chainform.syntax import parse_program
 from chainform.terms import term_vars
@@ -68,12 +68,19 @@ class TestModed:
 
     def test_moded_view_groups(self):
         p = parse_program(SPLIT)
-        view = moded_view(p.clauses[1], p)
+        sources, sinks = moded_groups(p.clauses[1], p)
         # Head input [A|N], head output ([A|L], M); body input (N), output (L, M).
-        assert len(view.head_in.args) == 1
-        assert len(view.head_out.args) == 2
-        assert len(view.body) == 1
-        assert {v.name for v in term_vars(view.body[0].t_in)} == {"N"}
+        head_in, body_out = sources
+        body_in, head_out = sinks
+        assert len(head_in.args) == 1
+        assert len(head_out.args) == 2
+        assert len(body_out.args) == 2
+        assert {v.name for v in term_vars(body_in)} == {"N"}
+
+    def test_directive_for_another_arity_does_not_apply(self):
+        p = parse_program(":- mode(p,[in,out]).\np(a).\np(a,b).")
+        with pytest.raises(MissingModeError, match="predicate p/1"):
+            check_moded(p)
 
 
 class TestChain:

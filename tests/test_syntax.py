@@ -93,6 +93,16 @@ class TestParseProgram:
         with pytest.raises(ParseError, match="duplicate"):
             parse_program(bad)
 
+    def test_mode_directives_per_arity(self):
+        text = ":- mode(p, [in]).\n:- mode(p, [in,out]).\np(a).\np(a, b)."
+        p = parse_program(text)
+        assert p.mode_for("p", 1).modes == ("in",)
+        assert p.mode_for("p", 2).modes == ("in", "out")
+        assert p.mode_for("p", 3) is None
+        assert p.fully_moded()
+        with pytest.raises(ParseError, match="duplicate"):
+            parse_program(":- mode(p, [in,out]).\n" + text)
+
     def test_directive_arity_mismatch(self):
         bad = ":- mode(p, [in,out]).\np(a)."
         with pytest.raises(ParseError, match="arity"):

@@ -1,10 +1,14 @@
 """Conversion-to-chain-form tests: pass-on profiles, clause shapes, clause
 counts, goal compilation."""
 
+import os
+
 import pytest
 
-from chainform.chainir import NonUnit, Unit, compile_to_registry
-from chainform.forms import check_chain, check_gchain
+from chainform.chainir import NonUnit, Unit, compile_to_registry, dump_registry
+from chainform.cli import _render_chain
+from chainform.fixtures import FIXTURE_NAMES, load_fixture
+from chainform.forms import MissingModeError, check_chain, check_gchain
 from chainform.syntax import parse_goal, parse_program
 from chainform.terms import (
     Constant,
@@ -34,6 +38,28 @@ s([A|N], [A|L], M) :- s(N, L, M).
 """
 
 APPEND = "a([],L,L).\na([A|L],M,[A|N]) :- a(L,M,N).\n"
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+CONVERSIONS = {"moded": transform_moded, "definite": transform_definite}
+
+
+@pytest.mark.parametrize("mode", sorted(CONVERSIONS))
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_golden_conversion(fixture, mode):
+    """The exact text of `chainform transform <fixture> --mode <mode>
+    --registry`, kept in tests/golden/<fixture>.<mode>.txt.  A fixture
+    without a file there is one the conversion refuses."""
+    path = os.path.join(GOLDEN, "%s.%s.txt" % (fixture, mode))
+    program = load_fixture(fixture)
+    if not os.path.exists(path):
+        with pytest.raises((TransformError, MissingModeError)):
+            CONVERSIONS[mode](program)
+        return
+    chain = CONVERSIONS[mode](program)
+    text = _render_chain(chain) + dump_registry(compile_to_registry(chain))
+    with open(path, encoding="utf-8") as handle:
+        assert text == handle.read()
 
 
 def names_of(vs):
