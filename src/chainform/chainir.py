@@ -87,6 +87,13 @@ class Registry:
     nonunit: dict  # label -> tuple of body predicate names
     unit: dict  # label -> (input term, output term)
     isunit: frozenset  # = set of unit labels
+    # evaluation mode -> unit label -> the forms the engines apply that unit
+    # in, filled by the engines on first use, so a registry is not changed
+    # once evaluated.  Not part of the registry's value: never compared,
+    # printed or dumped.
+    unit_forms: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         assert self.isunit == frozenset(self.unit)

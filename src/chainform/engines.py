@@ -25,9 +25,14 @@ explicit: a stack of choice points, and the continuation as a cons list, so
 no formulation recurses in Python and none copies the continuation.
 
 Unit resolution has two variants.  In match mode (for ground evaluation over
-G-chain programs) the query term is matched one-way against the unit input.
-In unify mode the unit clause is renamed apart from the query term and fully
-unified with it, so query variables stay stable for the goal decoder.
+G-chain programs) the query term is matched one-way against the unit input:
+each unit clause is compiled by terms.compile_unit on its first use and run
+by terms.run_unit, bound here as match, instead of the reference
+terms.match followed by Subst.apply.  In unify mode the unit clause is
+renamed apart from the query term and fully unified with it, so query
+variables stay stable for the goal decoder.  The forms of each unit, with
+its stack-less form for eval_stream, are kept on the registry
+(Registry.unit_forms), so every goal over one registry shares them.
 """
 
 from __future__ import annotations
@@ -38,16 +43,21 @@ from typing import Optional
 from .chainir import Registry
 from .terms import (
     Variable,
+    compile_unit,
     cons,
     is_cons,
     is_nil,
     is_tuple,
-    match,
     mk_tuple,
     rename_many,
     term_vars,
     unify,
 )
+
+# A compiled unit applied to a term, or None.  The engines call it by this
+# module-level name once per unit attempt in match mode, so that one wrapper
+# on chainform.engines.match sees every attempt (perfbench counts them so).
+from .terms import run_unit as match
 
 DEFAULT_BUDGET = 10**6
 
@@ -73,13 +83,8 @@ class BoundedResult:
         return self.answer is not None
 
 
-def _match_unit(t, t_out, x):
-    s = match(t, x)
-    return None if s is None else s.apply(t_out)
-
-
-def _unify_unit(t, t_out, x):
-    rt, rt_out = rename_many((t, t_out))
+def _unify_unit(unit, x):
+    rt, rt_out = rename_many(unit)
     s = unify(x, rt)
     return None if s is None else s.apply(rt_out)
 
@@ -88,14 +93,15 @@ class _Run:
     """Shared state of one evaluation: registry access, unit resolution,
     and the composition-step budget."""
 
-    __slots__ = ("reg", "apply_unit", "remaining", "budget")
+    __slots__ = ("reg", "matching", "forms", "remaining", "budget")
 
     def __init__(self, reg: Registry, uni: str, budget: int):
         if uni not in (MATCH, UNIFY):
             raise ValueError("uni must be 'match' or 'unify'")
         self.reg = reg
-        # apply_unit(t_in, t_out, x): the unit clause t_in -> t_out applied to x.
-        self.apply_unit = _match_unit if uni == MATCH else _unify_unit
+        self.matching = uni == MATCH
+        # Shared by every run in this mode over reg: see unit_forms.
+        self.forms = reg.unit_forms.setdefault(uni, {})
         self.budget = budget
         self.remaining = budget
 
@@ -110,9 +116,31 @@ class _Run:
         except KeyError:
             raise LookupError("no definition for predicate %r" % q) from None
 
+    def unit_forms(self, label):
+        """The unit clause's form, and its stack-less form for eval_stream
+        (None when the unit switches stacks): compiled programs in match
+        mode, term pairs in unify mode.  Made on the first use of the label
+        and kept on the registry."""
+        try:
+            return self.forms[label]
+        except KeyError:
+            pass
+        unit = self.reg.unit[label]
+        bare = _strip_stack(*unit)
+        if self.matching:
+            unit = compile_unit(*unit)
+            bare = None if bare is None else compile_unit(*bare)
+        forms = self.forms[label] = (unit, bare)
+        return forms
+
+    def apply(self, unit, x):
+        """A unit form applied to x: the output term, or None."""
+        if self.matching:
+            return match(unit, x)
+        return _unify_unit(unit, x)
+
     def resolve_unit(self, label, x):
-        t, t_out = self.reg.unit[label]
-        return self.apply_unit(t, t_out, x)
+        return self.apply(self.unit_forms(label)[0], x)
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +238,14 @@ def eval_stream(
     the stack is only attached and detached at stack-switching unit steps.
     """
     run = _Run(r, uni, budget)
-    stripped = {}  # unit label -> its stack-less clause, None if it switches
 
     def resolve(label, state):
         stack, payload = state
-        try:
-            unit = stripped[label]
-        except KeyError:
-            unit = stripped[label] = _strip_stack(*r.unit[label])
-        if unit is not None:
-            y = run.apply_unit(*unit, payload)
+        unit, bare = run.unit_forms(label)
+        if bare is not None:
+            y = run.apply(bare, payload)
             return None if y is None else (stack, y)
-        y = run.resolve_unit(label, mk_tuple((stack, *payload.args)))
+        y = run.apply(unit, mk_tuple((stack, *payload.args)))
         if y is None:
             return None
         if not (is_tuple(y) and y.args):

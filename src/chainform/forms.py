@@ -80,15 +80,18 @@ def check_moded(p: SourceProgram) -> FormReport:
     """Both moded conditions on the grouped form of every clause:
     1. vars of each sink group are covered by the source groups up to it;
     2. the source groups are pairwise variable-disjoint."""
+    return check_moded_groups([moded_groups(c, p) for c in p.clauses])
+
+
+def check_moded_groups(groups) -> FormReport:
+    """check_moded over every clause's moded_groups, in clause order."""
     violations = []
-    for idx, clause in enumerate(p.clauses):
-        source_terms, sink_terms = moded_groups(clause, p)
+    for idx, (source_terms, sink_terms) in enumerate(groups):
         sources = [set(term_vars(t)) for t in source_terms]
-        sinks = [set(term_vars(t)) for t in sink_terms]
         available = set()
-        for i, sink in enumerate(sinks):
+        for i, t in enumerate(sink_terms):
             available |= sources[i]
-            extra = sink - available
+            extra = set(term_vars(t)) - available
             if extra:
                 violations.append(
                     (
@@ -98,18 +101,25 @@ def check_moded(p: SourceProgram) -> FormReport:
                         "source group" % (i, _var_list(extra)),
                     )
                 )
-        for i in range(len(sources)):
-            for j in range(i + 1, len(sources)):
-                shared = sources[i] & sources[j]
-                if shared:
-                    violations.append(
-                        (
-                            idx,
-                            COND_DISJOINT,
-                            "source groups %d and %d share %s"
-                            % (i, j, _var_list(shared)),
-                        )
-                    )
+        # One pass over the running union of the source groups: each
+        # variable keeps the groups it occurred in so far.
+        holders = {}
+        shared = {}  # (i, j) -> the variables groups i < j share
+        for j, vs in enumerate(sources):
+            for v in vs:
+                earlier = holders.setdefault(v, [])
+                for i in earlier:
+                    shared.setdefault((i, j), set()).add(v)
+                earlier.append(j)
+        for i, j in sorted(shared):
+            violations.append(
+                (
+                    idx,
+                    COND_DISJOINT,
+                    "source groups %d and %d share %s"
+                    % (i, j, _var_list(shared[i, j])),
+                )
+            )
     return FormReport(MODED, violations)
 
 

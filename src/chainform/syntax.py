@@ -329,8 +329,10 @@ class _Parser:
     def program(self, name=""):
         clauses = []
         directives = {}
+        starts = {}  # (name, arity) -> the token that opens its directive
         while self.peek().kind != "eof":
             if self.peek().kind == "neck":
+                start = self.peek()
                 d = self.directive()
                 key = (d.predicate, d.arity)
                 if key in directives:
@@ -339,10 +341,11 @@ class _Parser:
                         self.tokens[self.pos - 1],
                     )
                 directives[key] = d
+                starts[key] = start
             else:
                 clauses.append(self.clause())
         prog = SourceProgram(tuple(clauses), tuple(directives.values()), name)
-        _check_directive_arities(prog)
+        _check_directive_arities(prog, starts)
         return prog
 
     def goal(self):
@@ -356,7 +359,9 @@ class _Parser:
         return Goal(atom)
 
 
-def _check_directive_arities(prog):
+def _check_directive_arities(prog, starts):
+    """Reject a directive for a name the program uses only at other arities,
+    at the position of the directive's opening token (starts[(name, arity)])."""
     arity_by_name = {}
     for c in prog.clauses:
         for atom in (c.head, *c.body):
@@ -364,12 +369,13 @@ def _check_directive_arities(prog):
     for d in prog.modes:
         used = arity_by_name.get(d.predicate)
         if used and d.arity not in used:
+            tok = starts[(d.predicate, d.arity)]
             raise ParseError(
                 "mode directive for %s declares arity %d but the program "
                 "uses arity %s"
                 % (d.predicate, d.arity, "/".join(map(str, sorted(used)))),
-                1,
-                1,
+                tok.line,
+                tok.col,
             )
 
 

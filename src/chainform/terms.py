@@ -11,6 +11,14 @@ descending into it.  In unify mode the accumulated tuple is mostly ground
 list structure, so a unit step walks about as much as the unit clause, not
 the whole tuple.
 
+match is the reference one-way matcher: it reads the pattern generically and
+returns a Subst, which apply then substitutes into an output term.  The
+engines resolve match-mode unit clauses t_in -> t_out with compile_unit
+instead: the clause becomes, once, a flat program of functor, constant and
+equality checks at positions of the subject and a postfix build of the
+output, which run_unit executes without a substitution.  The two agree on
+every unit and term, and the tests hold run_unit to match.
+
 Every walk runs over an explicit stack, so terms of any depth are handled at
 the interpreter's default recursion limit.  The exceptions are
 ``Compound.__hash__`` and ``Compound.__repr__``, which no command's path to a
@@ -376,6 +384,111 @@ def _struct_eq(a, b):
                 return False
             stack.extend(zip(x.args, y.args))
     return True
+
+
+def compile_unit(t_in, t_out):
+    """The unit clause t_in -> t_out as a flat program for run_unit.
+
+    The program is a tuple of five flat tuples, read by run_unit in order.
+    Register 0 holds the subject; each load appends a compound's arguments
+    as the next registers, so every pattern position has a register known
+    here.
+      loads:  r, functor, arity   register r holds a compound of that
+                                  functor and arity; load its arguments
+      consts: r, symbol           register r holds that constant
+      grounds: r, term            register r equals that ground compound
+      sames:  r, r'               a repeated variable: both registers equal
+      build:  the output in postfix: an int pushes that register, a functor
+              followed by its arity n replaces the top n entries with the
+              compound, and any other item (a ground term, or a variable
+              absent from t_in) is pushed as it is.
+    A variable of t_in is bound at its first occurrence by being that
+    register, so matching allocates no substitution.  Both walks run over
+    an explicit stack.
+    """
+    loads, consts, grounds, sames = [], [], [], []
+    first = {}  # variable of t_in -> the register of its first occurrence
+    nregs = 1
+    stack = [(t_in, 0)]
+    while stack:
+        p, r = stack.pop()
+        tp = type(p)
+        if tp is Variable:
+            prev = first.setdefault(p, r)
+            if prev != r:
+                sames += (prev, r)
+        elif tp is Constant:
+            consts += (r, p.symbol)
+        elif p.ground:
+            grounds += (r, p)
+        else:
+            n = len(p.args)
+            loads += (r, p.functor, n)
+            stack.extend(zip(p.args, range(nregs, nregs + n)))
+            nregs += n
+    build = []
+    stack = [(t_out, False)]
+    while stack:
+        t, done = stack.pop()
+        if type(t) is Variable:
+            build.append(first.get(t, t))
+        elif type(t) is not Compound or t.ground:
+            build.append(t)
+        elif done:
+            build += (t.functor, len(t.args))
+        else:
+            stack.append((t, True))
+            stack.extend((a, False) for a in reversed(t.args))
+    return tuple(loads), tuple(consts), tuple(grounds), tuple(sames), tuple(build)
+
+
+def run_unit(code, x):
+    """The compiled unit clause applied to x: the output term, or None when
+    x does not match the input.  Equal to match(t_in, x) followed by
+    apply(t_out), which stay the reference."""
+    loads, consts, grounds, sames, build = code
+    regs = [x]
+    if loads:
+        it = iter(loads)
+        for r, functor, n in zip(it, it, it):
+            s = regs[r]
+            if type(s) is not Compound or s.functor != functor or len(s.args) != n:
+                return None
+            regs += s.args
+    if consts:
+        it = iter(consts)
+        for r, symbol in zip(it, it):
+            s = regs[r]
+            if (
+                type(s) is not Constant
+                or s.symbol != symbol
+                or type(s.symbol) is not type(symbol)
+            ):
+                return None
+    if grounds:
+        it = iter(grounds)
+        for r, t in zip(it, it):
+            if not _struct_eq(t, regs[r]):
+                return None
+    if sames:
+        it = iter(sames)
+        for r, r2 in zip(it, it):
+            if not _struct_eq(regs[r], regs[r2]):
+                return None
+    out = []
+    it = iter(build)
+    for item in it:
+        ti = type(item)
+        if ti is int:
+            out.append(regs[item])
+        elif ti is str:
+            n = next(it)
+            args = out[-n:]
+            del out[-n:]
+            out.append(Compound(item, args))
+        else:
+            out.append(item)
+    return out[0]
 
 
 def rename_many(terms):

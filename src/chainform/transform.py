@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .chainir import ChainProgram, NonUnit, Unit
-from .forms import check_moded, moded_groups, split_args
+from .forms import check_moded_groups, moded_groups, split_args
 from .syntax import Goal, SourceClause, SourceProgram
 from .terms import (
     NIL,
@@ -140,8 +140,9 @@ class _Names:
 
 
 def _convert(p: SourceProgram, kind, seams, source_modes) -> ChainProgram:
-    """The clause skeleton shared by both conversions.  seams(clause) gives
-    the clause's source groups, its sink groups and its n + 2 stack terms.
+    """The clause skeleton shared by both conversions.  seams holds, for
+    each clause in order, its source groups, its sink groups and its n + 2
+    stack terms.
 
     Each non-unit source clause with n body atoms yields one chain clause
     plus n + 1 restructuring units named h_<clause>_<j>, unique across the
@@ -152,8 +153,9 @@ def _convert(p: SourceProgram, kind, seams, source_modes) -> ChainProgram:
     entry = {key: names.fresh(key[0] + "_hat") for key in p.predicates()}
     clauses = []
     provenance = []
-    for idx, clause in enumerate(p.clauses, start=1):
-        sources, sinks, sigmas = seams(clause)
+    for idx, (clause, (sources, sinks, sigmas)) in enumerate(
+        zip(p.clauses, seams), start=1
+    ):
         units = [
             (_attach(sigmas[j], source), _attach(sigmas[j + 1], sink))
             for j, (source, sink) in enumerate(zip(sources, sinks))
@@ -182,14 +184,14 @@ def _convert(p: SourceProgram, kind, seams, source_modes) -> ChainProgram:
 
 def transform_moded(p: SourceProgram) -> ChainProgram:
     """Convert a moded program to chain form (the result is G-chain)."""
-    report = check_moded(p)
+    groups = [moded_groups(c, p) for c in p.clauses]
+    report = check_moded_groups(groups)
     if not report.holds:
         raise TransformError("program is not moded:\n%s" % report)
-
-    def seams(clause):
-        sources, sinks = moded_groups(clause, p)
-        return sources, sinks, _pass_on(clause, sources, sinks).sigmas
-
+    seams = (
+        (sources, sinks, _pass_on(clause, sources, sinks).sigmas)
+        for clause, (sources, sinks) in zip(p.clauses, groups)
+    )
     modes = {(d.predicate, d.arity): d.modes for d in p.modes}
     return _convert(p, "moded", seams, modes)
 
@@ -204,7 +206,7 @@ def _identity_seams(clause):
 
 def transform_definite(p: SourceProgram) -> ChainProgram:
     """Convert any definite program to chain form."""
-    return _convert(p, "definite", _identity_seams, {})
+    return _convert(p, "definite", map(_identity_seams, p.clauses), {})
 
 
 def clause_count_law(p: SourceProgram) -> int:

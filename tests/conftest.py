@@ -159,38 +159,50 @@ def oracle_canonical(pipeline, goal_text, depth_budget=10_000):
     return [canonical_answer(goal, a.bindings) for a in result.answers]
 
 
-def first_answer_steps(registry, x, qs, uni):
-    """Independent instrumented search: depth-first, definition order, one
-    answer; counts composition steps across all branches explored.  Kept
-    free of the engines module on purpose."""
-    steps = 0
+def counted_search(registry, x, qs, uni, first_only=False):
+    """Independent instrumented search: depth-first, definition order.
+    Returns the answers (at most one with first_only), the composition steps
+    and the unit resolutions attempted and succeeded, each counted across
+    all branches explored.  Kept free of the engines module on purpose."""
+    steps = attempted = succeeded = 0
+    answers = []
 
     def resolve(label, t):
+        nonlocal attempted, succeeded
+        attempted += 1
         t_in, t_out = registry.unit[label]
         if uni == "match":
             s = match(t_in, t)
-            return None if s is None else s.apply(t_out)
-        r_in, r_out = rename_many((t_in, t_out))
-        s = unify(t, r_in)
-        return None if s is None else s.apply(r_out)
+            y = None if s is None else s.apply(t_out)
+        else:
+            r_in, r_out = rename_many((t_in, t_out))
+            s = unify(t, r_in)
+            y = None if s is None else s.apply(r_out)
+        succeeded += y is not None
+        return y
 
     def search(t, k):
+        # True when the search is to stop.
         nonlocal steps
         if not k:
-            return t
+            answers.append(t)
+            return first_only
         steps += 1
         for label in registry.defn[k[0]]:
             if label in registry.isunit:
                 y = resolve(label, t)
-                if y is not None:
-                    hit = search(y, k[1:])
-                    if hit is not None:
-                        return hit
-            else:
-                hit = search(t, registry.nonunit[label] + k[1:])
-                if hit is not None:
-                    return hit
-        return None
+                if y is not None and search(y, k[1:]):
+                    return True
+            elif search(t, registry.nonunit[label] + k[1:]):
+                return True
+        return False
 
-    answer = search(x, tuple(qs))
-    return answer, steps
+    search(x, tuple(qs))
+    return answers, steps, (attempted, succeeded)
+
+
+def first_answer_steps(registry, x, qs, uni):
+    """The first answer (None when there is none) and the composition steps
+    spent finding it, by counted_search."""
+    answers, steps, _ = counted_search(registry, x, qs, uni, first_only=True)
+    return (answers[0] if answers else None), steps

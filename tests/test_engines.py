@@ -5,12 +5,14 @@ import pytest
 
 from conftest import (
     build_pipeline,
+    counted_search,
     decoded_canonical,
     first_answer_steps,
     oracle_canonical,
     same_answer_sequence,
 )
 
+from chainform import engines
 from chainform.chainir import compile_to_registry
 from chainform.engines import (
     BudgetExceededError,
@@ -205,6 +207,46 @@ class TestBounded:
                     assert canonical(result.answer) == canonical(full[0])
                 else:
                     assert result.answer is None
+
+
+class TestKernelHook:
+    """Every match-mode unit attempt of every engine calls the module-level
+    name chainform.engines.match once, so a wrapper installed there, as
+    perfbench's kernel counters install theirs, sees all of them."""
+
+    ENGINES = {
+        "abcde": lambda args: eval_abcde(*args),
+        "continuation": lambda args: eval_continuation(*args),
+        "stream": lambda args: eval_stream(NIL, [args[0]], *args[1:]),
+        "enumerate": lambda args: list(enumerate_prolog(*args)),
+        "bounded": lambda args: [eval_bounded(*args).answer],
+    }
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_wrapper_counts_every_unit_attempt(self, engine, monkeypatch):
+        nrev = build_pipeline("nrev", "moded")
+        calls = {"all": 0, "ok": 0}
+        original = engines.match
+
+        def counted(*args):
+            result = original(*args)
+            calls["all"] += 1
+            calls["ok"] += result is not None
+            return result
+
+        monkeypatch.setattr(engines, "match", counted)
+        for goal_text in nrev.goals():
+            plan = nrev.plan(goal_text)
+            args = (plan.initial, plan.continuations, nrev.registry)
+            answers, _, (attempted, succeeded) = counted_search(
+                nrev.registry, plan.initial, plan.continuations, "match",
+                first_only=engine == "bounded",
+            )
+            calls["all"] = calls["ok"] = 0
+            got = self.ENGINES[engine](args)
+            assert got == (answers or [None]), goal_text
+            assert (calls["all"], calls["ok"]) == (attempted, succeeded), goal_text
+            assert attempted > 0
 
 
 class TestBudget:

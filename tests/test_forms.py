@@ -61,6 +61,22 @@ class TestModed:
         assert not report.holds
         assert any(v[1] == COND_DISJOINT for v in report.violations)
 
+    def test_disjointness_names_every_pair(self):
+        # X is in three source groups and Y in two: every sharing pair is
+        # reported once, in group order.
+        text = """\
+        :- mode(p, [in,out]).
+        :- mode(q, [in,out]).
+        p(f(X, Y), Z) :- q(a, X), q(a, g(X, Y)), q(a, Z).
+        q(a, b).
+        """
+        report = check_moded(parse_program(text))
+        assert [(i, c, d) for i, c, d in report.violations] == [
+            (0, COND_DISJOINT, "source groups 0 and 1 share {X}"),
+            (0, COND_DISJOINT, "source groups 0 and 2 share {X, Y}"),
+            (0, COND_DISJOINT, "source groups 1 and 2 share {X}"),
+        ]
+
     def test_missing_directive(self):
         text = "p(X, Y) :- q(X, Y).\nq(a, b)."
         with pytest.raises(MissingModeError):

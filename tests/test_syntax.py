@@ -108,6 +108,13 @@ class TestParseProgram:
         with pytest.raises(ParseError, match="arity"):
             parse_program(bad)
 
+    def test_directive_arity_mismatch_position(self):
+        bad = "p(a).\n\n  :- mode(p,[in,out])."
+        with pytest.raises(ParseError) as err:
+            parse_program(bad)
+        assert (err.value.line, err.value.col) == (3, 3)
+        assert str(err.value).endswith("(line 3, column 3)")
+
     def test_list_sugar(self):
         p = parse_program("p([a,b|T]).")
         arg = p.clauses[0].head.args[0]

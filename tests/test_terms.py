@@ -1,6 +1,6 @@
 """Tests for the term kernel: unification, matching, renaming, substitution."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chainform.terms import (
     Compound,
@@ -10,6 +10,7 @@ from chainform.terms import (
     alpha_equivalent,
     apply_subst,
     canonical,
+    compile_unit,
     cons,
     fresh_var,
     is_ground,
@@ -18,6 +19,7 @@ from chainform.terms import (
     mk_tuple,
     rename_apart,
     rename_many,
+    run_unit,
     term_vars,
     unify,
     NIL,
@@ -206,7 +208,9 @@ class TestVarsAndApply:
 # Random-term strategies.  Left/right variable pools are disjoint so that
 # pattern and subject share no variables in the matching law.
 def _terms(var_pool, max_depth=3):
-    consts = st.sampled_from([a, b, Constant("c"), Constant(0), Constant(1)])
+    consts = st.sampled_from(
+        [a, b, Constant("c"), Constant(0), Constant(1), Constant("1")]
+    )
     variables = st.sampled_from(var_pool)
     base = st.one_of(consts, variables)
 
@@ -279,6 +283,60 @@ _ANY_VARS = _LEFT_VARS + _RIGHT_VARS
 any_bindings = st.dictionaries(
     st.sampled_from(_ANY_VARS), _terms(_ANY_VARS), max_size=3
 )
+
+
+_FREE_VARS = tuple(Variable(n, -(i + 300)) for i, n in enumerate("PQ"))
+
+
+@st.composite
+def units_and_subjects(draw):
+    """A unit clause t_in -> t_out and a term to apply it to.  Patterns may
+    repeat variables and hold ground subterms; outputs may use variables
+    absent from t_in.  The subject is an instance of t_in or any term."""
+    t_in = draw(_terms(_LEFT_VARS))
+    t_out = draw(_terms(_LEFT_VARS + _FREE_VARS))
+    if draw(st.booleans()):
+        bindings = draw(
+            st.dictionaries(st.sampled_from(_LEFT_VARS), _terms(_RIGHT_VARS))
+        )
+        x = Subst(bindings).apply(t_in)
+    else:
+        x = draw(_terms(_RIGHT_VARS))
+    return t_in, t_out, x
+
+
+def _match_then_apply(t_in, t_out, x):
+    s = match(t_in, x)
+    return None if s is None else s.apply(t_out)
+
+
+X_, Y_ = _LEFT_VARS[:2]
+P_ = _FREE_VARS[0]
+
+
+class TestCompiledUnit:
+    @given(units_and_subjects())
+    @settings(max_examples=300)
+    @example((Constant(1), a, Constant("1")))
+    @example((Constant("1"), a, Constant("1")))
+    @example((f(X_), X_, f(a, b)))
+    @example((f(X_, X_), X_, f(a, b)))
+    @example((f(X_, X_), g(X_, P_), f(g(a), g(a))))
+    @example((f(g(a, b), X_), X_, f(g(a, b), b)))
+    @example((f(g(a, b), X_), X_, f(g(a, Constant("c")), b)))
+    @example((X_, f(X_, P_, Y_), f(a)))
+    def test_compiled_equals_match_then_apply(self, case):
+        t_in, t_out, x = case
+        want = _match_then_apply(t_in, t_out, x)
+        got = run_unit(compile_unit(t_in, t_out), x)
+        assert got == want
+        if got is not None:
+            _assert_ground_flags(got)
+
+    def test_forms_are_flat(self):
+        code = compile_unit(f(X_, g(a, b), X_), g(X_, P_))
+        assert all(type(part) is tuple for part in code)
+        assert not any(type(item) is tuple for part in code for item in part)
 
 
 class TestAlgebraicLaws:
@@ -421,6 +479,22 @@ class TestDeepTerms:
         deep_x = self.numeral(self.N, fresh_var("X"))
         deep_y = self.numeral(self.N, fresh_var("Y"))
         assert canonical(deep_x) == canonical(deep_y)
+
+    def test_compiled_unit(self, default_recursion_limit):
+        X, Y = fresh_var("X"), fresh_var("Y")
+        t_in = mk_tuple((self.numeral(self.N, X), Y, Y))
+        t_out = self.numeral(self.N, mk_tuple((Y, X)))
+        code = compile_unit(t_in, t_out)
+        # The repeated Y is compared with two equal, distinct deep terms.
+        deep_a = self.numeral(self.N, a)
+        x = mk_tuple((self.numeral(self.N, f(b)), deep_a, self.numeral(self.N, a)))
+        got = run_unit(code, x)
+        assert got == match(t_in, x).apply(t_out)
+        n, inner = self.depth(got)
+        assert n == self.N + 1 + self.N and inner == a
+        other = mk_tuple((deep_a, deep_a, self.numeral(self.N, b)))
+        assert match(t_in, other) is None
+        assert run_unit(code, other) is None
 
     def test_equality(self, default_recursion_limit):
         X = fresh_var("X")
