@@ -24,15 +24,18 @@ All five are views over one loop, _search, which makes the traversal's state
 explicit: a stack of choice points, and the continuation as a cons list, so
 no formulation recurses in Python and none copies the continuation.
 
-Unit resolution has two variants.  In match mode (for ground evaluation over
-G-chain programs) the query term is matched one-way against the unit input:
-each unit clause is compiled by terms.compile_unit on its first use and run
-by terms.run_unit, bound here as match, instead of the reference
-terms.match followed by Subst.apply.  In unify mode the unit clause is
-renamed apart from the query term and fully unified with it, so query
-variables stay stable for the goal decoder.  The forms of each unit, with
-its stack-less form for eval_stream, are kept on the registry
-(Registry.unit_forms), so every goal over one registry shares them.
+Unit resolution has two variants over one compiler: each unit clause is
+compiled by units.compile_unit on its first use and kept on the registry
+(Registry.unit_forms), with its stack-less form for eval_stream, so every
+goal over one registry shares them.  In match mode (for ground evaluation
+over G-chain programs) the query term is matched one-way against the unit
+input by units.run_unit, bound here as match.  In unify mode
+units.unify_unit, bound here as unify, unifies the query term with the unit
+input over the run's binding store and trail, as if the unit were renamed
+apart, so query variables stay stable for the goal decoder.  Each choice
+point records the trail's length and the search undoes the trail to it
+before the next alternative; an answer is resolved through the store when
+it is yielded, so every engine hands out plain terms.
 """
 
 from __future__ import annotations
@@ -43,21 +46,22 @@ from typing import Optional
 from .chainir import Registry
 from .terms import (
     Variable,
-    compile_unit,
     cons,
     is_cons,
     is_nil,
     is_tuple,
     mk_tuple,
-    rename_many,
+    rename_many,  # unused; one of the kernel names perfbench wraps here
     term_vars,
-    unify,
 )
+from .units import compile_unit, resolved, untrail
 
-# A compiled unit applied to a term, or None.  The engines call it by this
-# module-level name once per unit attempt in match mode, so that one wrapper
-# on chainform.engines.match sees every attempt (perfbench counts them so).
-from .terms import run_unit as match
+# A compiled unit applied to a term, or None.  The engines call these by
+# their module-level names once per unit attempt, match in match mode and
+# unify in unify mode, so that one wrapper on chainform.engines.match or
+# chainform.engines.unify sees every attempt (perfbench counts them so).
+from .units import run_unit as match
+from .units import unify_unit as unify
 
 DEFAULT_BUDGET = 10**6
 
@@ -83,17 +87,12 @@ class BoundedResult:
         return self.answer is not None
 
 
-def _unify_unit(unit, x):
-    rt, rt_out = rename_many(unit)
-    s = unify(x, rt)
-    return None if s is None else s.apply(rt_out)
-
-
 class _Run:
     """Shared state of one evaluation: registry access, unit resolution,
-    and the composition-step budget."""
+    the binding store and trail of unify mode, and the composition-step
+    budget."""
 
-    __slots__ = ("reg", "matching", "forms", "remaining", "budget")
+    __slots__ = ("reg", "matching", "forms", "remaining", "budget", "bind", "trail")
 
     def __init__(self, reg: Registry, uni: str, budget: int):
         if uni not in (MATCH, UNIFY):
@@ -104,6 +103,10 @@ class _Run:
         self.forms = reg.unit_forms.setdefault(uni, {})
         self.budget = budget
         self.remaining = budget
+        # Variable serial -> term, and the serials bound, oldest first.  Both
+        # stay empty in match mode.
+        self.bind = {}
+        self.trail = []
 
     def tick(self):
         if self.remaining <= 0:
@@ -117,27 +120,28 @@ class _Run:
             raise LookupError("no definition for predicate %r" % q) from None
 
     def unit_forms(self, label):
-        """The unit clause's form, and its stack-less form for eval_stream
-        (None when the unit switches stacks): compiled programs in match
-        mode, term pairs in unify mode.  Made on the first use of the label
-        and kept on the registry."""
+        """The unit clause's compiled form, and the compiled form of its
+        stack-less clause for eval_stream (None when the unit switches
+        stacks).  Made on the first use of the label and kept on the
+        registry."""
         try:
             return self.forms[label]
         except KeyError:
             pass
         unit = self.reg.unit[label]
         bare = _strip_stack(*unit)
-        if self.matching:
-            unit = compile_unit(*unit)
-            bare = None if bare is None else compile_unit(*bare)
-        forms = self.forms[label] = (unit, bare)
+        unify = not self.matching
+        forms = self.forms[label] = (
+            compile_unit(*unit, unify),
+            None if bare is None else compile_unit(*bare, unify),
+        )
         return forms
 
     def apply(self, unit, x):
-        """A unit form applied to x: the output term, or None."""
+        """A compiled unit applied to x: the output term, or None."""
         if self.matching:
             return match(unit, x)
-        return _unify_unit(unit, x)
+        return unify(unit, x, self.bind, self.trail)
 
     def resolve_unit(self, label, x):
         return self.apply(self.unit_forms(label)[0], x)
@@ -147,34 +151,45 @@ class _Run:
 # The search core.
 
 
-def _search(run, x, qs, resolve):
+def _search(run, x, qs, resolve, settle=resolved):
     """Answers of x composed through qs, one at a time, in traversal order.
 
     The continuation is a cons list of (predicate, rest) pairs ending in
     None, so a clause body is prepended in O(|body|).  Each composition step
     ticks the budget and pushes a choice point (state, rest, iterator over
-    the predicate's alternatives).  Alternatives are taken one at a time:
-    a unit clause is resolved, by resolve(label, state) -> state or None,
-    only when the search reaches it, and a non-unit clause prepends its body
-    to rest.  A state is a term, except in eval_stream.
+    the predicate's alternatives, trail length).  Alternatives are taken one
+    at a time: a unit clause is resolved, by resolve(label, state) -> state
+    or None, only when the search reaches it, and a non-unit clause prepends
+    its body to rest.  Before a choice point's next alternative is tried,
+    the trail is undone to the choice point's mark.  A state is a term,
+    except in eval_stream.  In unify mode an answer state is yielded as
+    settle(state, store), resolved through the binding store.
     """
     isunit = run.reg.isunit
     nonunit = run.reg.nonunit
+    matching = run.matching
+    bind = run.bind
+    trail = run.trail
     ks = None
     for q in reversed(qs):
         ks = (q, ks)
     choices = []
     while True:
         if ks is None:
-            yield x
+            yield x if matching else settle(x, bind)
         else:
             run.tick()
             q, rest = ks
-            choices.append((x, rest, iter(run.alternatives(q))))
+            # The trail stays empty in match mode, which then never asks
+            # for its length.
+            mark = len(trail) if trail else 0
+            choices.append((x, rest, iter(run.alternatives(q)), mark))
         # Take the next alternative that applies, from the newest choice
         # point that has one left; the search ends when none has.
         while choices:
-            y, rest, alts = choices[-1]
+            y, rest, alts, mark = choices[-1]
+            if trail and len(trail) > mark:
+                untrail(bind, trail, mark)
             for label in alts:
                 if label not in isunit:
                     x, ks = y, rest
@@ -257,9 +272,14 @@ def eval_stream(
         if not (is_tuple(x) and x.args and x.args[0] == sigma):
             raise ValueError("term %r does not carry the shared stack" % (x,))
         state = (sigma, mk_tuple(x.args[1:]))
-        for stack, payload in _search(run, state, qs, resolve):
+        for stack, payload in _search(run, state, qs, resolve, _resolved_state):
             out.extend(affix(stack, (payload,)))
     return out
+
+
+def _resolved_state(state, bind):
+    stack, payload = state
+    return resolved(stack, bind), resolved(payload, bind)
 
 
 def _strip_stack(t_in, t_out):

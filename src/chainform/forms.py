@@ -76,51 +76,58 @@ def moded_groups(clause: SourceClause, program: SourceProgram):
     return (ins[0], *outs[1:]), (*ins[1:], outs[0])
 
 
+def group_vars(sources, sinks):
+    """The variable sets of a clause's source groups and of its sink
+    groups, as moded_groups gives them."""
+    return [set(term_vars(t)) for t in sources], [set(term_vars(t)) for t in sinks]
+
+
 def check_moded(p: SourceProgram) -> FormReport:
     """Both moded conditions on the grouped form of every clause:
     1. vars of each sink group are covered by the source groups up to it;
     2. the source groups are pairwise variable-disjoint."""
-    return check_moded_groups([moded_groups(c, p) for c in p.clauses])
-
-
-def check_moded_groups(groups) -> FormReport:
-    """check_moded over every clause's moded_groups, in clause order."""
     violations = []
-    for idx, (source_terms, sink_terms) in enumerate(groups):
-        sources = [set(term_vars(t)) for t in source_terms]
-        available = set()
-        for i, t in enumerate(sink_terms):
-            available |= sources[i]
-            extra = set(term_vars(t)) - available
-            if extra:
-                violations.append(
-                    (
-                        idx,
-                        COND_FLOW,
-                        "sink group %d uses %s not bound by any earlier "
-                        "source group" % (i, _var_list(extra)),
-                    )
-                )
-        # One pass over the running union of the source groups: each
-        # variable keeps the groups it occurred in so far.
-        holders = {}
-        shared = {}  # (i, j) -> the variables groups i < j share
-        for j, vs in enumerate(sources):
-            for v in vs:
-                earlier = holders.setdefault(v, [])
-                for i in earlier:
-                    shared.setdefault((i, j), set()).add(v)
-                earlier.append(j)
-        for i, j in sorted(shared):
+    for idx, c in enumerate(p.clauses):
+        violations += moded_violations(idx, *group_vars(*moded_groups(c, p)))
+    return FormReport(MODED, violations)
+
+
+def moded_violations(idx, sources, sinks):
+    """check_moded's violations for clause idx, from its group_vars."""
+    violations = []
+    available = set()
+    for i, vs in enumerate(sinks):
+        available |= sources[i]
+        extra = vs - available
+        if extra:
             violations.append(
                 (
                     idx,
-                    COND_DISJOINT,
-                    "source groups %d and %d share %s"
-                    % (i, j, _var_list(shared[i, j])),
+                    COND_FLOW,
+                    "sink group %d uses %s not bound by any earlier "
+                    "source group" % (i, _var_list(extra)),
                 )
             )
-    return FormReport(MODED, violations)
+    # One pass over the running union of the source groups: each variable
+    # keeps the groups it occurred in so far.
+    holders = {}
+    shared = {}  # (i, j) -> the variables groups i < j share
+    for j, vs in enumerate(sources):
+        for v in vs:
+            earlier = holders.setdefault(v, [])
+            for i in earlier:
+                shared.setdefault((i, j), set()).add(v)
+            earlier.append(j)
+    for i, j in sorted(shared):
+        violations.append(
+            (
+                idx,
+                COND_DISJOINT,
+                "source groups %d and %d share %s"
+                % (i, j, _var_list(shared[i, j])),
+            )
+        )
+    return violations
 
 
 def _var_list(vs):

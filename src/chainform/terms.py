@@ -7,22 +7,17 @@ functors are ``tuple`` (argument grouping, rendered with angle brackets) and
 Terms are immutable.  Every compound term records at construction whether it
 is ground, and each walk below (occurs check, resolution, substitution,
 renaming, variable collection) stops at a ground compound instead of
-descending into it.  In unify mode the accumulated tuple is mostly ground
-list structure, so a unit step walks about as much as the unit clause, not
-the whole tuple.
+descending into it.
 
 match is the reference one-way matcher: it reads the pattern generically and
-returns a Subst, which apply then substitutes into an output term.  The
-engines resolve match-mode unit clauses t_in -> t_out with compile_unit
-instead: the clause becomes, once, a flat program of functor, constant and
-equality checks at positions of the subject and a postfix build of the
-output, which run_unit executes without a substitution.  The two agree on
-every unit and term, and the tests hold run_unit to match.
+returns a Subst, which apply then substitutes into an output term.  unify,
+rename_many and apply are the reference for unification at a unit clause.
+The engines run unit clauses compiled by the units module instead, and the
+tests hold those to the references here.
 
 Every walk runs over an explicit stack, so terms of any depth are handled at
-the interpreter's default recursion limit.  The exceptions are
-``Compound.__hash__`` and ``Compound.__repr__``, which no command's path to a
-result uses.
+the interpreter's default recursion limit; Compound.__hash__ and
+Compound.__repr__ included.
 """
 
 from __future__ import annotations
@@ -106,12 +101,49 @@ class Compound:
         return type(other) is Compound and _struct_eq(self, other)
 
     def __hash__(self):
-        return hash((self.functor, self.args))
+        # Bottom up over an explicit stack: a compound hashes its functor
+        # with its arguments' hashes, so structurally equal terms hash alike.
+        frames = []
+        t = self
+        hashes = []
+        i = 0
+        while True:
+            args = t.args
+            while i < len(args):
+                a = args[i]
+                i += 1
+                if type(a) is Compound:
+                    frames.append((t, hashes, i))
+                    t = a
+                    args = a.args
+                    hashes = []
+                    i = 0
+                else:
+                    hashes.append(hash(a))
+            h = hash((t.functor, *hashes))
+            if not frames:
+                return h
+            t, hashes, i = frames.pop()
+            hashes.append(h)
 
     def __repr__(self):
-        if not self.args:
-            return self.functor
-        return "%s(%s)" % (self.functor, ", ".join(map(repr, self.args)))
+        # Left to right over an explicit stack of terms and literal text.
+        out = []
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is str:
+                out.append(t)
+            elif type(t) is not Compound:
+                out.append(repr(t))
+            elif not t.args:
+                out.append(t.functor)
+            else:
+                stack.append(")")
+                for a in reversed(t.args[1:]):
+                    stack += (a, ", ")
+                stack += (t.args[0], t.functor + "(")
+        return "".join(out)
 
 
 def fresh_var(name="_G"):
@@ -199,7 +231,8 @@ def _rebuild(t, leaf, memo=None):
 
     With a memo (a dict), a leaf's result is itself rebuilt and every rebuilt
     compound is remembered by identity: unify resolves its triangular
-    bindings this way, where one bound subterm can be reached many times.
+    bindings this way, and units.resolved a term under a binding store,
+    where one bound subterm can be reached many times.
     """
     if type(t) is Variable:
         r = leaf(t)
@@ -317,7 +350,11 @@ def unify(a, b):
         elif tx is Compound and ty is Compound:
             if x.functor != y.functor or len(x.args) != len(y.args):
                 return None
-            stack.extend(zip(x.args, y.args))
+            if x.ground and y.ground:
+                if not _struct_eq(x, y):
+                    return None
+            else:
+                stack.extend(zip(x.args, y.args))
         else:
             return None
     if not bind:
@@ -384,111 +421,6 @@ def _struct_eq(a, b):
                 return False
             stack.extend(zip(x.args, y.args))
     return True
-
-
-def compile_unit(t_in, t_out):
-    """The unit clause t_in -> t_out as a flat program for run_unit.
-
-    The program is a tuple of five flat tuples, read by run_unit in order.
-    Register 0 holds the subject; each load appends a compound's arguments
-    as the next registers, so every pattern position has a register known
-    here.
-      loads:  r, functor, arity   register r holds a compound of that
-                                  functor and arity; load its arguments
-      consts: r, symbol           register r holds that constant
-      grounds: r, term            register r equals that ground compound
-      sames:  r, r'               a repeated variable: both registers equal
-      build:  the output in postfix: an int pushes that register, a functor
-              followed by its arity n replaces the top n entries with the
-              compound, and any other item (a ground term, or a variable
-              absent from t_in) is pushed as it is.
-    A variable of t_in is bound at its first occurrence by being that
-    register, so matching allocates no substitution.  Both walks run over
-    an explicit stack.
-    """
-    loads, consts, grounds, sames = [], [], [], []
-    first = {}  # variable of t_in -> the register of its first occurrence
-    nregs = 1
-    stack = [(t_in, 0)]
-    while stack:
-        p, r = stack.pop()
-        tp = type(p)
-        if tp is Variable:
-            prev = first.setdefault(p, r)
-            if prev != r:
-                sames += (prev, r)
-        elif tp is Constant:
-            consts += (r, p.symbol)
-        elif p.ground:
-            grounds += (r, p)
-        else:
-            n = len(p.args)
-            loads += (r, p.functor, n)
-            stack.extend(zip(p.args, range(nregs, nregs + n)))
-            nregs += n
-    build = []
-    stack = [(t_out, False)]
-    while stack:
-        t, done = stack.pop()
-        if type(t) is Variable:
-            build.append(first.get(t, t))
-        elif type(t) is not Compound or t.ground:
-            build.append(t)
-        elif done:
-            build += (t.functor, len(t.args))
-        else:
-            stack.append((t, True))
-            stack.extend((a, False) for a in reversed(t.args))
-    return tuple(loads), tuple(consts), tuple(grounds), tuple(sames), tuple(build)
-
-
-def run_unit(code, x):
-    """The compiled unit clause applied to x: the output term, or None when
-    x does not match the input.  Equal to match(t_in, x) followed by
-    apply(t_out), which stay the reference."""
-    loads, consts, grounds, sames, build = code
-    regs = [x]
-    if loads:
-        it = iter(loads)
-        for r, functor, n in zip(it, it, it):
-            s = regs[r]
-            if type(s) is not Compound or s.functor != functor or len(s.args) != n:
-                return None
-            regs += s.args
-    if consts:
-        it = iter(consts)
-        for r, symbol in zip(it, it):
-            s = regs[r]
-            if (
-                type(s) is not Constant
-                or s.symbol != symbol
-                or type(s.symbol) is not type(symbol)
-            ):
-                return None
-    if grounds:
-        it = iter(grounds)
-        for r, t in zip(it, it):
-            if not _struct_eq(t, regs[r]):
-                return None
-    if sames:
-        it = iter(sames)
-        for r, r2 in zip(it, it):
-            if not _struct_eq(regs[r], regs[r2]):
-                return None
-    out = []
-    it = iter(build)
-    for item in it:
-        ti = type(item)
-        if ti is int:
-            out.append(regs[item])
-        elif ti is str:
-            n = next(it)
-            args = out[-n:]
-            del out[-n:]
-            out.append(Compound(item, args))
-        else:
-            out.append(item)
-    return out[0]
 
 
 def rename_many(terms):

@@ -32,7 +32,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .chainir import ChainProgram, NonUnit, Unit
-from .forms import check_moded_groups, moded_groups, split_args
+from .forms import (
+    MODED,
+    FormReport,
+    group_vars,
+    moded_groups,
+    moded_violations,
+    split_args,
+)
 from .syntax import Goal, SourceClause, SourceProgram
 from .terms import (
     NIL,
@@ -89,19 +96,27 @@ def _attach(stack_term, group):
 
 
 def _pass_on(clause: SourceClause, sources, sinks) -> PassOnProfile:
-    """pass_on_sets_moded over the clause's given source and sink groups."""
-    sources = [set(term_vars(t)) for t in sources]
-    sinks = [set(term_vars(t)) for t in sinks]
-    order = _clause_occurrence_order(clause)
-    n = len(clause.body)
+    """pass_on_sets_moded over the variable sets of the clause's source and
+    sink groups.  A variable is passed on at every seam after the first
+    source group it occurs in, up to the last sink group it occurs in; one
+    pass over each side finds those groups."""
+    first = {}
+    for i, vs in enumerate(sources):
+        for v in vs:
+            first.setdefault(v, i)
+    last = {}
+    for k, vs in enumerate(sinks):
+        for v in vs:
+            last[v] = k
+    sets = [[] for _ in range(len(clause.body) + 2)]
+    for v in _clause_occurrence_order(clause):
+        if v in first and v in last:
+            for j in range(first[v] + 1, last[v] + 1):
+                sets[j].append(v)
     stack_var = fresh_var("St")
-    sets = []
-    for j in range(n + 2):
-        before = set().union(*sources[:j]) if j else set()
-        after = set().union(*sinks[j:]) if j <= n else set()
-        sets.append(_ordered(before & after, order))
+    sets = tuple(map(tuple, sets))
     sigmas = tuple(_sigma(vs, stack_var) for vs in sets)
-    return PassOnProfile(tuple(sets), sigmas, stack_var)
+    return PassOnProfile(sets, sigmas, stack_var)
 
 
 def pass_on_sets_moded(clause: SourceClause, program: SourceProgram) -> PassOnProfile:
@@ -111,7 +126,7 @@ def pass_on_sets_moded(clause: SourceClause, program: SourceProgram) -> PassOnPr
     groups at or after it; its pass-on set is the intersection of their
     variable sets.  Seam 0 and seam n+1 are always empty.
     """
-    return _pass_on(clause, *moded_groups(clause, program))
+    return _pass_on(clause, *group_vars(*moded_groups(clause, program)))
 
 
 def pass_on_set_definite(clause: SourceClause) -> PassOnProfile:
@@ -184,14 +199,17 @@ def _convert(p: SourceProgram, kind, seams, source_modes) -> ChainProgram:
 
 def transform_moded(p: SourceProgram) -> ChainProgram:
     """Convert a moded program to chain form (the result is G-chain)."""
-    groups = [moded_groups(c, p) for c in p.clauses]
-    report = check_moded_groups(groups)
-    if not report.holds:
-        raise TransformError("program is not moded:\n%s" % report)
-    seams = (
-        (sources, sinks, _pass_on(clause, sources, sinks).sigmas)
-        for clause, (sources, sinks) in zip(p.clauses, groups)
-    )
+    seams = []
+    violations = []
+    for idx, clause in enumerate(p.clauses):
+        sources, sinks = moded_groups(clause, p)
+        vs = group_vars(sources, sinks)
+        violations += moded_violations(idx, *vs)
+        seams.append((sources, sinks, _pass_on(clause, *vs).sigmas))
+    if violations:
+        raise TransformError(
+            "program is not moded:\n%s" % FormReport(MODED, violations)
+        )
     modes = {(d.predicate, d.arity): d.modes for d in p.modes}
     return _convert(p, "moded", seams, modes)
 

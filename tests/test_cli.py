@@ -151,6 +151,21 @@ class TestSolve:
         ) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "goal, lines",
+        [
+            ("ap(X,Y,Z)", ["X = [], Y = L, Z = L", "resource=1"]),
+            ("ap([a|X],Y,Z)", ["X = [], Y = M, Z = [a|M]", "resource=4"]),
+        ],
+    )
+    def test_definite_bounded_names_open_answers(self, append_file, capsys, goal, lines):
+        # Open answers carry the unit clause's variable names.
+        assert main(
+            ["solve", append_file, "-g", goal, "--mode", "definite",
+             "--engine", "bounded"]
+        ) == 0
+        assert capsys.readouterr().out.strip().splitlines() == lines
+
     def test_every_engine_same_text(self, split_file, capsys):
         outputs = []
         for engine in ("abcde", "continuation", "stream"):

@@ -1,6 +1,8 @@
 """Engine tests: the literal evaluator clauses, agreement between all four
 engines, enumeration control, bounded resource counts, budgets, and depth."""
 
+import time
+
 import pytest
 
 from conftest import (
@@ -31,8 +33,11 @@ from chainform.terms import (
     Variable,
     canonical,
     is_ground,
+    is_nil,
+    list_parts,
     mk_list,
     mk_tuple,
+    term_vars,
 )
 from chainform.transform import compile_goal, transform_definite
 
@@ -247,6 +252,61 @@ class TestKernelHook:
             assert got == (answers or [None]), goal_text
             assert (calls["all"], calls["ok"]) == (attempted, succeeded), goal_text
             assert attempted > 0
+
+
+class TestUnifyKernelHook:
+    """Every unify-mode unit attempt of every engine calls the module-level
+    name chainform.engines.unify once, as TestKernelHook checks for match."""
+
+    @pytest.mark.parametrize("engine", sorted(TestKernelHook.ENGINES))
+    def test_wrapper_counts_every_unit_attempt(self, engine, monkeypatch):
+        append = build_pipeline("append", "definite")
+        calls = {"all": 0, "ok": 0}
+        original = engines.unify
+
+        def counted(*args):
+            result = original(*args)
+            calls["all"] += 1
+            calls["ok"] += result is not None
+            return result
+
+        monkeypatch.setattr(engines, "unify", counted)
+        for goal_text in append.goals():
+            plan = append.plan(goal_text)
+            args = (plan.initial, plan.continuations, append.registry, "unify")
+            answers, _, (attempted, succeeded) = counted_search(
+                append.registry, plan.initial, plan.continuations, "unify",
+                first_only=engine == "bounded",
+            )
+            calls["all"] = calls["ok"] = 0
+            got = TestKernelHook.ENGINES[engine](args)
+            assert same_answer_sequence(got, answers or [None]), goal_text
+            assert (calls["all"], calls["ok"]) == (attempted, succeeded), goal_text
+            assert attempted > 0
+
+
+class TestOpenListScale:
+    """len(L, s^N(0)) in definite mode builds L as a list of N fresh
+    variables.  Each unit step reads only the positions its clause names,
+    not the whole open tuple, so every engine answers in about linear
+    time."""
+
+    N = 4000
+
+    def test_every_engine_answers_in_bounded_time(self):
+        length = build_pipeline("length", "definite")
+        plan = length.plan("len(L,%s)" % ("s(" * self.N + "0" + ")" * self.N))
+        lst = plan.goal.atom.args[0]
+        args = (plan.initial, plan.continuations, length.registry, "unify")
+        start = time.perf_counter()
+        for engine in sorted(TestKernelHook.ENGINES):
+            (answer,) = plan.decode_all(TestKernelHook.ENGINES[engine](args))
+            items, tail = list_parts(answer.get(lst))
+            assert len(items) == self.N and is_nil(tail), engine
+            assert len(term_vars(answer.get(lst))) == self.N, engine
+        # Generous: with unify mode quadratic in the open tuple, this goal
+        # took about a minute.
+        assert time.perf_counter() - start < 5
 
 
 class TestBudget:

@@ -10,7 +10,6 @@ from chainform.terms import (
     alpha_equivalent,
     apply_subst,
     canonical,
-    compile_unit,
     cons,
     fresh_var,
     is_ground,
@@ -19,11 +18,11 @@ from chainform.terms import (
     mk_tuple,
     rename_apart,
     rename_many,
-    run_unit,
     term_vars,
     unify,
     NIL,
 )
+from chainform.units import compile_unit, resolved, run_unit, unify_unit
 
 
 def f(*args):
@@ -279,6 +278,14 @@ def _ref_canonical(t, numbering):
     return t
 
 
+def _ref_repr(t):
+    if type(t) is Compound and t.args:
+        return "%s(%s)" % (t.functor, ", ".join(_ref_repr(x) for x in t.args))
+    if type(t) is Compound:
+        return t.functor
+    return repr(t)
+
+
 _ANY_VARS = _LEFT_VARS + _RIGHT_VARS
 any_bindings = st.dictionaries(
     st.sampled_from(_ANY_VARS), _terms(_ANY_VARS), max_size=3
@@ -311,6 +318,7 @@ def _match_then_apply(t_in, t_out, x):
 
 
 X_, Y_ = _LEFT_VARS[:2]
+U_, V_, W_ = _RIGHT_VARS
 P_ = _FREE_VARS[0]
 
 
@@ -334,9 +342,97 @@ class TestCompiledUnit:
             _assert_ground_flags(got)
 
     def test_forms_are_flat(self):
-        code = compile_unit(f(X_, g(a, b), X_), g(X_, P_))
-        assert all(type(part) is tuple for part in code)
-        assert not any(type(item) is tuple for part in code for item in part)
+        for unify, parts in ((False, 5), (True, 8)):
+            code = compile_unit(f(X_, g(a, b), X_), g(X_, P_), unify)
+            assert len(code) == parts
+            assert all(type(part) is tuple for part in code)
+            assert not any(type(item) is tuple for part in code for item in part)
+
+
+@st.composite
+def units_subjects_stores(draw):
+    """units_and_subjects, with a binding store that may already bind
+    subject variables: U to a term over V and W, V to a term over W."""
+    t_in, t_out, x = draw(units_and_subjects())
+    U, V, W = _RIGHT_VARS
+    pre = {}
+    if draw(st.booleans()):
+        pre[V] = draw(_terms((W,)))
+    if draw(st.booleans()):
+        pre[U] = draw(_terms((V, W)))
+    return t_in, t_out, x, pre
+
+
+def _rename_unify_apply(t_in, t_out, x):
+    # The reference: the subject and the output under the unifier.
+    r_in, r_out = rename_many((t_in, t_out))
+    s = unify(x, r_in)
+    return None if s is None else mk_tuple((s.apply(x), s.apply(r_out)))
+
+
+def _store(pre):
+    return {v.serial: t for v, t in pre.items()}, [v.serial for v in pre]
+
+
+class TestStoreRunner:
+    @given(units_subjects_stores())
+    @settings(max_examples=300)
+    @example((f(X_, X_), g(X_, P_), f(U_, V_), {}))
+    @example((f(X_, g(X_)), X_, f(U_, U_), {}))
+    @example((f(X_, g(a, b)), g(X_, P_, P_), f(g(U_), V_), {}))
+    @example((f(X_, Y_, X_), g(Y_), f(U_, V_, V_), {V_: g(W_)}))
+    @example((f(g(X_), X_), X_, f(U_, U_), {U_: g(V_)}))
+    @example((X_, f(X_, P_, Y_), U_, {}))
+    def test_equals_rename_unify_apply(self, case):
+        t_in, t_out, x, pre = case
+        bind, trail = _store(pre)
+        before = (dict(bind), list(trail))
+        s_pre = Subst(pre)
+        # U's value may hold V: two passes resolve the store's chains.
+        want = _rename_unify_apply(t_in, t_out, s_pre.apply(s_pre.apply(x)))
+        got = unify_unit(compile_unit(t_in, t_out, unify=True), x, bind, trail)
+        if got is None:
+            assert want is None
+            assert (bind, trail) == before
+            return
+        assert want is not None
+        pair = resolved(mk_tuple((x, got)), bind)
+        assert canonical(pair) == canonical(want)
+        _assert_ground_flags(pair)
+        assert trail[: len(before[1])] == before[1]
+        assert set(bind) == set(trail)
+
+    def test_occurs_check(self):
+        Y = fresh_var("Y")
+        bind, trail = {}, []
+        code = compile_unit(mk_tuple((X_, f(X_))), X_, unify=True)
+        assert unify_unit(code, mk_tuple((Y, Y)), bind, trail) is None
+        assert bind == {} and trail == []
+
+    def test_failure_restores_store(self):
+        # The first argument binds U before the constant check fails.
+        bind, trail = _store({V_: b})
+        code = compile_unit(f(X_, a), X_, unify=True)
+        assert unify_unit(code, f(U_, V_), bind, trail) is None
+        assert (bind, trail) == _store({V_: b})
+
+    def test_binding_direction(self):
+        # A subject variable at a first occurrence is bound to a fresh
+        # variable of the unit's name; a repeat binds the subject side.
+        Y, Z = fresh_var("Y"), fresh_var("Z")
+        bind, trail = {}, []
+        out = unify_unit(compile_unit(f(X_, X_), X_, unify=True), f(Y, Z), bind, trail)
+        v = resolved(out, bind)
+        assert type(v) is Variable and v.name == "X" and v not in (Y, Z, X_)
+        assert resolved(f(Y, Z), bind) == f(v, v)
+
+    def test_output_only_variables_fresh_per_call(self):
+        bind, trail = {}, []
+        code = compile_unit(X_, f(X_, P_, P_), unify=True)
+        first = unify_unit(code, a, bind, trail)
+        second = unify_unit(code, a, bind, trail)
+        p1, p2 = first.args[1], second.args[1]
+        assert p1.name == "P" and p1 is first.args[2] and p1 != p2 != P_
 
 
 class TestAlgebraicLaws:
@@ -351,6 +447,9 @@ class TestAlgebraicLaws:
         assert not set(term_vars(r)) & set(term_vars(t))
         unbound = {v: x for v, x in bindings.items() if v not in term_vars(t)}
         assert Subst(unbound).apply(t) is t
+        # Equal terms built apart hash alike; repr is the plain recursive one.
+        assert hash(canonical(t)) == hash(_ref_canonical(t, {}))
+        assert repr(t) == _ref_repr(t)
 
     @given(shared_pairs)
     @settings(max_examples=300)
@@ -495,6 +594,38 @@ class TestDeepTerms:
         other = mk_tuple((deep_a, deep_a, self.numeral(self.N, b)))
         assert match(t_in, other) is None
         assert run_unit(code, other) is None
+
+    def test_store_runner(self, default_recursion_limit):
+        X, Y = fresh_var("X"), fresh_var("Y")
+        t_in = mk_tuple((self.numeral(self.N, X), Y, Y))
+        t_out = mk_tuple((Y, X))
+        code = compile_unit(t_in, t_out, unify=True)
+        A, B, C = fresh_var("A"), fresh_var("B"), fresh_var("C")
+        # Read mode down the first argument; the repeated Y unifies two deep
+        # open terms; a bare subject variable takes write mode all the way.
+        x = mk_tuple((self.numeral(self.N, f(A)), self.numeral(self.N, A),
+                      self.numeral(self.N, B)))
+        bind, trail = {}, []
+        y, x_value = resolved(unify_unit(code, x, bind, trail), bind).args
+        n, v = self.depth(y)
+        assert n == self.N and v in (A, B)
+        assert resolved(A, bind) == resolved(B, bind) == v
+        assert x_value == f(v)
+        bind, trail = {}, []
+        assert unify_unit(code, mk_tuple((C, a, B)), bind, trail) is not None
+        n, inner = self.depth(resolved(C, bind))
+        assert n == self.N and type(inner) is Variable and inner.name == "X"
+        # The repeated Y fails the occurs check at the bottom, A against f(A).
+        bind, trail = {}, []
+        other = mk_tuple((C, self.numeral(self.N, A), self.numeral(self.N, f(A))))
+        assert unify_unit(code, other, bind, trail) is None
+        assert bind == {} and trail == []
+
+    def test_hash_and_repr(self, default_recursion_limit):
+        X = fresh_var("X")
+        deep, twin = self.numeral(self.N, X), self.numeral(self.N, X)
+        assert hash(deep) == hash(twin)
+        assert repr(deep) == "s(" * self.N + repr(X) + ")" * self.N
 
     def test_equality(self, default_recursion_limit):
         X = fresh_var("X")
