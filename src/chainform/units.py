@@ -266,7 +266,7 @@ def unify_unit(code, x, bind, trail):
     loads, consts, grounds, sames, build, firsts, names, constants = code
     mark = len(trail)
     get = bind.get
-    made = None  # the first serial issued by this call
+    made = None  # the serial of the first variable this call makes
     regs = [x]
     if loads:
         it = iter(loads)
