@@ -87,11 +87,12 @@ class Registry:
     nonunit: dict  # label -> tuple of body predicate names
     unit: dict  # label -> (input term, output term)
     isunit: frozenset  # = set of unit labels
-    # evaluation mode -> unit label -> the forms the engines apply that unit
-    # in, filled by the engines on first use, so a registry is not changed
+    # evaluation mode -> predicate -> its alternatives as the engines take
+    # them (body reversed, or the unit compiled for that mode), filled by the
+    # engines on a predicate's first selection, so a registry is not changed
     # once evaluated.  Not part of the registry's value: never compared,
     # printed or dumped.
-    unit_forms: dict = field(
+    dispatch: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

@@ -24,18 +24,25 @@ All five are views over one loop, _search, which makes the traversal's state
 explicit: a stack of choice points, and the continuation as a cons list, so
 no formulation recurses in Python and none copies the continuation.
 
-Unit resolution has two variants over one compiler: each unit clause is
-compiled by units.compile_unit on its first use and kept on the registry
-(Registry.unit_forms), with its stack-less form for eval_stream, so every
-goal over one registry shares them.  In match mode (for ground evaluation
-over G-chain programs) the query term is matched one-way against the unit
-input by units.run_unit, bound here as match.  In unify mode
-units.unify_unit, bound here as unify, unifies the query term with the unit
-input over the run's binding store and trail, as if the unit were renamed
-apart, so query variables stay stable for the goal decoder.  Each choice
-point records the trail's length and the search undoes the trail to it
-before the next alternative; an answer is resolved through the store when
-it is yielded, so every engine hands out plain terms.
+Clause selection reads one dispatch table per evaluation mode, kept on the
+registry (Registry.dispatch) and filled on each predicate's first selection,
+so every goal over one registry shares it.  It maps a predicate to its
+alternatives: a non-unit clause's body, reversed, or a unit clause compiled
+by units.compile_unit together with the stack-less form eval_stream applies.
+As in the WAM's try/retry/trust, a choice point holds an index into that
+tuple and is pushed only while an alternative after the one taken remains:
+a predicate's only or last alternative leaves none, so deterministic
+recursion runs in constant choice-stack space.
+
+Unit resolution has two variants over one compiler.  In match mode (for
+ground evaluation over G-chain programs) the query term is matched one-way
+against the unit input by units.run_unit, bound here as match.  In unify
+mode units.unify_unit, bound here as unify, unifies the query term with the
+unit input over the run's binding store and trail, as if the unit were
+renamed apart, so query variables stay stable for the goal decoder.  Each
+choice point records the trail's length at its predicate's selection, and
+resuming it undoes the trail to that mark; an answer is resolved through
+the store when it is yielded, so every engine hands out plain terms.
 """
 
 from __future__ import annotations
@@ -88,19 +95,19 @@ class BoundedResult:
 
 
 class _Run:
-    """Shared state of one evaluation: registry access, unit resolution,
-    the binding store and trail of unify mode, and the composition-step
+    """Shared state of one evaluation: the mode's dispatch table, the
+    binding store and trail of unify mode, and the composition-step
     budget."""
 
-    __slots__ = ("reg", "matching", "forms", "remaining", "budget", "bind", "trail")
+    __slots__ = ("reg", "matching", "table", "remaining", "budget", "bind", "trail")
 
     def __init__(self, reg: Registry, uni: str, budget: int):
         if uni not in (MATCH, UNIFY):
             raise ValueError("uni must be 'match' or 'unify'")
         self.reg = reg
         self.matching = uni == MATCH
-        # Shared by every run in this mode over reg: see unit_forms.
-        self.forms = reg.unit_forms.setdefault(uni, {})
+        # Shared by every run in this mode over reg: see alternatives.
+        self.table = reg.dispatch.setdefault(uni, {})
         self.budget = budget
         self.remaining = budget
         # Variable serial -> term, and the serials bound, oldest first.  Both
@@ -114,59 +121,58 @@ class _Run:
         self.remaining -= 1
 
     def alternatives(self, q):
+        """q's alternatives in definition order, as the search takes them:
+        (label, body reversed, None, None) for a non-unit clause and
+        (label, None, compiled unit, compiled stack-less unit or None) for a
+        unit clause; the stack-less form is eval_stream's, None when the
+        unit switches stacks.  Made on q's first selection and kept in the
+        table."""
+        reg = self.reg
         try:
-            return self.reg.defn[q]
+            labels = reg.defn[q]
         except KeyError:
             raise LookupError("no definition for predicate %r" % q) from None
-
-    def unit_forms(self, label):
-        """The unit clause's compiled form, and the compiled form of its
-        stack-less clause for eval_stream (None when the unit switches
-        stacks).  Made on the first use of the label and kept on the
-        registry."""
-        try:
-            return self.forms[label]
-        except KeyError:
-            pass
-        unit = self.reg.unit[label]
-        bare = _strip_stack(*unit)
-        unify = not self.matching
-        forms = self.forms[label] = (
-            compile_unit(*unit, unify),
-            None if bare is None else compile_unit(*bare, unify),
-        )
-        return forms
-
-    def apply(self, unit, x):
-        """A compiled unit applied to x: the output term, or None."""
-        if self.matching:
-            return match(unit, x)
-        return unify(unit, x, self.bind, self.trail)
-
-    def resolve_unit(self, label, x):
-        return self.apply(self.unit_forms(label)[0], x)
+        unifying = not self.matching
+        alts = []
+        for label in labels:
+            if label in reg.isunit:
+                unit = reg.unit[label]
+                bare = _strip_stack(*unit)
+                alts.append((
+                    label,
+                    None,
+                    compile_unit(*unit, unifying),
+                    None if bare is None else compile_unit(*bare, unifying),
+                ))
+            else:
+                alts.append((label, reg.nonunit[label][::-1], None, None))
+        alts = self.table[q] = tuple(alts)
+        return alts
 
 
 # ---------------------------------------------------------------------------
 # The search core.
 
 
-def _search(run, x, qs, resolve, settle=resolved):
+def _search(run, x, qs, resolve=None, settle=resolved):
     """Answers of x composed through qs, one at a time, in traversal order.
 
     The continuation is a cons list of (predicate, rest) pairs ending in
     None, so a clause body is prepended in O(|body|).  Each composition step
-    ticks the budget and pushes a choice point (state, rest, iterator over
-    the predicate's alternatives, trail length).  Alternatives are taken one
-    at a time: a unit clause is resolved, by resolve(label, state) -> state
-    or None, only when the search reaches it, and a non-unit clause prepends
-    its body to rest.  Before a choice point's next alternative is tried,
-    the trail is undone to the choice point's mark.  A state is a term,
+    ticks the budget and selects the first predicate of the continuation;
+    its alternatives come from the run's dispatch table.  They are taken in
+    order: a unit clause is applied to the state by one call of the
+    module-level match or unify (or by resolve(label, unit, bare, state) ->
+    state or None, eval_stream's), and a non-unit clause prepends its body
+    to rest.  When an alternative is taken and another follows it, a choice
+    point (state, rest, alternatives, index of that next one, trail length
+    at the selection) is pushed; the only or last alternative is taken with
+    none, so deterministic recursion keeps the choice stack flat.  Resuming
+    a choice point first undoes the trail to its mark.  A state is a term,
     except in eval_stream.  In unify mode an answer state is yielded as
     settle(state, store), resolved through the binding store.
     """
-    isunit = run.reg.isunit
-    nonunit = run.reg.nonunit
+    table = run.table
     matching = run.matching
     bind = run.bind
     trail = run.trail
@@ -174,38 +180,56 @@ def _search(run, x, qs, resolve, settle=resolved):
     for q in reversed(qs):
         ks = (q, ks)
     choices = []
+    i = n = 0
     while True:
         if ks is None:
             yield x if matching else settle(x, bind)
+            n = 0
         else:
             run.tick()
             q, rest = ks
+            try:
+                alts = table[q]
+            except KeyError:
+                alts = run.alternatives(q)
+            y = x
+            i = 0
+            n = len(alts)
             # The trail stays empty in match mode, which then never asks
             # for its length.
             mark = len(trail) if trail else 0
-            choices.append((x, rest, iter(run.alternatives(q)), mark))
-        # Take the next alternative that applies, from the newest choice
-        # point that has one left; the search ends when none has.
-        while choices:
-            y, rest, alts, mark = choices[-1]
+        # Take alternative i of n, or the first after it that applies, else
+        # resume the newest choice point; the search ends when none is left.
+        while True:
+            if i < n:
+                label, body, unit, bare = alts[i]
+                i += 1
+                if body is None:
+                    if resolve is not None:
+                        x = resolve(label, unit, bare, y)
+                    elif matching:
+                        # The kernel by its module-level name, looked up
+                        # at each attempt: see match.
+                        x = match(unit, y)
+                    else:
+                        x = unify(unit, y, bind, trail)
+                    if x is None:
+                        continue
+                    ks = rest
+                else:
+                    x = y
+                    ks = rest
+                    for q in body:
+                        ks = (q, ks)
+                if i < n:
+                    choices.append((y, rest, alts, i, mark))
+                break
+            if not choices:
+                return
+            y, rest, alts, i, mark = choices.pop()
+            n = len(alts)
             if trail and len(trail) > mark:
                 untrail(bind, trail, mark)
-            for label in alts:
-                if label not in isunit:
-                    x, ks = y, rest
-                    for q in reversed(nonunit[label]):
-                        ks = (q, ks)
-                    break
-                x = resolve(label, y)
-                if x is not None:
-                    ks = rest
-                    break
-            else:
-                choices.pop()
-                continue
-            break
-        else:
-            return
 
 
 def eval_abcde(x, qs, r: Registry, uni: str = MATCH, budget: int = DEFAULT_BUDGET):
@@ -213,7 +237,7 @@ def eval_abcde(x, qs, r: Registry, uni: str = MATCH, budget: int = DEFAULT_BUDGE
     answers of each alternative of qs[0], concatenated in definition order,
     each composed through qs[1:]."""
     run = _Run(r, uni, budget)
-    return list(_search(run, x, qs, run.resolve_unit))
+    return list(_search(run, x, qs))
 
 
 def eval_continuation(
@@ -253,14 +277,21 @@ def eval_stream(
     the stack is only attached and detached at stack-switching unit steps.
     """
     run = _Run(r, uni, budget)
+    matching = run.matching
+    bind = run.bind
+    trail = run.trail
 
-    def resolve(label, state):
+    def apply(code, x):
+        if matching:
+            return match(code, x)
+        return unify(code, x, bind, trail)
+
+    def resolve(label, unit, bare, state):
         stack, payload = state
-        unit, bare = run.unit_forms(label)
         if bare is not None:
-            y = run.apply(bare, payload)
+            y = apply(bare, payload)
             return None if y is None else (stack, y)
-        y = run.apply(unit, mk_tuple((stack, *payload.args)))
+        y = apply(unit, mk_tuple((stack, *payload.args)))
         if y is None:
             return None
         if not (is_tuple(y) and y.args):
@@ -312,7 +343,7 @@ class Enumeration:
 
     def __init__(self, run, x, qs):
         self._run = run
-        self._gen = _search(run, x, qs, run.resolve_unit)
+        self._gen = _search(run, x, qs)
 
     @property
     def steps(self):

@@ -153,11 +153,18 @@ def _tokenize(text):
             i += 1
             col += 1
             continue
-        if c.isdigit():
+        # isdecimal, not isdigit: int() refuses digits such as '²'.
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, start_col))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError(
+                    "integer of %d digits is too long" % (j - i), line, start_col
+                ) from None
+            tokens.append(_Token("int", value, line, start_col))
             col += j - i
             i = j
             continue

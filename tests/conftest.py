@@ -159,11 +159,14 @@ def oracle_canonical(pipeline, goal_text, depth_budget=10_000):
     return [canonical_answer(goal, a.bindings) for a in result.answers]
 
 
-def counted_search(registry, x, qs, uni, first_only=False):
+def counted_search(registry, x, qs, uni, first_only=False, pending=None):
     """Independent instrumented search: depth-first, definition order.
     Returns the answers (at most one with first_only), the composition steps
     and the unit resolutions attempted and succeeded, each counted across
-    all branches explored.  Kept free of the engines module on purpose."""
+    all branches explored.  Given a list as pending, it appends for each
+    answer the number of selections on that answer's derivation that took
+    an alternative other than their predicate's last.  Kept free of the
+    engines module on purpose."""
     steps = attempted = succeeded = 0
     answers = []
 
@@ -181,23 +184,28 @@ def counted_search(registry, x, qs, uni, first_only=False):
         succeeded += y is not None
         return y
 
-    def search(t, k):
-        # True when the search is to stop.
+    def search(t, k, open_):
+        # True when the search is to stop.  open_ counts the selections on
+        # this branch that have alternatives left.
         nonlocal steps
         if not k:
             answers.append(t)
+            if pending is not None:
+                pending.append(open_)
             return first_only
         steps += 1
-        for label in registry.defn[k[0]]:
+        labels = registry.defn[k[0]]
+        for j, label in enumerate(labels):
+            more = open_ + (j < len(labels) - 1)
             if label in registry.isunit:
                 y = resolve(label, t)
-                if y is not None and search(y, k[1:]):
+                if y is not None and search(y, k[1:], more):
                     return True
-            elif search(t, registry.nonunit[label] + k[1:]):
+            elif search(t, registry.nonunit[label] + k[1:], more):
                 return True
         return False
 
-    search(x, tuple(qs))
+    search(x, tuple(qs), 0)
     return answers, steps, (attempted, succeeded)
 
 

@@ -45,6 +45,17 @@ def broken_file(tmp_path):
 
 
 @pytest.fixture
+def superscript_file(tmp_path):
+    # '²' is a digit to str.isdigit but not to int().
+    path = tmp_path / "superscript.pl"
+    path.write_text("p(\u00b2).\n", encoding="utf-8")
+    return str(path)
+
+
+SUPERSCRIPT_ERROR = "parse error: unexpected character '\u00b2' (line 1, column 3)"
+
+
+@pytest.fixture
 def looping_file(tmp_path):
     path = tmp_path / "loop.pl"
     path.write_text("p(a) :- p(a).\n", encoding="utf-8")
@@ -63,6 +74,23 @@ class TestCheck:
     def test_parse_error_exit_2(self, broken_file, capsys):
         assert main(["check", broken_file]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    def test_superscript_digit_is_a_parse_error(self, superscript_file, capsys):
+        assert main(["check", superscript_file]) == 2
+        assert capsys.readouterr().err.strip() == SUPERSCRIPT_ERROR
+
+    def test_overlong_integer_is_a_parse_error(self, tmp_path, capsys):
+        # One digit past the limit of int() on strings, where there is one.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("int() converts strings of any length here")
+        path = tmp_path / "big.pl"
+        path.write_text("p(%s).\n" % ("9" * (limit + 1)), encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "parse error: integer of %d digits is too long (line 1, column 3)"
+            % (limit + 1)
+        )
 
     def test_default_form_moded_when_directives(self, split_file):
         assert main(["check", split_file]) == 0
@@ -120,6 +148,10 @@ class TestTransform:
 
 
 class TestSolve:
+    def test_superscript_digit_in_goal(self, split_file, capsys):
+        assert main(["solve", split_file, "-g", "p(\u00b2)"]) == 2
+        assert capsys.readouterr().err.strip() == SUPERSCRIPT_ERROR
+
     def test_split_three_lines(self, split_file, capsys):
         assert main(["solve", split_file, "-g", "s([a,b],Y,Z)"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -336,6 +368,16 @@ class TestRepl:
         )
         assert code == 0
         assert "no more answers" in out
+
+    def test_superscript_digit_reported_and_session_goes_on(
+        self, split_file, monkeypatch, capsys
+    ):
+        code, out = self.run_repl(
+            monkeypatch, capsys, split_file, "p(\u00b2)\ns([a],Y,Z)\nn\n"
+        )
+        assert code == 0
+        assert SUPERSCRIPT_ERROR in out
+        assert "Y = [], Z = [a]" in out
 
     def test_eof_is_halt(self, split_file, monkeypatch, capsys):
         code, out = self.run_repl(

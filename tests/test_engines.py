@@ -1,6 +1,8 @@
 """Engine tests: the literal evaluator clauses, agreement between all four
-engines, enumeration control, bounded resource counts, budgets, and depth."""
+engines, enumeration control, bounded resource counts, budgets, exhaustive
+step counts, the choice points held, and depth."""
 
+import random
 import time
 
 import pytest
@@ -12,6 +14,12 @@ from conftest import (
     first_answer_steps,
     oracle_canonical,
     same_answer_sequence,
+)
+from genprog import (
+    random_definite_program,
+    random_ground_goal,
+    random_moded_program,
+    random_open_goal,
 )
 
 from chainform import engines
@@ -39,7 +47,7 @@ from chainform.terms import (
     mk_tuple,
     term_vars,
 )
-from chainform.transform import compile_goal, transform_definite
+from chainform.transform import compile_goal, transform_definite, transform_moded
 
 a, b = Constant("a"), Constant("b")
 
@@ -283,6 +291,157 @@ class TestUnifyKernelHook:
             assert same_answer_sequence(got, answers or [None]), goal_text
             assert (calls["all"], calls["ok"]) == (attempted, succeeded), goal_text
             assert attempted > 0
+
+
+class TestKernelNameAtEachAttempt:
+    """The engines look the kernel name up at every unit attempt, so a
+    wrapper installed halfway through an enumeration sees every attempt
+    made after it."""
+
+    @pytest.mark.parametrize(
+        "fixture,mode,goal_text,name",
+        [
+            ("split", "moded", "s([a,b,c],Y,Z)", "match"),
+            ("append", "definite", "ap(X,Y,[a,b,c])", "unify"),
+        ],
+    )
+    def test_wrapper_installed_after_first_answer(
+        self, fixture, mode, goal_text, name, monkeypatch
+    ):
+        pipe = build_pipeline(fixture, mode)
+        plan = pipe.plan(goal_text)
+        args = (pipe.registry, plan.initial, plan.continuations, pipe.uni)
+        answers, _, (attempted, _) = counted_search(*args)
+        _, _, (before, _) = counted_search(*args, first_only=True)
+        enum = enumerate_prolog(
+            plan.initial, plan.continuations, pipe.registry, pipe.uni
+        )
+        assert enum.next() is not None
+        calls = []
+        original = getattr(engines, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engines, name, counted)
+        assert len(list(enum)) == len(answers) - 1
+        assert len(calls) == attempted - before > 0
+
+
+def held_choice_points(enum):
+    """The choice points the search of a suspended enumeration holds, read
+    from its generator's frame."""
+    return enum._gen.gi_frame.f_locals["choices"]
+
+
+EXHAUSTIVE_ENGINES = {
+    "abcde": lambda args, budget: eval_abcde(*args, budget=budget),
+    "stream": lambda args, budget: eval_stream(
+        NIL, [args[0]], *args[1:], budget=budget
+    ),
+    "enumerate": lambda args, budget: list(enumerate_prolog(*args, budget=budget)),
+}
+
+
+def check_exhaustive_steps(registry, x, qs, uni):
+    """Run to exhaustion, the search spends counted_search's steps and holds,
+    at each answer, one choice point per selection on the answer's
+    derivation that has alternatives left; a budget of exactly those steps
+    suffices for every exhaustive engine, and one step less does not."""
+    pending = []
+    answers, steps, _ = counted_search(registry, x, qs, uni, pending=pending)
+    enum = enumerate_prolog(x, qs, registry, uni)
+    held = [len(held_choice_points(enum)) for _ in enum]
+    assert enum.steps == steps
+    assert held == pending
+    args = (x, qs, registry, uni)
+    for name, run in EXHAUSTIVE_ENGINES.items():
+        assert same_answer_sequence(run(args, steps), answers), name
+        with pytest.raises(BudgetExceededError):
+            run(args, steps - 1)
+
+
+class TestExhaustiveSteps:
+    def test_corpus(self, pipelines):
+        for pipe in pipelines:
+            for goal_text in pipe.goals():
+                plan = pipe.plan(goal_text)
+                check_exhaustive_steps(
+                    pipe.registry, plan.initial, plan.continuations, pipe.uni
+                )
+
+    @pytest.mark.parametrize("mode", ["moded", "definite"])
+    def test_generated_programs(self, mode):
+        # The programs and goals of the differential tests in
+        # test_equivalence.py.  The goals that exhaust the budget loop, and
+        # counted_search, which has none, would recurse without end on them.
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(300):
+            if mode == "moded":
+                program = random_moded_program(rng)
+                chain = transform_moded(program)
+                goal = random_ground_goal(rng, program)
+                uni = "match"
+            else:
+                program = random_definite_program(rng)
+                chain = transform_definite(program)
+                goal = random_open_goal(rng, program)
+                uni = "unify"
+            registry = compile_to_registry(chain)
+            plan = compile_goal(goal, chain, mode)
+            try:
+                list(enumerate_prolog(
+                    plan.initial, plan.continuations, registry, uni, budget=400
+                ))
+            except BudgetExceededError:
+                continue
+            check_exhaustive_steps(registry, plan.initial, plan.continuations, uni)
+            checked += 1
+        assert checked >= 150
+
+
+class TestChoicePoints:
+    @pytest.mark.parametrize("n", [10, 10**4])
+    def test_deterministic_recursion_holds_one(self, n):
+        """Moded len takes its recursive clause as its last alternative and
+        every restructuring unit as its only one, so none of them leaves a
+        choice point.  The one held at the answer is len's recursive clause
+        at the empty list, pending because the unit clause before it
+        applied."""
+        pipe = build_pipeline("length", "moded")
+        goal = Goal(Compound("len", (mk_list([a] * n), Variable("N"))))
+        plan = compile_goal(goal, pipe.chain, "moded")
+        enum = enumerate_prolog(plan.initial, plan.continuations, pipe.registry)
+        assert enum.next() is not None
+        ((state, _, alts, i, _),) = held_choice_points(enum)
+        assert alts[i][0] == "len_hat_2"
+        assert state == mk_tuple([NIL, NIL])
+        assert enum.next() is None
+
+    def test_split_holds_the_pending_ones(self, split):
+        plan = split.plan("s([a,b,c],Y,Z)")
+        enum = enumerate_prolog(plan.initial, plan.continuations, split.registry)
+        held = [[alts[i][0] for _, _, alts, i, _ in held_choice_points(enum)]
+                for _ in enum]
+        # Each answer comes from s_hat's unit clause, which leaves s_hat's
+        # recursive clause pending at that selection; the selections above
+        # it took their last alternative and left none.
+        assert held == [["s_hat_2"]] * 4
+
+
+class TestDefinitions:
+    def test_declared_empty_fails_and_undefined_raises(self, split):
+        registry = compile_to_registry(split.chain, declare_empty=("none",))
+        x = mk_tuple([NIL, a])
+        for engine in (eval_abcde, eval_continuation):
+            assert engine(x, ["none"], registry) == []
+            with pytest.raises(LookupError, match="no definition for predicate 'q'"):
+                engine(x, ["q"], registry)
+        assert eval_stream(NIL, [x], ["none"], registry) == []
+        assert enumerate_prolog(x, ["none"], registry).next() is None
+        assert eval_bounded(x, ["none"], registry).resource == 1
 
 
 class TestOpenListScale:
