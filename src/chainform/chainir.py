@@ -88,10 +88,11 @@ class Registry:
     unit: dict  # label -> (input term, output term)
     isunit: frozenset  # = set of unit labels
     # evaluation mode -> predicate -> its alternatives as the engines take
-    # them (body reversed, or the unit compiled for that mode), filled by the
-    # engines on a predicate's first selection, so a registry is not changed
-    # once evaluated.  Not part of the registry's value: never compared,
-    # printed or dumped.
+    # them, one (label, body reversed, None) or (label, None, the unit
+    # compiled once for that mode) per clause, filled by the engines on a
+    # predicate's first selection, so a registry is not changed once
+    # evaluated.  Not part of the registry's value: never compared, printed
+    # or dumped.
     dispatch: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

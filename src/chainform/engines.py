@@ -13,8 +13,10 @@ up to a bijective renaming of those (terms.canonical normalizes them away).
   dispatch on unit versus non-unit, and resolve unit clauses.
 * eval_continuation threads an explicit continuation list instead of mapping
   answer lists back through the remaining composition.
-* eval_stream keeps the shared stack prefix as a separate parameter and only
-  touches it at stack-switching unit steps; the affix operator reattaches it.
+* eval_stream evaluates a stream of terms that share a stack component,
+  answering each in turn under one budget.  A compiled unit holds the stack
+  in one register and hands it to its output by reference, so only
+  stack-switching unit steps touch it.
 * enumerate_prolog produces answers one at a time under caller control
   (resume or halt), abandoning all remaining alternatives on halt.
 * eval_bounded constructs at most one proof and reports the number of
@@ -28,11 +30,11 @@ Clause selection reads one dispatch table per evaluation mode, kept on the
 registry (Registry.dispatch) and filled on each predicate's first selection,
 so every goal over one registry shares it.  It maps a predicate to its
 alternatives: a non-unit clause's body, reversed, or a unit clause compiled
-by units.compile_unit together with the stack-less form eval_stream applies.
-As in the WAM's try/retry/trust, a choice point holds an index into that
-tuple and is pushed only while an alternative after the one taken remains:
-a predicate's only or last alternative leaves none, so deterministic
-recursion runs in constant choice-stack space.
+once by units.compile_unit.  As in the WAM's try/retry/trust, a choice
+point holds an index into that tuple and is pushed only while an
+alternative after the one taken remains: a predicate's only or last
+alternative leaves none, so deterministic recursion runs in constant
+choice-stack space.
 
 Unit resolution has two variants over one compiler.  In match mode (for
 ground evaluation over G-chain programs) the query term is matched one-way
@@ -51,16 +53,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .chainir import Registry
-from .terms import (
-    Variable,
-    cons,
-    is_cons,
-    is_nil,
-    is_tuple,
-    mk_tuple,
-    rename_many,  # unused; one of the kernel names perfbench wraps here
-    term_vars,
-)
+from .terms import is_tuple
+
+# Unused here: perfbench's kernel counters wrap these names on this module
+# (perfbench/tracing.KERNEL_FUNCTIONS), so they must stay attributes of it.
+from .terms import rename_many, term_vars
 from .units import compile_unit, resolved, untrail
 
 # A compiled unit applied to a term, or None.  The engines call these by
@@ -122,11 +119,10 @@ class _Run:
 
     def alternatives(self, q):
         """q's alternatives in definition order, as the search takes them:
-        (label, body reversed, None, None) for a non-unit clause and
-        (label, None, compiled unit, compiled stack-less unit or None) for a
-        unit clause; the stack-less form is eval_stream's, None when the
-        unit switches stacks.  Made on q's first selection and kept in the
-        table."""
+        (label, body reversed, None) for a non-unit clause and (label, None,
+        compiled unit) for a unit clause.  The search never reads the label;
+        it names the clause a choice point will resume.  Made on q's first
+        selection and kept in the table."""
         reg = self.reg
         try:
             labels = reg.defn[q]
@@ -136,16 +132,9 @@ class _Run:
         alts = []
         for label in labels:
             if label in reg.isunit:
-                unit = reg.unit[label]
-                bare = _strip_stack(*unit)
-                alts.append((
-                    label,
-                    None,
-                    compile_unit(*unit, unifying),
-                    None if bare is None else compile_unit(*bare, unifying),
-                ))
+                alts.append((label, None, compile_unit(*reg.unit[label], unifying)))
             else:
-                alts.append((label, reg.nonunit[label][::-1], None, None))
+                alts.append((label, reg.nonunit[label][::-1], None))
         alts = self.table[q] = tuple(alts)
         return alts
 
@@ -154,23 +143,23 @@ class _Run:
 # The search core.
 
 
-def _search(run, x, qs, resolve=None, settle=resolved):
+def _search(run, x, qs):
     """Answers of x composed through qs, one at a time, in traversal order.
 
     The continuation is a cons list of (predicate, rest) pairs ending in
     None, so a clause body is prepended in O(|body|).  Each composition step
     ticks the budget and selects the first predicate of the continuation;
-    its alternatives come from the run's dispatch table.  They are taken in
-    order: a unit clause is applied to the state by one call of the
-    module-level match or unify (or by resolve(label, unit, bare, state) ->
-    state or None, eval_stream's), and a non-unit clause prepends its body
-    to rest.  When an alternative is taken and another follows it, a choice
-    point (state, rest, alternatives, index of that next one, trail length
+    its alternatives come from the run's dispatch table as (label, body
+    reversed or None, compiled unit or None) triples.  They are taken in
+    order: a unit clause is applied to the term by one call of the
+    module-level match or unify, and a non-unit clause prepends its body to
+    rest.  When an alternative is taken and another follows it, a choice
+    point (term, rest, alternatives, index of that next one, trail length
     at the selection) is pushed; the only or last alternative is taken with
     none, so deterministic recursion keeps the choice stack flat.  Resuming
-    a choice point first undoes the trail to its mark.  A state is a term,
-    except in eval_stream.  In unify mode an answer state is yielded as
-    settle(state, store), resolved through the binding store.
+    a choice point first undoes the trail to its mark.  An answer is
+    yielded as the term itself in match mode and resolved through the
+    binding store in unify mode.
     """
     table = run.table
     matching = run.matching
@@ -183,7 +172,7 @@ def _search(run, x, qs, resolve=None, settle=resolved):
     i = n = 0
     while True:
         if ks is None:
-            yield x if matching else settle(x, bind)
+            yield x if matching else resolved(x, bind)
             n = 0
         else:
             run.tick()
@@ -202,12 +191,10 @@ def _search(run, x, qs, resolve=None, settle=resolved):
         # resume the newest choice point; the search ends when none is left.
         while True:
             if i < n:
-                label, body, unit, bare = alts[i]
+                _, body, unit = alts[i]
                 i += 1
                 if body is None:
-                    if resolve is not None:
-                        x = resolve(label, unit, bare, y)
-                    elif matching:
+                    if matching:
                         # The kernel by its module-level name, looked up
                         # at each attempt: see match.
                         x = match(unit, y)
@@ -250,82 +237,30 @@ def eval_continuation(
 
 
 # ---------------------------------------------------------------------------
-# Stream-based evaluator: the stack rides in a separate parameter.
-
-
-def affix(stack, answers):
-    """Prepend a shared stack onto every answer: tuples get it as a new
-    first component, lists get it consed on."""
-    out = []
-    for y in answers:
-        if is_tuple(y):
-            out.append(mk_tuple((stack, *y.args)))
-        elif is_cons(y) or is_nil(y):
-            out.append(cons(stack, y))
-        else:
-            raise ValueError("cannot affix onto %r" % (y,))
-    return out
+# Stream-based evaluator: a stream of terms over one shared stack.
 
 
 def eval_stream(
     sigma, xs, qs, r: Registry, uni: str = MATCH, budget: int = DEFAULT_BUDGET
 ):
-    """Same answers as eval_abcde on the same terms.
+    """eval_abcde's answers for each term of xs in turn, concatenated, with
+    one budget for the whole stream.
 
     Every term of xs must be a tuple carrying sigma as its stack component.
-    Stack-preserving unit steps are resolved on the stack-less payload, so
-    the stack is only attached and detached at stack-switching unit steps.
+    A compiled unit holds the stack in one register and hands it to its
+    output by reference, so the stack is only touched at stack-switching
+    unit steps.
     """
     run = _Run(r, uni, budget)
-    matching = run.matching
-    bind = run.bind
-    trail = run.trail
-
-    def apply(code, x):
-        if matching:
-            return match(code, x)
-        return unify(code, x, bind, trail)
-
-    def resolve(label, unit, bare, state):
-        stack, payload = state
-        if bare is not None:
-            y = apply(bare, payload)
-            return None if y is None else (stack, y)
-        y = apply(unit, mk_tuple((stack, *payload.args)))
-        if y is None:
-            return None
-        if not (is_tuple(y) and y.args):
-            raise ValueError("unit %r broke the stack convention: %r" % (label, y))
-        return y.args[0], mk_tuple(y.args[1:])
-
     out = []
     for x in xs:
         if not (is_tuple(x) and x.args and x.args[0] == sigma):
             raise ValueError("term %r does not carry the shared stack" % (x,))
-        state = (sigma, mk_tuple(x.args[1:]))
-        for stack, payload in _search(run, state, qs, resolve, _resolved_state):
-            out.extend(affix(stack, (payload,)))
+        # A search leaves the bindings of its last derivation in the store:
+        # the last alternative taken pushed no choice point to undo them.
+        untrail(run.bind, run.trail, 0)
+        out.extend(_search(run, x, qs))
     return out
-
-
-def _resolved_state(state, bind):
-    stack, payload = state
-    return resolved(stack, bind), resolved(payload, bind)
-
-
-def _strip_stack(t_in, t_out):
-    # A unit clause of the shape (stack | payload) -> (same stack variable |
-    # payload), with the stack variable absent from both payloads, as the
-    # clause on payloads alone; None for any other unit clause.
-    if not (is_tuple(t_in) and is_tuple(t_out) and t_in.args and t_out.args):
-        return None
-    st = t_in.args[0]
-    if type(st) is not Variable or t_out.args[0] != st:
-        return None
-    for part in (*t_in.args[1:], *t_out.args[1:]):
-        if st in term_vars(part):
-            return None
-    return mk_tuple(t_in.args[1:]), mk_tuple(t_out.args[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -294,11 +294,6 @@ def _rebuild(t, leaf, memo=None):
         n = len(args)
 
 
-def apply_subst(s, t):
-    """Module-level alias for Subst.apply."""
-    return s.apply(t)
-
-
 def _walk(t, bind):
     # Follow the triangular binding chain until a non-bound term is reached.
     while type(t) is Variable:

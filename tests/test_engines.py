@@ -2,8 +2,12 @@
 engines, enumeration control, bounded resource counts, budgets, exhaustive
 step counts, the choice points held, and depth."""
 
+import ast
 import random
+import signal
 import time
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +30,6 @@ from chainform import engines
 from chainform.chainir import compile_to_registry
 from chainform.engines import (
     BudgetExceededError,
-    affix,
     enumerate_prolog,
     eval_abcde,
     eval_bounded,
@@ -92,19 +95,6 @@ class TestAbcde:
         assert plan.decode_all(answers) == []
 
 
-class TestAffix:
-    def test_empty(self):
-        assert affix(Constant("s"), []) == []
-
-    def test_lists(self):
-        got = affix(a, [mk_list([b]), mk_list([Constant("c")])])
-        assert got == [mk_list([a, b]), mk_list([a, Constant("c")])]
-
-    def test_tuples(self):
-        got = affix(NIL, [mk_tuple([a])])
-        assert got == [mk_tuple([NIL, a])]
-
-
 class TestEngineAgreement:
     def test_corpus_agreement(self, pipelines):
         for pipe in pipelines:
@@ -128,6 +118,27 @@ class TestEngineAgreement:
                     pipe.fixture,
                     goal_text,
                 )
+
+    @pytest.mark.parametrize("uni", ["match", "unify"])
+    def test_stream_of_inputs(self, pipelines, uni):
+        """A stream answers each input as eval_abcde does alone, whatever
+        the inputs before it left in the run."""
+        for pipe in (p for p in pipelines if p.uni == uni):
+            by_qs = {}
+            for goal_text in pipe.goals():
+                plan = pipe.plan(goal_text)
+                by_qs.setdefault(plan.continuations, []).append(plan.initial)
+            for qs, xs in by_qs.items():
+                xs = [*xs, *xs]
+                alone = []
+                for x in xs:
+                    alone.extend(eval_abcde(x, qs, pipe.registry, uni=uni))
+                streamed = eval_stream(NIL, xs, qs, pipe.registry, uni=uni)
+                assert same_answer_sequence(streamed, alone), (pipe.fixture, xs)
+                bad = mk_tuple([a, *xs[0].args[1:]])
+                with pytest.raises(ValueError, match="shared stack"):
+                    eval_stream(NIL, [xs[0], bad, xs[0]], qs, pipe.registry,
+                                uni=uni)
 
     def test_stream_requires_shared_stack(self, split):
         plan = split.plan("s([a],Y,Z)")
@@ -329,6 +340,27 @@ class TestKernelNameAtEachAttempt:
         assert len(calls) == attempted - before > 0
 
 
+def perfbench_kernel_names():
+    """KERNEL_FUNCTIONS as perfbench/tracing.py assigns it, read without
+    importing perfbench."""
+    source = (Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text()
+    (names,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets] == ["KERNEL_FUNCTIONS"]
+    ]
+    return names
+
+
+@pytest.mark.parametrize("name", perfbench_kernel_names())
+def test_engines_binds_the_names_perfbench_wraps(name):
+    """perfbench's kernel counters read each of its KERNEL_FUNCTIONS on
+    chainform.engines with getattr before wrapping it, so each must be a
+    function there even where the engines no longer call it."""
+    assert callable(getattr(engines, name, None))
+
+
 def held_choice_points(enum):
     """The choice points the search of a suspended enumeration holds, read
     from its generator's frame."""
@@ -468,24 +500,43 @@ class TestOpenListScale:
         assert time.perf_counter() - start < 5
 
 
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body once seconds of wall time have passed,
+    so a test of a looping goal fails instead of running without bound."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after %s s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestBudget:
     def test_budget_error_raised(self):
+        # A budget of 100 is spent in milliseconds; without it, p(a) :- p(a)
+        # runs until memory runs out.
         looping = transform_definite(parse_program("p(a) :- p(a)."))
         registry = compile_to_registry(looping)
         plan = compile_goal(parse_goal("p(a)"), looping, "definite")
         for engine in (eval_abcde, eval_continuation):
-            with pytest.raises(BudgetExceededError):
+            with time_limit(5), pytest.raises(BudgetExceededError):
                 engine(plan.initial, plan.continuations, registry,
                        uni="unify", budget=100)
-        with pytest.raises(BudgetExceededError):
+        with time_limit(5), pytest.raises(BudgetExceededError):
             eval_stream(NIL, [plan.initial], plan.continuations, registry,
                         uni="unify", budget=100)
-        with pytest.raises(BudgetExceededError):
+        with time_limit(5), pytest.raises(BudgetExceededError):
             eval_bounded(plan.initial, plan.continuations, registry,
                          uni="unify", budget=100)
         e = enumerate_prolog(plan.initial, plan.continuations, registry,
                              uni="unify", budget=100)
-        with pytest.raises(BudgetExceededError):
+        with time_limit(5), pytest.raises(BudgetExceededError):
             e.next()
 
     def test_budget_not_hit_on_finite_goal(self, split):

@@ -8,7 +8,6 @@ from chainform.terms import (
     Subst,
     Variable,
     alpha_equivalent,
-    apply_subst,
     canonical,
     cons,
     fresh_var,
@@ -512,12 +511,6 @@ class TestAlgebraicLaws:
         r = rename_apart(t)
         assert alpha_equivalent(t, r)
         assert canonical(t) == canonical(r)
-
-
-def test_apply_subst_alias():
-    X = fresh_var("X")
-    s = unify(X, a)
-    assert apply_subst(s, f(X)) == f(a)
 
 
 def test_tuple_helpers():
