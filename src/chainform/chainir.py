@@ -106,8 +106,10 @@ def compile_to_registry(p: ChainProgram, declare_empty=()) -> Registry:
     position of the clause inside its predicate's definition; alternative
     order is textual order.
 
-    Predicates used in bodies but never defined are an error; a genuinely
-    empty definition must be declared explicitly via declare_empty.
+    Predicates used in bodies but never defined are an error, which names
+    them by their source predicates where p records them (p.entry); a
+    genuinely empty definition must be declared explicitly via
+    declare_empty.
     """
     defn = {}
     nonunit = {}
@@ -126,8 +128,13 @@ def compile_to_registry(p: ChainProgram, declare_empty=()) -> Registry:
     for label, body in nonunit.items():
         for q in body:
             if q not in defn:
+                # Name both predicates as the source program does, where p
+                # records them; label is '<head>_<j>'.
+                source = {hat: "%s/%d" % key for key, hat in p.entry.items()}
+                head = label.rsplit("_", 1)[0]
                 raise UndefinedPredicateError(
-                    "predicate %r is used in %s but never defined" % (q, label)
+                    "predicate %s is used in %s but never defined"
+                    % (source.get(q, repr(q)), source.get(head, label))
                 )
     return Registry(
         {k: tuple(v) for k, v in defn.items()},

@@ -1,8 +1,9 @@
 """Command-line interface: check, transform, solve, repl, stats.
 
-Exit codes: 0 success, 1 a requested check failed (or the goal could not be
-compiled), 2 parse error, 3 step budget exhausted, 4 out of memory (or an
-unexpected recursion error).
+Exit codes: 0 success, 1 a requested check failed (or the program or the
+goal could not be compiled), 2 parse error or usage error (a step budget
+that is not a non-negative integer included), 3 step budget exhausted, 4
+out of memory (or an unexpected recursion error).
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ import sys
 import time
 
 from . import fixtures
-from .chainir import compile_to_registry, dump_registry
+from .chainir import (
+    UndefinedPredicateError,
+    compile_to_registry,
+    dump_registry,
+)
 from .engines import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -64,14 +69,26 @@ TIMING_GOALS = {
 }
 
 
-def _default_budget():
-    env = os.environ.get("CHAINFORM_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit("CHAINFORM_BUDGET must be an integer, got %r" % env)
-    return DEFAULT_BUDGET
+# What makes a program or a goal uncompilable: one line, exit 1.
+COMPILE_ERRORS = (
+    TransformError,
+    MissingModeError,
+    GoalError,
+    UndefinedPredicateError,
+)
+
+
+def _budget(text):
+    """A step budget given as text: a non-negative integer."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise argparse.ArgumentTypeError(
+            "step budget must be a non-negative integer, got %r" % text
+        )
+    return budget
 
 
 def build_parser():
@@ -129,11 +146,18 @@ def build_parser():
 def _eval_options(p):
     p.add_argument("file")
     p.add_argument("--mode", choices=("moded", "definite", "auto"), default="auto")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=None)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "budget", 0) is None:  # solve or repl without --budget
+        env = os.environ.get("CHAINFORM_BUDGET")
+        try:
+            args.budget = _budget(env) if env else DEFAULT_BUDGET
+        except argparse.ArgumentTypeError as err:
+            parser.error("CHAINFORM_BUDGET: %s" % err)
     try:
         return COMMANDS[args.command](args)
     except ParseError as err:
@@ -215,7 +239,8 @@ def cmd_transform(args) -> int:
     program = _load(args.file)
     try:
         chain, _ = _convert(program, args.mode)
-    except (TransformError, MissingModeError) as err:
+        registry = compile_to_registry(chain) if args.registry else None
+    except COMPILE_ERRORS as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_CHECK_FAILED
     text = _render_chain(chain)
@@ -227,8 +252,8 @@ def cmd_transform(args) -> int:
     else:
         sys.stdout.write(text)
         print(summary, file=sys.stderr)
-    if args.registry:
-        sys.stdout.write(dump_registry(compile_to_registry(chain)))
+    if registry is not None:
+        sys.stdout.write(dump_registry(registry))
     return EXIT_OK
 
 
@@ -236,22 +261,24 @@ def cmd_transform(args) -> int:
 # solve and repl
 
 
-def _prepare(args, goal_text):
-    program = _load(args.file)
-    goal = parse_goal(goal_text)
-    chain, mode = _convert(program, args.mode)
-    registry = compile_to_registry(chain)
-    plan = compile_goal(goal, chain, mode)
-    uni = _unification(chain, plan)
-    budget = args.budget if args.budget is not None else _default_budget()
-    return registry, plan, uni, budget
+class _Session:
+    """A chain program, the conversion that made it, its registry and its
+    form, built once: every goal of a session runs over the same registry,
+    so goals share its dispatch tables (Registry.dispatch)."""
 
+    def __init__(self, chain, mode):
+        self.chain = chain
+        self.mode = mode
+        self.registry = compile_to_registry(chain)
+        self.gchain = check_gchain(chain.to_source()).holds
 
-def _unification(chain, plan):
-    """One-sided matching suffices when the chain program is G-chain and the
-    seed is ground; otherwise unit resolution needs full unification."""
-    gchain = check_gchain(chain.to_source()).holds
-    return "match" if gchain and is_ground(plan.initial) else "unify"
+    def plan(self, goal):
+        """The goal's plan and the unification its evaluation needs:
+        one-sided matching suffices when the chain program is G-chain and
+        the seed is ground; otherwise unit resolution needs full
+        unification."""
+        plan = compile_goal(goal, self.chain, self.mode)
+        return plan, "match" if self.gchain and is_ground(plan.initial) else "unify"
 
 
 def _answer(goal: Goal, subst):
@@ -279,12 +306,15 @@ def _binding_json(goal: Goal, subst) -> dict:
 
 
 def cmd_solve(args) -> int:
+    program = _load(args.file)
+    goal = parse_goal(args.goal)
     try:
-        registry, plan, uni, budget = _prepare(args, args.goal)
-    except (TransformError, MissingModeError, GoalError) as err:
+        session = _Session(*_convert(program, args.mode))
+        plan, uni = session.plan(goal)
+    except COMPILE_ERRORS as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_CHECK_FAILED
-    goal = plan.goal
+    registry, budget = session.registry, args.budget
     if args.engine == "bounded":
         # The first answer the goal accepts, and the composition steps spent
         # finding it; raw answers the goal's own bindings reject are skipped.
@@ -326,6 +356,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_repl(args) -> int:
+    # Built on the first goal; a program that cannot be loaded is reported
+    # at every goal, and the session goes on.
+    session = None
     while True:
         try:
             line = input("?- ")
@@ -336,15 +369,17 @@ def cmd_repl(args) -> int:
         if not line:
             continue
         try:
-            registry, plan, uni, budget = _prepare(args, line)
+            if session is None:
+                session = _Session(*_convert(_load(args.file), args.mode))
+            plan, uni = session.plan(parse_goal(line))
         except ParseError as err:
             print("parse error: %s" % err)
             continue
-        except (TransformError, MissingModeError, GoalError) as err:
+        except COMPILE_ERRORS as err:
             print("error: %s" % err)
             continue
         enum = enumerate_prolog(
-            plan.initial, plan.continuations, registry, uni, budget
+            plan.initial, plan.continuations, session.registry, uni, args.budget
         )
         _drive(enum, plan)
 
@@ -424,13 +459,14 @@ def _timing_report(rows):
         if goal_text is None:
             continue
         goal = parse_goal(goal_text)
-        registry = compile_to_registry(chain)
-        plan = compile_goal(goal, chain, mode)
-        uni = _unification(chain, plan)
+        session = _Session(chain, mode)
+        plan, uni = session.plan(goal)
         t0 = time.perf_counter()
         reference = sld_solve(program, goal, depth_budget=100_000)
         t1 = time.perf_counter()
-        answers = eval_abcde(plan.initial, plan.continuations, registry, uni)
+        answers = eval_abcde(
+            plan.initial, plan.continuations, session.registry, uni
+        )
         t2 = time.perf_counter()
         assert len(plan.decode_all(answers)) == len(reference.answers)
         src_ms = (t1 - t0) * 1000

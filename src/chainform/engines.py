@@ -101,6 +101,8 @@ class _Run:
     def __init__(self, reg: Registry, uni: str, budget: int):
         if uni not in (MATCH, UNIFY):
             raise ValueError("uni must be 'match' or 'unify'")
+        if budget < 0:
+            raise ValueError("budget must be non-negative, got %d" % budget)
         self.reg = reg
         self.matching = uni == MATCH
         # Shared by every run in this mode over reg: see alternatives.

@@ -3,11 +3,17 @@
 Chain form confines unification to unit clauses t_in -> t_out, so resolving
 them is the engines' whole kernel workload.  compile_unit turns a unit
 clause, once, into a flat program of functor, constant and equality checks
-at positions of the subject and a postfix build of the output; this module
-is the one that knows that format.
+at positions of the subject and a postfix build of the output, each section
+a tuple of fixed-width records that the runners unpack in place; this
+module is the one that knows that format.
 
 In match mode run_unit executes the program without a substitution; it
-equals terms.match followed by Subst.apply on every unit and term.
+equals terms.match followed by Subst.apply on every unit and term.  Its
+registers only ever hold subterms of the subject, so when the subject is
+ground and t_out has no variable absent from t_in, every compound it builds
+is ground: it makes them with terms._ground_compound, which sets the ground
+flag without scanning the arguments.  That is the usual case, match mode on
+a G-chain program with a ground seed.
 
 In unify mode unify_unit executes the same program against a binding store
 (variable serial -> term) with a trail, in the manner of the WAM: it reads
@@ -24,38 +30,48 @@ the interpreter's default recursion limit.
 
 from __future__ import annotations
 
-from .terms import Compound, Constant, Variable, _rebuild, _struct_eq
+from .terms import (
+    Compound,
+    Constant,
+    Variable,
+    _ground_compound,
+    _rebuild,
+    _struct_eq,
+)
 
 
 def compile_unit(t_in, t_out, unify=False):
     """The unit clause t_in -> t_out as a flat program for run_unit, or
     with unify set for unify_unit.
 
-    The program is a tuple of flat tuples, five for run_unit and three more
-    with unify set.  Register 0 holds the subject; each load appends a
-    compound's arguments as the next registers, so every pattern position
-    has a register known here.
-      loads:  r, functor, arity   register r holds a compound of that
-                                  functor and arity; load its arguments
-      consts: r, symbol           register r holds that constant
-      grounds: r, term            register r equals that ground compound
-      sames:  r, r'               a repeated variable: its first register
-                                  r and a later one r' are equal
-      build:  the output in postfix: an int pushes that register, a functor
-              followed by its arity n replaces the top n entries with the
-              compound, and any other item (a ground term, or a variable
-              absent from t_in) is pushed as it is; unify_unit pushes a
-              fresh copy of such a variable instead, one per call.
+    The program is a tuple of seven sections and one flag: the first five
+    sections and the flag serve run_unit, and unify set adds the last two.
+    Register 0 holds the subject; each load appends a compound's arguments
+    as the next registers, so every pattern position has a register known
+    here.  Every record is a fixed-width tuple, read by unpacking.
+      loads:  (r, functor, arity)  register r holds a compound of that
+                                   functor and arity; load its arguments
+      consts: (r, constant)        register r holds that Constant
+      grounds: (r, term)           register r equals that ground compound
+      sames:  (r, r')              a repeated variable: its first register
+                                   r and a later one r' are equal
+      build:  the output in postfix: an int pushes that register, a
+              (functor, arity) pair replaces the top arity entries with
+              the compound, and any other item (a ground term, or a
+              variable absent from t_in) is pushed as it is; unify_unit
+              pushes a fresh copy of such a variable instead, one per call.
+      open:   True iff t_out has a variable absent from t_in, so that an
+              output built from a ground subject can still hold a variable.
     With unify set, for unify_unit:
-      firsts: r                   the register of a variable's first
-                                  occurrence
+      firsts: r                    the register of a variable's first
+                                   occurrence
       names:  one name per register: the pattern variable's there, else _
-      constants: the Constant of each consts entry, in order
     A variable of t_in is bound at its first occurrence by being that
-    register, so matching allocates no substitution.  Both walks run over
-    an explicit stack.
+    register, so matching allocates no substitution.  Functors come from
+    the clause's own compounds, so they are interned already.  Both walks
+    run over an explicit stack.
     """
-    loads, consts, grounds, sames, firsts, constants = [], [], [], [], [], []
+    loads, consts, grounds, sames, firsts = [], [], [], [], []
     first = {}  # variable of t_in -> the register of its first occurrence
     names = [_register_name(t_in)]
     stack = [(t_in, 0)]
@@ -65,34 +81,38 @@ def compile_unit(t_in, t_out, unify=False):
         if tp is Variable:
             prev = first.setdefault(p, r)
             if prev != r:
-                sames += (prev, r)
+                sames.append((prev, r))
             else:
                 firsts.append(r)
         elif tp is Constant:
-            consts += (r, p.symbol)
-            constants.append(p)
+            consts.append((r, p))
         elif p.ground:
-            grounds += (r, p)
+            grounds.append((r, p))
         else:
-            loads += (r, p.functor, len(p.args))
+            loads.append((r, p.functor, len(p.args)))
             stack.extend(zip(p.args, range(len(names), len(names) + len(p.args))))
             names += map(_register_name, p.args)
     build = []
+    is_open = False
     stack = [(t_out, False)]
     while stack:
         t, done = stack.pop()
         if type(t) is Variable:
             build.append(first.get(t, t))
+            is_open = is_open or t not in first
         elif type(t) is not Compound or t.ground:
             build.append(t)
         elif done:
-            build += (t.functor, len(t.args))
+            build.append((t.functor, len(t.args)))
         else:
             stack.append((t, True))
             stack.extend((a, False) for a in reversed(t.args))
-    code = tuple(loads), tuple(consts), tuple(grounds), tuple(sames), tuple(build)
+    code = (
+        tuple(loads), tuple(consts), tuple(grounds), tuple(sames), tuple(build),
+        is_open,
+    )
     if unify:
-        code += tuple(firsts), tuple(names), tuple(constants)
+        code += tuple(firsts), tuple(names)
     return code
 
 
@@ -103,47 +123,51 @@ def _register_name(p):
 def run_unit(code, x):
     """The compiled unit clause applied to x: the output term, or None when
     x does not match the input.  Equal to match(t_in, x) followed by
-    apply(t_out), which stay the reference."""
-    loads, consts, grounds, sames, build = code
+    apply(t_out), which stay the reference.
+
+    Every register holds a subterm of x.  So when x is ground and the unit
+    is not open, every compound the build makes is ground, and it is made
+    by terms._ground_compound without a scan of its arguments."""
+    loads, consts, grounds, sames, build, is_open = code
     regs = [x]
-    if loads:
-        it = iter(loads)
-        for r, functor, n in zip(it, it, it):
-            s = regs[r]
-            if type(s) is not Compound or s.functor != functor or len(s.args) != n:
-                return None
-            regs += s.args
-    if consts:
-        it = iter(consts)
-        for r, symbol in zip(it, it):
-            s = regs[r]
-            if (
-                type(s) is not Constant
-                or s.symbol != symbol
-                or type(s.symbol) is not type(symbol)
-            ):
-                return None
-    if grounds:
-        it = iter(grounds)
-        for r, t in zip(it, it):
-            if not _struct_eq(t, regs[r]):
-                return None
-    if sames:
-        it = iter(sames)
-        for r, r2 in zip(it, it):
-            if not _struct_eq(regs[r], regs[r2]):
-                return None
+    for r, functor, n in loads:
+        s = regs[r]
+        if type(s) is not Compound or s.functor != functor or len(s.args) != n:
+            return None
+        regs += s.args
+    for r, c in consts:
+        s = regs[r]
+        if (
+            type(s) is not Constant
+            or s.symbol != c.symbol
+            or type(s.symbol) is not type(c.symbol)
+        ):
+            return None
+    for r, t in grounds:
+        if not _struct_eq(t, regs[r]):
+            return None
+    for r, r2 in sames:
+        if not _struct_eq(regs[r], regs[r2]):
+            return None
+    tx = type(x)
+    if is_open or tx is Variable or tx is Compound and not x.ground:
+        make = Compound
+    else:
+        make = _ground_compound
     out = []
-    it = iter(build)
-    for item in it:
+    for item in build:
         ti = type(item)
         if ti is int:
             out.append(regs[item])
-        elif ti is str:
-            n = next(it)
-            args = out[-n:]
-            del out[-n:]
-            out.append(Compound(item, args))
+        elif ti is tuple:
+            functor, n = item
+            if n == len(out):  # the root, for one: no slice to make
+                args = tuple(out)
+                out.clear()
+            else:
+                args = tuple(out[-n:])
+                del out[-n:]
+            out.append(make(functor, args))
         else:
             out.append(item)
     return out[0]
@@ -263,32 +287,30 @@ def unify_unit(code, x, bind, trail):
     made is undone.  Up to renaming, resolved(output, bind) equals the
     reference: rename_many, unify, then Subst.apply.
     """
-    loads, consts, grounds, sames, build, firsts, names, constants = code
+    loads, consts, grounds, sames, build, _, firsts, names = code
     mark = len(trail)
     get = bind.get
     made = None  # the serial of the first variable this call makes
     regs = [x]
-    if loads:
-        it = iter(loads)
-        for r, functor, n in zip(it, it, it):
-            s = _deref(regs[r], get)
-            ts = type(s)
-            if ts is Compound:
-                if s.functor != functor or len(s.args) != n:
-                    untrail(bind, trail, mark)
-                    return None
-                regs += s.args
-            elif ts is Variable:
-                k = len(regs)
-                args = [Variable(name) for name in names[k : k + n]]
-                if made is None:
-                    made = args[0].serial
-                bind[s.serial] = Compound(functor, args)
-                trail.append(s.serial)
-                regs += args
-            else:
+    for r, functor, n in loads:
+        s = _deref(regs[r], get)
+        ts = type(s)
+        if ts is Compound:
+            if s.functor != functor or len(s.args) != n:
                 untrail(bind, trail, mark)
                 return None
+            regs += s.args
+        elif ts is Variable:
+            k = len(regs)
+            args = [Variable(name) for name in names[k : k + n]]
+            if made is None:
+                made = args[0].serial
+            bind[s.serial] = Compound(functor, args)
+            trail.append(s.serial)
+            regs += args
+        else:
+            untrail(bind, trail, mark)
+            return None
     for r in firsts:
         s = _deref(regs[r], get)
         # Serials only grow, so a variable at or past made came from a
@@ -299,44 +321,38 @@ def unify_unit(code, x, bind, trail):
             trail.append(s.serial)
             s = v
         regs[r] = s
-    if consts:
-        for r, c in zip(consts[::2], constants):
-            s = _deref(regs[r], get)
-            ts = type(s)
-            if ts is Variable:
-                bind[s.serial] = c
-                trail.append(s.serial)
-            elif (
-                ts is not Constant
-                or s.symbol != c.symbol
-                or type(s.symbol) is not type(c.symbol)
-            ):
-                untrail(bind, trail, mark)
-                return None
-    if grounds:
-        it = iter(grounds)
-        for r, t in zip(it, it):
-            if not _unify_bound(regs[r], t, bind, trail):
-                untrail(bind, trail, mark)
-                return None
-    if sames:
-        it = iter(sames)
-        for r, r2 in zip(it, it):
-            if not _unify_bound(regs[r2], regs[r], bind, trail):
-                untrail(bind, trail, mark)
-                return None
+    for r, c in consts:
+        s = _deref(regs[r], get)
+        ts = type(s)
+        if ts is Variable:
+            bind[s.serial] = c
+            trail.append(s.serial)
+        elif (
+            ts is not Constant
+            or s.symbol != c.symbol
+            or type(s.symbol) is not type(c.symbol)
+        ):
+            untrail(bind, trail, mark)
+            return None
+    for r, t in grounds:
+        if not _unify_bound(regs[r], t, bind, trail):
+            untrail(bind, trail, mark)
+            return None
+    for r, r2 in sames:
+        if not _unify_bound(regs[r2], regs[r], bind, trail):
+            untrail(bind, trail, mark)
+            return None
     out = []
     fresh = None  # variable absent from t_in -> its fresh copy
-    it = iter(build)
-    for item in it:
+    for item in build:
         ti = type(item)
         if ti is int:
             out.append(regs[item])
-        elif ti is str:
-            n = next(it)
+        elif ti is tuple:
+            functor, n = item
             args = out[-n:]
             del out[-n:]
-            out.append(Compound(item, args))
+            out.append(Compound(functor, args))
         elif ti is Variable:
             if fresh is None:
                 fresh = {}

@@ -10,8 +10,10 @@ import pytest
 
 import chainform
 from chainform import cli
+from chainform.chainir import compile_to_registry
 from chainform.cli import EXIT_RESOURCE, main
 from chainform.fixtures import fixture_text
+from chainform.forms import check_gchain
 from chainform.syntax import parse_goal
 
 
@@ -53,6 +55,17 @@ def superscript_file(tmp_path):
 
 
 SUPERSCRIPT_ERROR = "parse error: unexpected character '\u00b2' (line 1, column 3)"
+
+
+@pytest.fixture
+def undefined_file(tmp_path):
+    # q calls p, which has no clause.
+    path = tmp_path / "undefined.pl"
+    path.write_text("q(X) :- p(X).\n", encoding="utf-8")
+    return str(path)
+
+
+UNDEFINED_ERROR = "error: predicate p/1 is used in q/1 but never defined"
 
 
 @pytest.fixture
@@ -147,6 +160,12 @@ class TestTransform:
         assert "(definite conversion)" in capsys.readouterr().out
 
 
+    def test_registry_of_undefined_predicate(self, undefined_file, capsys):
+        assert main(["transform", undefined_file, "--registry"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", UNDEFINED_ERROR + "\n")
+
+
 class TestSolve:
     def test_superscript_digit_in_goal(self, split_file, capsys):
         assert main(["solve", split_file, "-g", "p(\u00b2)"]) == 2
@@ -232,6 +251,31 @@ class TestSolve:
     def test_budget_env_override(self, looping_file, capsys, monkeypatch):
         monkeypatch.setenv("CHAINFORM_BUDGET", "50")
         assert main(["solve", looping_file, "-g", "p(a)"]) == 3
+
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
+    def test_bad_budget_flag_is_a_usage_error(self, looping_file, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", looping_file, "-g", "p(a)", "--budget", value])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-5", "x"])
+    def test_bad_budget_env_is_a_usage_error(
+        self, looping_file, capsys, monkeypatch, value
+    ):
+        monkeypatch.setenv("CHAINFORM_BUDGET", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", looping_file, "-g", "p(a)"])
+        assert exc.value.code == 2
+        assert "CHAINFORM_BUDGET" in capsys.readouterr().err
+
+    def test_zero_budget_exit_3(self, looping_file, capsys):
+        assert main(["solve", looping_file, "-g", "p(a)", "--budget", "0"]) == 3
+
+    def test_undefined_predicate_one_line(self, undefined_file, capsys):
+        assert main(["solve", undefined_file, "-g", "q(a)"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", UNDEFINED_ERROR + "\n")
 
     def test_name_at_two_arities_auto(self, two_arity_file, capsys):
         assert main(["solve", two_arity_file, "-g", "p(a)"]) == 0
@@ -378,6 +422,41 @@ class TestRepl:
         assert code == 0
         assert SUPERSCRIPT_ERROR in out
         assert "Y = [], Z = [a]" in out
+
+    def test_undefined_predicate_reported_and_session_goes_on(
+        self, undefined_file, monkeypatch, capsys
+    ):
+        code, out = self.run_repl(monkeypatch, capsys, undefined_file, "q(a)\nq(b)\n")
+        assert code == 0
+        assert out.count(UNDEFINED_ERROR + "\n") == 2
+
+    def test_one_registry_per_session(self, split_file, monkeypatch, capsys):
+        built, checked = [], []
+
+        def counting(chain):
+            built.append(chain)
+            return compile_to_registry(chain)
+
+        def checking(program):
+            checked.append(program)
+            return check_gchain(program)
+
+        monkeypatch.setattr(cli, "compile_to_registry", counting)
+        monkeypatch.setattr(cli, "check_gchain", checking)
+        code, out = self.run_repl(
+            monkeypatch, capsys, split_file, "s([a,b],Y,Z)\ny\ny\ny\ns([a],Y,Z)\nn\n"
+        )
+        assert code == 0
+        assert len(built) == len(checked) == 1
+        more = "more? (y/n) "
+        assert out == (
+            "?- Y = [], Z = [a,b]\n"
+            + more + "Y = [a], Z = [b]\n"
+            + more + "Y = [a,b], Z = []\n"
+            + more + "no more answers\n"
+            "?- Y = [], Z = [a]\n"
+            + more + "?- \n"
+        )
 
     def test_eof_is_halt(self, split_file, monkeypatch, capsys):
         code, out = self.run_repl(

@@ -539,6 +539,15 @@ class TestBudget:
         with time_limit(5), pytest.raises(BudgetExceededError):
             e.next()
 
+    def test_negative_budget_rejected(self, split):
+        plan = split.plan("s([a],Y,Z)")
+        with pytest.raises(ValueError, match="budget"):
+            eval_abcde(plan.initial, plan.continuations, split.registry, budget=-1)
+        with pytest.raises(ValueError, match="budget"):
+            enumerate_prolog(
+                plan.initial, plan.continuations, split.registry, budget=-1
+            )
+
     def test_budget_not_hit_on_finite_goal(self, split):
         plan = split.plan("s([a],Y,Z)")
         answers = eval_abcde(

@@ -332,6 +332,10 @@ class TestCompiledUnit:
     @example((f(g(a, b), X_), X_, f(g(a, b), b)))
     @example((f(g(a, b), X_), X_, f(g(a, Constant("c")), b)))
     @example((X_, f(X_, P_, Y_), f(a)))
+    # Where every compound built must not be taken for ground: a ground
+    # subject with an output-only variable, and a subject with a variable.
+    @example((f(X_), g(f(X_), g(P_)), f(a)))
+    @example((f(X_), g(f(X_), a), f(U_)))
     def test_compiled_equals_match_then_apply(self, case):
         t_in, t_out, x = case
         want = _match_then_apply(t_in, t_out, x)
@@ -341,11 +345,26 @@ class TestCompiledUnit:
             _assert_ground_flags(got)
 
     def test_forms_are_flat(self):
-        for unify, parts in ((False, 5), (True, 8)):
-            code = compile_unit(f(X_, g(a, b), X_), g(X_, P_), unify)
-            assert len(code) == parts
-            assert all(type(part) is tuple for part in code)
-            assert not any(type(item) is tuple for part in code for item in part)
+        # Registers: 0 the subject, 1-4 f's arguments, 5-6 h's.  The walk
+        # pops the last argument first, so X is first seen at register 3.
+        t_in = f(X_, g(a, b), X_, Compound("h", (Y_, a)))
+        t_out = g(Compound("h", (X_, P_)), Y_)
+        match_code = (
+            ((0, "f", 4), (4, "h", 2)),  # loads: (r, functor, arity)
+            ((6, a),),  # consts: (r, Constant)
+            ((2, g(a, b)),),  # grounds: (r, ground term)
+            ((3, 1),),  # sames: (first register, later register)
+            (3, P_, ("h", 2), 5, ("g", 2)),  # build, postfix
+            True,  # open: P is absent from t_in
+        )
+        unify_extra = (
+            (5, 3),  # firsts
+            ("_", "X", "_", "X", "_", "Y", "_"),  # names, one per register
+        )
+        assert compile_unit(t_in, t_out) == match_code
+        assert compile_unit(t_in, t_out, unify=True) == match_code + unify_extra
+        assert compile_unit(t_in, t_out)[5] is True
+        assert compile_unit(t_in, g(X_, Y_))[5] is False
 
 
 @st.composite
