@@ -147,6 +147,9 @@ def _eval_options(p):
     p.add_argument("file")
     p.add_argument("--mode", choices=("moded", "definite", "auto"), default="auto")
     p.add_argument("--budget", type=_budget, default=None)
+    # A bad CHAINFORM_BUDGET is reported with this command's usage line, as
+    # a bad --budget is.
+    p.set_defaults(usage_error=p.error)
 
 
 def main(argv=None) -> int:
@@ -157,7 +160,7 @@ def main(argv=None) -> int:
         try:
             args.budget = _budget(env) if env else DEFAULT_BUDGET
         except argparse.ArgumentTypeError as err:
-            parser.error("CHAINFORM_BUDGET: %s" % err)
+            args.usage_error("CHAINFORM_BUDGET: %s" % err)
     try:
         return COMMANDS[args.command](args)
     except ParseError as err:

@@ -114,11 +114,6 @@ class _Run:
         self.bind = {}
         self.trail = []
 
-    def tick(self):
-        if self.remaining <= 0:
-            raise BudgetExceededError(self.budget)
-        self.remaining -= 1
-
     def alternatives(self, q):
         """q's alternatives in definition order, as the search takes them:
         (label, body reversed, None) for a non-unit clause and (label, None,
@@ -150,12 +145,12 @@ def _search(run, x, qs):
 
     The continuation is a cons list of (predicate, rest) pairs ending in
     None, so a clause body is prepended in O(|body|).  Each composition step
-    ticks the budget and selects the first predicate of the continuation;
-    its alternatives come from the run's dispatch table as (label, body
-    reversed or None, compiled unit or None) triples.  They are taken in
-    order: a unit clause is applied to the term by one call of the
-    module-level match or unify, and a non-unit clause prepends its body to
-    rest.  When an alternative is taken and another follows it, a choice
+    spends one unit of the run's budget and selects the first predicate of
+    the continuation; its alternatives come from the run's dispatch table
+    as (label, body reversed or None, compiled unit or None) triples.  They
+    are taken in order: a unit clause is applied to the term by one call of
+    the module-level match or unify, and a non-unit clause prepends its
+    body to rest.  When an alternative is taken and another follows it, a choice
     point (term, rest, alternatives, index of that next one, trail length
     at the selection) is pushed; the only or last alternative is taken with
     none, so deterministic recursion keeps the choice stack flat.  Resuming
@@ -172,53 +167,64 @@ def _search(run, x, qs):
         ks = (q, ks)
     choices = []
     i = n = 0
-    while True:
-        if ks is None:
-            yield x if matching else resolved(x, bind)
-            n = 0
-        else:
-            run.tick()
-            q, rest = ks
-            try:
-                alts = table[q]
-            except KeyError:
-                alts = run.alternatives(q)
-            y = x
-            i = 0
-            n = len(alts)
-            # The trail stays empty in match mode, which then never asks
-            # for its length.
-            mark = len(trail) if trail else 0
-        # Take alternative i of n, or the first after it that applies, else
-        # resume the newest choice point; the search ends when none is left.
+    # The budget left, kept here and written back to the run whenever the
+    # caller can see it: at each answer, and when the search ends, raises
+    # or is closed.
+    remaining = run.remaining
+    try:
         while True:
-            if i < n:
-                _, body, unit = alts[i]
-                i += 1
-                if body is None:
-                    if matching:
-                        # The kernel by its module-level name, looked up
-                        # at each attempt: see match.
-                        x = match(unit, y)
-                    else:
-                        x = unify(unit, y, bind, trail)
-                    if x is None:
-                        continue
-                    ks = rest
-                else:
-                    x = y
-                    ks = rest
-                    for q in body:
-                        ks = (q, ks)
+            if ks is None:
+                run.remaining = remaining
+                yield x if matching else resolved(x, bind)
+                n = 0
+            else:
+                if remaining <= 0:
+                    raise BudgetExceededError(run.budget)
+                remaining -= 1
+                q, rest = ks
+                try:
+                    alts = table[q]
+                except KeyError:
+                    alts = run.alternatives(q)
+                y = x
+                i = 0
+                n = len(alts)
+                # The trail stays empty in match mode, which then never asks
+                # for its length.
+                mark = len(trail) if trail else 0
+            # Take alternative i of n, or the first after it that applies,
+            # else resume the newest choice point; the search ends when none
+            # is left.
+            while True:
                 if i < n:
-                    choices.append((y, rest, alts, i, mark))
-                break
-            if not choices:
-                return
-            y, rest, alts, i, mark = choices.pop()
-            n = len(alts)
-            if trail and len(trail) > mark:
-                untrail(bind, trail, mark)
+                    _, body, unit = alts[i]
+                    i += 1
+                    if body is None:
+                        if matching:
+                            # The kernel by its module-level name, looked
+                            # up at each attempt: see match.
+                            x = match(unit, y)
+                        else:
+                            x = unify(unit, y, bind, trail)
+                        if x is None:
+                            continue
+                        ks = rest
+                    else:
+                        x = y
+                        ks = rest
+                        for q in body:
+                            ks = (q, ks)
+                    if i < n:
+                        choices.append((y, rest, alts, i, mark))
+                    break
+                if not choices:
+                    return
+                y, rest, alts, i, mark = choices.pop()
+                n = len(alts)
+                if trail and len(trail) > mark:
+                    untrail(bind, trail, mark)
+    finally:
+        run.remaining = remaining
 
 
 def eval_abcde(x, qs, r: Registry, uni: str = MATCH, budget: int = DEFAULT_BUDGET):

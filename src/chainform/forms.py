@@ -54,9 +54,13 @@ class FormReport:
 
 def split_args(args, modes):
     """The 'in' arguments and the 'out' arguments, each in argument order."""
-    ins = tuple(a for a, m in zip(args, modes) if m == "in")
-    outs = tuple(a for a, m in zip(args, modes) if m == "out")
-    return ins, outs
+    ins, outs = [], []
+    for a, m in zip(args, modes):
+        if m == "in":
+            ins.append(a)
+        elif m == "out":
+            outs.append(a)
+    return tuple(ins), tuple(outs)
 
 
 def moded_groups(clause: SourceClause, program: SourceProgram):

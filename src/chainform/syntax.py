@@ -13,11 +13,18 @@ Grammar (operator-free):
 Lowercase-initial identifiers are atoms/functors, uppercase-initial (or '_')
 are variables, '_' alone is an anonymous fresh variable.  '%' starts a line
 comment.  Lists desugar to cons/nil; tuples to the reserved 'tuple' functor.
+
+One regular expression splits the text into tokens, each a plain string,
+and the parser reads them by index, taking a token's kind from its first
+character.  Lines and columns are computed from a token's index only when
+an error is raised.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .terms import (
     NIL,
@@ -105,82 +112,59 @@ class SourceProgram:
 # ---------------------------------------------------------------------------
 # Lexer
 
+# Each match skips whitespace and '%' line comments, then captures one token:
+# ':-', a run of decimal digits, a word, any other character, or the empty
+# string at the end of the text, the end-of-input token (twice when the text
+# ends in whitespace or a comment).  \s, \w and \d agree with str.isspace,
+# str.isalnum or '_', and str.isdecimal on every character.
+_TOKEN = re.compile(r"(?:\s+|%.*)*(:-|\d+|[^\W\d]\w*|.|\Z)")
+
 _PUNCT = {"(", ")", "[", "]", ",", "|", ".", TUPLE_OPEN, TUPLE_CLOSE}
 
-
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind  # 'atom', 'var', 'int', 'punct', 'neck', 'eof'
-        self.value = value
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return "%s(%r)" % (self.kind, self.value)
+# The closing token of each open term but a compound, which ")" closes.
+_CLOSE = {"[": "]", "|": "]", TUPLE_OPEN: TUPLE_CLOSE}
 
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c == ":" and i + 1 < n and text[i + 1] == "-":
-            tokens.append(_Token("neck", ":-", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token("punct", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        # isdecimal, not isdigit: int() refuses digits such as '²'.
+def _shown(tok):
+    if not tok:
+        return "end of input"
+    if tok[0].isdecimal():
+        try:
+            return repr(int(tok))
+        except ValueError:  # past the digit limit: _check_tokens reports it
+            pass
+    return repr(tok)
+
+
+def _position(text, index):
+    """Line and column of the token at index.  A column counts every
+    character before the token on its line, but none of a comment there,
+    which can only run to the end of input."""
+    at = next(islice(_TOKEN.finditer(text), index, None)).start(1)
+    line_start = text.rfind("\n", 0, at) + 1
+    comment = text.find("%", line_start, at)
+    if comment >= 0:
+        at = comment
+    return text.count("\n", 0, at) + 1, at - line_start + 1
+
+
+def _check_tokens(text, tokens):
+    """Raise a ParseError at the first token that no parse can take: a
+    character that opens no token, a word that does not start with a letter
+    or '_' (such as '²', a numeral), or an integer past the interpreter's
+    digit limit."""
+    for index, tok in enumerate(tokens):
+        c = tok[:1]
+        message = None
         if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
             try:
-                value = int(text[i:j])
-            except ValueError:  # past the interpreter's digit limit
-                raise ParseError(
-                    "integer of %d digits is too long" % (j - i), line, start_col
-                ) from None
-            tokens.append(_Token("int", value, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "var" if (c == "_" or c.isupper()) else "atom"
-            tokens.append(_Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError("unexpected character %r" % c, line, col)
-    tokens.append(_Token("eof", None, line, col))
-    return tokens
+                int(tok)
+            except ValueError:
+                message = "integer of %d digits is too long" % len(tok)
+        elif tok and not (c.isalpha() or c == "_" or tok == ":-" or tok in _PUNCT):
+            message = "unexpected character %r" % c
+        if message:
+            raise ParseError(message, *_position(text, index)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -188,30 +172,41 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Reads the token list by index, and rejects any token the grammar
+    does not admit where it stands.  _parse then reports instead the first
+    token that no parse can take, if there is one anywhere."""
+
     def __init__(self, text):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
         self.clause_vars = {}
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, message, at=None):
+        raise ParseError(message, *_position(self.text, self.pos if at is None else at))
 
-    def advance(self):
+    def expect(self, token, name=None):
+        """Consume token, or fail naming it (or name, when given)."""
         tok = self.tokens[self.pos]
+        if tok != token:
+            self.error("expected %r, found %s" % (name or token, _shown(tok)))
+        self.pos += 1
+
+    def accept(self, token):
+        """Consume the next token when it is token."""
+        if self.tokens[self.pos] == token:
+            self.pos += 1
+            return True
+        return False
+
+    def name(self):
+        """Consume and return an atom: a word starting with a letter that
+        is not upper case."""
+        tok = self.tokens[self.pos]
+        if not tok[:1].isalpha() or tok[0].isupper():
+            self.error("expected 'atom', found %s" % _shown(tok))
         self.pos += 1
         return tok
-
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    def expect(self, kind, value=None):
-        tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = value if value is not None else kind
-            got = "end of input" if tok.kind == "eof" else repr(tok.value)
-            self.error("expected %r, found %s" % (want, got))
-        return self.advance()
 
     def variable(self, name):
         if name == "_":
@@ -222,75 +217,74 @@ class _Parser:
             self.clause_vars[name] = v
         return v
 
-    def accept(self, value):
-        """Consume the next token when it is the punctuation value."""
-        tok = self.tokens[self.pos]
-        if tok.kind == "punct" and tok.value == value:
-            self.pos += 1
-            return True
-        return False
-
     def term(self):
         # Open compounds, lists, list tails and tuples wait on an explicit
         # stack of (opener, items) frames, so terms of any depth parse
-        # without recursion.  The opener is the functor name, "[", "|" (the
-        # tail of a list, which ends its items) or TUPLE_OPEN.
+        # without recursion; the innermost frame is kept in opener and
+        # items.  The opener is the functor name, "[", "|" (the tail of a
+        # list, which ends its items) or TUPLE_OPEN.
+        tokens = self.tokens
+        pos = self.pos
         frames = []
+        opener = items = None
         while True:
-            tok = self.peek()
-            if tok.kind == "var":
-                self.advance()
-                t = self.variable(tok.value)
-            elif tok.kind == "int":
-                self.advance()
-                t = Constant(tok.value)
-            elif tok.kind == "atom":
-                self.advance()
-                if self.accept("("):
-                    frames.append((tok.value, []))
+            tok = tokens[pos]
+            pos += 1
+            c = tok[:1]
+            if c.isalpha() or c == "_":
+                if c == "_" or c.isupper():
+                    t = self.variable(tok)
+                elif tokens[pos] == "(":
+                    pos += 1
+                    frames.append((opener, items))
+                    opener, items = tok, []
                     continue
-                t = Constant(tok.value)
-            elif self.accept("["):
-                if not self.accept("]"):
-                    frames.append(("[", []))
+                else:
+                    t = Constant(tok)
+            elif c.isdecimal():
+                try:
+                    t = Constant(int(tok))
+                except ValueError:  # past the digit limit: see _check_tokens
+                    self.error("integer too long", pos - 1)
+            elif tok == "[" or tok == TUPLE_OPEN:
+                if tokens[pos] != _CLOSE[tok]:
+                    frames.append((opener, items))
+                    opener, items = tok, []
                     continue
-                t = NIL
-            elif self.accept(TUPLE_OPEN):
-                if not self.accept(TUPLE_CLOSE):
-                    frames.append((TUPLE_OPEN, []))
-                    continue
-                t = Compound(TUPLE_FUNCTOR, ())
+                pos += 1
+                t = NIL if tok == "[" else Compound(TUPLE_FUNCTOR, ())
             else:
-                self.error("expected a term")
+                self.error("expected a term", pos - 1)
             # t is complete: close every frame it completes, or stop at the
             # separator before the next item.
-            while frames:
-                opener, items = frames[-1]
+            while opener is not None:
                 items.append(t)
-                if opener != "|" and self.accept(","):
+                tok = tokens[pos]
+                pos += 1
+                if tok == "," and opener != "|":
                     break
-                if opener == "[" and self.accept("|"):
-                    frames[-1] = ("|", items)
+                if tok == "|" and opener == "[":
+                    opener = "|"
                     break
-                frames.pop()
+                close = _CLOSE.get(opener, ")")
+                if tok != close:
+                    self.error("expected %r, found %s" % (close, _shown(tok)), pos - 1)
                 if opener == "[":
-                    self.expect("punct", "]")
                     t = mk_list(items)
                 elif opener == "|":
-                    self.expect("punct", "]")
                     t = mk_list(items[:-1], items[-1])
                 elif opener == TUPLE_OPEN:
-                    self.expect("punct", TUPLE_CLOSE)
                     t = Compound(TUPLE_FUNCTOR, tuple(items))
                 else:
-                    self.expect("punct", ")")
                     t = Compound(opener, tuple(items))
+                opener, items = frames.pop()
             else:
+                self.pos = pos
                 return t
 
     def head_or_body_atom(self):
-        if self.peek().kind != "atom":
-            self.expect("atom")
+        self.name()
+        self.pos -= 1  # the name is read again as a term
         t = self.term()
         # Normalize 0-ary predicates to empty-args compounds so any atom
         # position is uniformly a Compound.
@@ -299,101 +293,107 @@ class _Parser:
         return t
 
     def directive(self):
-        self.expect("neck")
-        name_tok = self.expect("atom")
-        if name_tok.value != "mode":
-            self.error("unknown directive %r" % name_tok.value, name_tok)
-        self.expect("punct", "(")
-        pred_tok = self.expect("atom")
-        self.expect("punct", ",")
-        self.expect("punct", "[")
+        self.expect(":-", "neck")
+        at = self.pos
+        name = self.name()
+        if name != "mode":
+            self.error("unknown directive %r" % name, at)
+        self.expect("(")
+        predicate = self.name()
+        self.expect(",")
+        self.expect("[")
         modes = [self.mode_word()]
         while self.accept(","):
             modes.append(self.mode_word())
-        self.expect("punct", "]")
-        self.expect("punct", ")")
-        self.expect("punct", ".")
-        return ModeDirective(pred_tok.value, tuple(modes))
+        self.expect("]")
+        self.expect(")")
+        self.expect(".")
+        return ModeDirective(predicate, tuple(modes))
 
     def mode_word(self):
-        tok = self.expect("atom")
-        if tok.value not in ("in", "out"):
-            self.error("mode must be 'in' or 'out', found %r" % tok.value, tok)
-        return tok.value
+        at = self.pos
+        word = self.name()
+        if word not in ("in", "out"):
+            self.error("mode must be 'in' or 'out', found %r" % word, at)
+        return word
 
     def clause(self):
         self.clause_vars = {}
         head = self.head_or_body_atom()
         body = []
-        if self.peek().kind == "neck":
-            self.advance()
+        if self.accept(":-"):
             body.append(self.head_or_body_atom())
             while self.accept(","):
                 body.append(self.head_or_body_atom())
-        self.expect("punct", ".")
+        self.expect(".")
         return SourceClause(head, tuple(body))
 
     def program(self, name=""):
         clauses = []
         directives = {}
-        starts = {}  # (name, arity) -> the token that opens its directive
-        while self.peek().kind != "eof":
-            if self.peek().kind == "neck":
-                start = self.peek()
+        starts = {}  # (name, arity) -> index of the token opening its directive
+        tokens = self.tokens
+        while tokens[self.pos]:
+            if tokens[self.pos] == ":-":
+                start = self.pos
                 d = self.directive()
                 key = (d.predicate, d.arity)
                 if key in directives:
                     self.error(
-                        "duplicate mode directive for %s/%d" % key,
-                        self.tokens[self.pos - 1],
+                        "duplicate mode directive for %s/%d" % key, self.pos - 1
                     )
                 directives[key] = d
                 starts[key] = start
             else:
                 clauses.append(self.clause())
         prog = SourceProgram(tuple(clauses), tuple(directives.values()), name)
-        _check_directive_arities(prog, starts)
+        self.check_directive_arities(prog, starts)
         return prog
 
     def goal(self):
         self.clause_vars = {}
         atom = self.head_or_body_atom()
-        tok = self.peek()
-        if self.accept(","):
-            self.error("conjunction goals are not supported (single atom only)", tok)
+        if self.tokens[self.pos] == ",":
+            self.error("conjunction goals are not supported (single atom only)")
         self.accept(".")
-        self.expect("eof")
+        self.expect("", "eof")
         return Goal(atom)
 
+    def check_directive_arities(self, prog, starts):
+        """Reject a directive for a name the program uses only at other
+        arities, at the directive's opening token (starts[(name, arity)])."""
+        arity_by_name = {}
+        for c in prog.clauses:
+            for atom in (c.head, *c.body):
+                arity_by_name.setdefault(atom.functor, set()).add(len(atom.args))
+        for d in prog.modes:
+            used = arity_by_name.get(d.predicate)
+            if used and d.arity not in used:
+                self.error(
+                    "mode directive for %s declares arity %d but the program "
+                    "uses arity %s"
+                    % (d.predicate, d.arity, "/".join(map(str, sorted(used)))),
+                    starts[(d.predicate, d.arity)],
+                )
 
-def _check_directive_arities(prog, starts):
-    """Reject a directive for a name the program uses only at other arities,
-    at the position of the directive's opening token (starts[(name, arity)])."""
-    arity_by_name = {}
-    for c in prog.clauses:
-        for atom in (c.head, *c.body):
-            arity_by_name.setdefault(atom.functor, set()).add(len(atom.args))
-    for d in prog.modes:
-        used = arity_by_name.get(d.predicate)
-        if used and d.arity not in used:
-            tok = starts[(d.predicate, d.arity)]
-            raise ParseError(
-                "mode directive for %s declares arity %d but the program "
-                "uses arity %s"
-                % (d.predicate, d.arity, "/".join(map(str, sorted(used)))),
-                tok.line,
-                tok.col,
-            )
+
+def _parse(text, rule, *args):
+    parser = _Parser(text)
+    try:
+        return rule(parser, *args)
+    except ParseError:
+        _check_tokens(text, parser.tokens)
+        raise
 
 
 def parse_program(text: str, name: str = "") -> SourceProgram:
     """Parse a program file's text.  Clause order is preserved."""
-    return _Parser(text).program(name)
+    return _parse(text, _Parser.program, name)
 
 
 def parse_goal(text: str) -> Goal:
     """Parse a single-atom goal, with variables fresh w.r.t. everything."""
-    return _Parser(text).goal()
+    return _parse(text, _Parser.goal)
 
 
 # ---------------------------------------------------------------------------

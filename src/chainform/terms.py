@@ -17,7 +17,8 @@ match is the reference one-way matcher: it reads the pattern generically and
 returns a Subst, which apply then substitutes into an output term.  unify,
 rename_many and apply are the reference for unification at a unit clause.
 The engines run unit clauses compiled by the units module instead, and the
-tests hold those to the references here.
+tests hold those to the references here.  Goal plans decode ground answers
+with match and the others with unify.
 
 Every walk runs over an explicit stack, so terms of any depth are handled at
 the interpreter's default recursion limit; Compound.__hash__ and
@@ -404,6 +405,9 @@ def match(pattern, subject):
                 or type(s.symbol) is not type(p.symbol)
                 or s.symbol != p.symbol
             ):
+                return None
+        elif p.ground:  # binds nothing; _struct_eq skips shared subterms
+            if not _struct_eq(p, s):
                 return None
         else:
             if (

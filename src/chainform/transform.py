@@ -24,6 +24,11 @@ Definite conversion: argument places have no declared roles, so the grouping
 is the identity: an atom's full argument tuple is both its input and its
 output (a partial identity).  One pass-on set serves every inner seam: all
 clause variables except those occurring in every atom.
+
+A goal plan decodes an answer ⟨σ, outs…⟩ against the goal's output
+arguments: a ground answer (every match-mode answer, and many in unify
+mode) by one-way matching, terms.match; any other by unification,
+restricted to the goal's variables.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ from .terms import (
     Subst,
     Variable,
     fresh_var,
-    is_ground,
     is_tuple,
+    match,
     mk_list,
     mk_tuple,
     term_vars,
@@ -258,15 +263,14 @@ def compile_goal(goal: Goal, t: ChainProgram, mode: str) -> GoalPlan:
 
     Moded mode seeds the stack-extended input tuple (which must be ground)
     and decodes answers onto the goal's output positions.  Definite mode
-    seeds the full argument tuple, variables allowed, and decodes by
-    unifying the answer's argument tuple with the goal's arguments.
+    seeds the full argument tuple, variables allowed, and decodes onto the
+    goal's arguments.
     """
     atom = goal.atom
     key = (atom.functor, len(atom.args))
     hat = t.entry.get(key)
     if hat is None:
         raise GoalError("unknown predicate %s/%d" % key)
-    goal_vars = term_vars(atom)
     if mode == "moded":
         modes = t.source_modes.get(key)
         if modes is None:
@@ -274,29 +278,33 @@ def compile_goal(goal: Goal, t: ChainProgram, mode: str) -> GoalPlan:
                 "no modes recorded for %s/%d; use definite mode" % key
             )
         ins, outs = split_args(atom.args, modes)
-        if not all(is_ground(a) for a in ins):
-            raise GoalError(
-                "moded evaluation needs ground input arguments in %s"
-                % atom.functor
-            )
     elif mode == "definite":
         ins = outs = atom.args
     else:
         raise ValueError("mode must be 'moded' or 'definite'")
     initial = mk_tuple((NIL, *ins))
-    expected = mk_tuple(outs)
+    if mode == "moded" and not initial.ground:
+        raise GoalError(
+            "moded evaluation needs ground input arguments in %s" % atom.functor
+        )
+    # An answer is ⟨σ, outs…⟩ with σ the empty list.  Every variable of
+    # expected is a goal variable, so matching a ground answer needs no
+    # restriction.
+    expected = mk_tuple((NIL, *outs))
     width = len(expected.args)
 
     def decode(answer):
-        if not is_tuple(answer) or len(answer.args) != width + 1:
+        if not is_tuple(answer) or len(answer.args) != width:
             raise ValueError("malformed answer term %r" % (answer,))
         if answer.args[0] != NIL:
             raise ValueError(
                 "answer stack is %r, expected the empty list" % (answer.args[0],)
             )
-        s = unify(expected, mk_tuple(answer.args[1:]))
+        if answer.ground:
+            return match(expected, answer)
+        s = unify(expected, answer)
         if s is None:
             return None
-        return s.restrict(goal_vars)
+        return s.restrict(term_vars(atom))
 
     return GoalPlan(initial, (hat,), decode, goal)

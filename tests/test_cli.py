@@ -269,6 +269,23 @@ class TestSolve:
         assert exc.value.code == 2
         assert "CHAINFORM_BUDGET" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "repl"])
+    def test_bad_budget_env_prints_the_command_usage(
+        self, looping_file, capsys, monkeypatch, command
+    ):
+        # The same usage line as a bad --budget, not the top-level one.
+        argv = [command, looping_file] + (["-g", "p(a)"] if command == "solve" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", "x"])
+        flag_usage = capsys.readouterr().err.splitlines()[0]
+        monkeypatch.setenv("CHAINFORM_BUDGET", "x")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        env_usage = capsys.readouterr().err.splitlines()[0]
+        assert env_usage == flag_usage
+        assert env_usage.startswith("usage: chainform %s " % command)
+
     def test_zero_budget_exit_3(self, looping_file, capsys):
         assert main(["solve", looping_file, "-g", "p(a)", "--budget", "0"]) == 3
 

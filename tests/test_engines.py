@@ -548,6 +548,38 @@ class TestBudget:
                 plan.initial, plan.continuations, split.registry, budget=-1
             )
 
+    def test_stream_spends_one_budget(self, split):
+        # No single term needs the whole budget; the three together do.
+        plans = [split.plan("s(%s,Y,Z)" % xs) for xs in ("[a,b]", "[a,b,c]", "[a]")]
+        xs = [plan.initial for plan in plans]
+        qs = plans[0].continuations
+        steps = [counted_search(split.registry, x, qs, "match")[1] for x in xs]
+        budget = sum(steps) - 1
+        assert max(steps) < budget
+        each = [eval_abcde(x, qs, split.registry, budget=budget) for x in xs]
+        with time_limit(5), pytest.raises(BudgetExceededError):
+            eval_stream(NIL, xs, qs, split.registry, budget=budget)
+        assert eval_stream(NIL, xs, qs, split.registry, budget=budget + 1) == [
+            t for answers in each for t in answers
+        ]
+
+    def test_steps_after_next_and_halt(self, split, append_def):
+        for pipe, goal in ((split, "s([a,b,c],Y,Z)"), (append_def, "ap(X,Y,[a,b])")):
+            plan = pipe.plan(goal)
+            _, first = first_answer_steps(
+                pipe.registry, plan.initial, plan.continuations, pipe.uni
+            )
+            e = enumerate_prolog(
+                plan.initial, plan.continuations, pipe.registry, pipe.uni
+            )
+            assert e.steps == 0
+            assert e.next() is not None
+            assert e.steps == first > 0
+            e.halt()
+            assert e.steps == first
+            assert e.next() is None
+            assert e.steps == first
+
     def test_budget_not_hit_on_finite_goal(self, split):
         plan = split.plan("s([a],Y,Z)")
         answers = eval_abcde(

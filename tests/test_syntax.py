@@ -1,6 +1,19 @@
 """Parser and printer tests, including round-trip laws."""
 
+import hashlib
+import random
+import re
+import sys
+
 import pytest
+from genprog import (
+    random_definite_program,
+    random_ground_goal,
+    random_moded_program,
+    random_open_goal,
+)
+
+from chainform.fixtures import FIXTURE_NAMES, fixture_text
 
 from chainform.syntax import (
     ModeDirective,
@@ -257,3 +270,152 @@ class TestPrint:
         assert len(back.clauses) == 4
         for c1, c2 in zip(back.clauses, chain.to_source().clauses):
             assert alpha_eq_clause(c1, c2)
+
+
+# ---------------------------------------------------------------------------
+# Pinned parse behaviour: every outcome over a seeded corpus, hashed.
+
+# Edit characters: the syntax's own, and characters on which regex classes
+# and str predicates could part: '²' and 'Ⅰ' are numerics that are not
+# decimal (and 'Ⅰ' is upper case); U+00A0, U+2028 and '\x1c' are
+# whitespace that the parser does not count as a line break.
+EDIT_CHARS = "aXq_Z019()[],|.:-%⟨⟩ \t\n\r²Ⅰé١\u00a0\u2028\x1c$'"
+
+HAND_TEXTS = [
+    "u(⟨St,[A|N]⟩, ⟨[A|St],N⟩).",
+    "u(⟨⟩, ⟨St⟩).",
+    "p.\nq :- p.",
+    ":- mode(p, [in,out]).\np(a, b).\n",
+    "p(X) % trailing comment",
+    "p(X, 007, 42).",
+    "% only a comment",
+    ":- mode(p, [in]).\n:- mode(p, [out]).\np(a).",
+    "p(a).\n\n  :- mode(p,[in,out]).",
+    "",
+]
+
+
+def parse_corpus(seed, count):
+    """count texts: the fixtures, some fixed texts, and generated programs
+    and goals, each as it is and then in eight copies with up to 10 random
+    character edits."""
+    rng = random.Random(seed)
+    bases = [fixture_text(name) for name in FIXTURE_NAMES] + HAND_TEXTS
+    while len(bases) * 9 < count:
+        moded = random_moded_program(rng)
+        definite = random_definite_program(rng)
+        bases += [
+            print_program(moded),
+            print_program(definite),
+            goal_to_str(random_ground_goal(rng, moded)),
+            goal_to_str(random_open_goal(rng, definite)),
+        ]
+    texts = []
+    while len(texts) < count:
+        text = bases[len(texts) // 9 % len(bases)]
+        for _ in range(rng.randint(0, 10) if len(texts) % 9 else 0):
+            at = rng.randrange(len(text) + 1)
+            cut = at + rng.randint(0, 1)
+            text = text[:at] + rng.choice(["", rng.choice(EDIT_CHARS)]) + text[cut:]
+        texts.append(text)
+    return texts
+
+
+def parse_outcomes(text):
+    """The printed program and goal parsed from text, or each error with
+    its position."""
+    out = []
+    for parse, show in ((parse_program, print_program), (parse_goal, goal_to_str)):
+        try:
+            out.append(show(parse(text)))
+        except ParseError as err:
+            out.append("error: %s @ %d:%d" % (err, err.line, err.col))
+    return out
+
+
+def corpus_digest(texts):
+    digest = hashlib.sha256()
+    for text in texts:
+        for outcome in parse_outcomes(text):
+            digest.update(outcome.encode("utf-8") + b"\x00")
+    return digest.hexdigest()
+
+
+# sha256 of parse_outcomes over parse_corpus(11, 2000), taken from the
+# character-by-character tokenizer that preceded the regular expression.
+CORPUS_DIGEST = "5fced652ea1cfbc4449d8a19f1126a88b9e5f83ab390bc624279a84f9019c29e"
+
+LONG = "9" * 5000
+
+
+class TestPinnedParse:
+    def test_corpus_digest(self):
+        assert corpus_digest(parse_corpus(11, 2000)) == CORPUS_DIGEST
+
+    @pytest.mark.parametrize(
+        "text,program,goal",
+        [
+            # '²' and 'Ⅰ' are word characters to a regular expression, and
+            # 'Ⅰ' is upper case, but neither is a letter.
+            ("p(²).", "unexpected character '²' (line 1, column 3)", None),
+            ("p(Ⅰ).", "unexpected character 'Ⅰ' (line 1, column 3)", None),
+            ("p(a²).", "p(a²).\n", "p(a²)"),
+            ("p(aⅠ).", "p(aⅠ).\n", "p(aⅠ)"),
+            ("p(a) :- q(1²).", "unexpected character '²' (line 1, column 12)", None),
+            ("p(١٢, X).", "p(12,X).\n", "p(12,X)"),
+            ("p(1 007).", "expected ')', found 7 (line 1, column 5)", None),
+            # Whitespace other than a line feed counts one column.
+            (
+                "p(a,\u00a0b).\u2028q(c).\x1c",
+                "p(a,b).\nq(c).\n",
+                "expected 'eof', found 'q' (line 1, column 10)",
+            ),
+            ("\u00a0\u2028\x1cp(]).", "expected a term (line 1, column 6)", None),
+            ("\tp(\t]).", "expected a term (line 1, column 5)", None),
+            (
+                "p(a).\n\t\tq(X,\t$).",
+                "unexpected character '$' (line 2, column 8)",
+                None,
+            ),
+            # End of input inside a comment is at the comment's column.
+            (
+                "p(X) % c",
+                "expected '.', found end of input (line 1, column 6)",
+                "p(X)",
+            ),
+            (
+                "p(X).\n  q( % c",
+                "expected a term (line 2, column 6)",
+                "expected 'eof', found 'q' (line 2, column 3)",
+            ),
+            # A tokenizer error anywhere wins over an earlier parse error.
+            ("p(]) q($).", "unexpected character '$' (line 1, column 8)", None),
+            (
+                "p(]) q(%s)." % LONG,
+                "integer of 5000 digits is too long (line 1, column 8)",
+                None,
+            ),
+            (
+                "p(%s, $)." % LONG,
+                "integer of 5000 digits is too long (line 1, column 3)",
+                None,
+            ),
+            (
+                "p(a %s)." % LONG,
+                "integer of 5000 digits is too long (line 1, column 5)",
+                None,
+            ),
+        ],
+    )
+    def test_outcome(self, text, program, goal):
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if LONG in text and not 0 < limit < len(LONG):
+            pytest.skip("no integer digit limit below 5000 digits")
+        goal = program if goal is None else goal
+        want = []
+        for expected in (program, goal):
+            at = re.search(r"\(line (\d+), column (\d+)\)$", expected)
+            if at:
+                expected = "error: %s @ %s:%s" % (expected, *at.groups())
+            want.append(expected)
+        assert parse_outcomes(text) == want

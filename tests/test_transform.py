@@ -4,21 +4,26 @@ counts, goal compilation."""
 import os
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chainform.chainir import NonUnit, Unit, compile_to_registry, dump_registry
 from chainform.cli import _render_chain
 from chainform.fixtures import FIXTURE_NAMES, load_fixture
 from chainform.forms import MissingModeError, check_chain, check_gchain
-from chainform.syntax import parse_goal, parse_program
+from chainform.engines import eval_abcde
+from chainform.syntax import Goal, parse_goal, parse_program, term_to_str
 from chainform.terms import (
+    Compound,
     Constant,
     NIL,
+    Subst,
     Variable,
     alpha_equivalent,
     cons,
     mk_list,
     mk_tuple,
     term_vars,
+    unify,
 )
 from chainform.transform import (
     GoalError,
@@ -279,3 +284,107 @@ class TestCompileGoal:
             assert set(r.defn) == {
                 chain.predicate_of(c) for c in chain.clauses
             }
+
+
+# Goal variables, and one more that only answers hold.
+GOAL_VARS = (Variable("X", -301), Variable("Y", -302))
+ANSWER_VARS = GOAL_VARS + (Variable("U", -303),)
+DECODE_CHAINS = {
+    "moded": transform_moded(parse_program(SPLIT)),
+    "definite": transform_definite(parse_program(APPEND)),
+}
+
+
+def _terms(var_pool):
+    base = st.sampled_from(
+        [Constant("a"), Constant("b"), Constant(0), NIL, *var_pool]
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(lambda h, t: mk_list([h], t), children, children),
+            st.builds(lambda x: Compound("f", (x,)), children),
+        )
+
+    return st.recursive(base, extend, max_leaves=5)
+
+
+GROUND_TERMS = _terms(())
+GOAL_TERMS = _terms(GOAL_VARS)
+ANSWER_TERMS = _terms(ANSWER_VARS)
+
+
+@st.composite
+def plans_and_answers(draw):
+    """A moded or definite plan for a goal on s/3 or a/3 whose output
+    arguments are random terms over GOAL_VARS, and an answer term: an
+    instance of the outputs (over ANSWER_VARS, or ground) or any tail."""
+    mode = draw(st.sampled_from(sorted(DECODE_CHAINS)))
+    if mode == "moded":
+        atom = Compound(
+            "s", (draw(GROUND_TERMS), draw(GOAL_TERMS), draw(GOAL_TERMS))
+        )
+        expected = mk_tuple(atom.args[1:])
+    else:
+        atom = Compound("a", tuple(draw(GOAL_TERMS) for _ in range(3)))
+        expected = mk_tuple(atom.args)
+    plan = compile_goal(Goal(atom), DECODE_CHAINS[mode], mode)
+    values = draw(st.sampled_from([GROUND_TERMS, ANSWER_TERMS]))
+    if draw(st.booleans()):
+        tail = Subst({v: draw(values) for v in GOAL_VARS}).apply(expected)
+    else:
+        tail = mk_tuple([draw(values) for _ in expected.args])
+    return plan, expected, tail
+
+
+def _reference_decode(plan, expected, tail):
+    s = unify(expected, tail)
+    return None if s is None else s.restrict(term_vars(plan.goal.atom))
+
+
+class TestDecode:
+    @settings(max_examples=300)
+    @given(plans_and_answers())
+    def test_equals_unify_then_restrict(self, case):
+        plan, expected, tail = case
+        got = plan.decode(mk_tuple((NIL, *tail.args)))
+        assert got == _reference_decode(plan, expected, tail)
+
+    @pytest.mark.parametrize(
+        "goal,answers",
+        [
+            ("s([a,a],X,X)", ["X = [a]"]),
+            ("s([a,b],[a],Z)", ["Z = [b]"]),
+            ("s([a,b],[b],Z)", []),
+            ("s([a],[],[a])", [""]),
+        ],
+    )
+    def test_moded_goals(self, goal, answers):
+        chain = DECODE_CHAINS["moded"]
+        plan = compile_goal(parse_goal(goal), chain, "moded")
+        raw = eval_abcde(plan.initial, plan.continuations, compile_to_registry(chain))
+        shown = [
+            ", ".join("%s = %s" % (v.name, term_to_str(t)) for v, t in s.items())
+            for s in plan.decode_all(raw)
+        ]
+        assert shown == answers
+
+    @pytest.mark.parametrize("mode", sorted(DECODE_CHAINS))
+    def test_malformed_answers_raise(self, mode):
+        goal = "s([a],Y,Z)" if mode == "moded" else "a(X,Y,[a])"
+        plan = compile_goal(parse_goal(goal), DECODE_CHAINS[mode], mode)
+        width = len(plan.initial.args) if mode == "definite" else 3
+        a = Constant("a")
+        U = ANSWER_VARS[-1]
+        for answer in (
+            a,
+            mk_list([a]),
+            mk_tuple([NIL] * (width - 1)),
+            mk_tuple([NIL] * (width + 1)),
+        ):
+            with pytest.raises(ValueError, match="malformed"):
+                plan.decode(answer)
+        for stack in (mk_list([a]), U):
+            for item in (a, U):
+                with pytest.raises(ValueError, match="answer stack"):
+                    plan.decode(mk_tuple([stack] + [item] * (width - 1)))
