@@ -91,8 +91,10 @@ class Registry:
     # them, one (label, body reversed, None) or (label, None, the unit
     # compiled once for that mode) per clause, filled by the engines on a
     # predicate's first selection, so a registry is not changed once
-    # evaluated.  Not part of the registry's value: never compared, printed
-    # or dumped.
+    # evaluated.  The alternatives hold strings and compiled units, whose
+    # builds name gathers in units' shared table rather than holding
+    # getters, so the garbage collector stops tracking them.  Not part of
+    # the registry's value: never compared, printed or dumped.
     dispatch: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -142,20 +144,6 @@ def compile_to_registry(p: ChainProgram, declare_empty=()) -> Registry:
         unit,
         frozenset(unit),
     )
-
-
-def registry_to_clauses(r: Registry):
-    """Invert compile_to_registry, up to label naming: clauses grouped by
-    predicate in defn order, alternatives in definition order."""
-    out = []
-    for pred, labels in r.defn.items():
-        for label in labels:
-            if label in r.isunit:
-                t, t_out = r.unit[label]
-                out.append(Unit(pred, t, t_out))
-            else:
-                out.append(NonUnit(pred, r.nonunit[label]))
-    return tuple(out)
 
 
 def dump_registry(r: Registry) -> str:

@@ -10,8 +10,8 @@ renaming, variable collection) stops at a ground compound instead of
 descending into it.  Compound computes the flag from its arguments' flags;
 _ground_compound, the one other constructor, takes it as given from a
 caller that knows every argument is ground and the functor interned (the
-match-mode unit runner, whose registers all hold subterms of a ground
-subject).
+match-mode unit runner, whose registers then hold only subterms of a
+ground subject and the clause's own ground subterms).
 
 match is the reference one-way matcher: it reads the pattern generically and
 returns a Subst, which apply then substitutes into an output term.  unify,
@@ -461,11 +461,6 @@ def rename_many(terms):
     return tuple(_rebuild(t, leaf) for t in terms)
 
 
-def rename_apart(t):
-    """Alpha-variant of t over fresh variables."""
-    return rename_many((t,))[0]
-
-
 TUPLE_FUNCTOR = "tuple"
 CONS_FUNCTOR = "cons"
 NIL = Constant("nil")
@@ -511,31 +506,6 @@ def list_parts(t):
         items.append(t.args[0])
         t = t.args[1]
     return tuple(items), t
-
-
-def alpha_equivalent(a, b) -> bool:
-    """Structural equality up to a bijective renaming of variables."""
-    fwd = {}
-    bwd = {}
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        tx = type(x)
-        if tx is not type(y):
-            return False
-        if tx is Variable:
-            if fwd.setdefault(x.serial, y.serial) != y.serial:
-                return False
-            if bwd.setdefault(y.serial, x.serial) != x.serial:
-                return False
-        elif tx is Constant:
-            if type(x.symbol) is not type(y.symbol) or x.symbol != y.symbol:
-                return False
-        else:
-            if x.functor != y.functor or len(x.args) != len(y.args):
-                return False
-            stack.extend(zip(x.args, y.args))
-    return True
 
 
 def canonical(t):

@@ -101,10 +101,15 @@ def _attach(stack_term, group):
 
 
 def _pass_on(clause: SourceClause, sources, sinks) -> PassOnProfile:
-    """pass_on_sets_moded over the variable sets of the clause's source and
-    sink groups.  A variable is passed on at every seam after the first
-    source group it occurs in, up to the last sink group it occurs in; one
-    pass over each side finds those groups."""
+    """Per-seam pass-on sets of a clause, from the variable sets of its
+    source and sink groups.
+
+    Seam j separates the source groups strictly before it from the sink
+    groups at or after it; its pass-on set is the intersection of their
+    variable sets, so seam 0 and seam n+1 are always empty.  A variable is
+    passed on at every seam after the first source group it occurs in, up
+    to the last sink group it occurs in; one pass over each side finds
+    those groups."""
     first = {}
     for i, vs in enumerate(sources):
         for v in vs:
@@ -122,16 +127,6 @@ def _pass_on(clause: SourceClause, sources, sinks) -> PassOnProfile:
     sets = tuple(map(tuple, sets))
     sigmas = tuple(_sigma(vs, stack_var) for vs in sets)
     return PassOnProfile(sets, sigmas, stack_var)
-
-
-def pass_on_sets_moded(clause: SourceClause, program: SourceProgram) -> PassOnProfile:
-    """Per-seam pass-on sets of a moded clause.
-
-    Seam j separates the source groups strictly before it from the sink
-    groups at or after it; its pass-on set is the intersection of their
-    variable sets.  Seam 0 and seam n+1 are always empty.
-    """
-    return _pass_on(clause, *group_vars(*moded_groups(clause, program)))
 
 
 def pass_on_set_definite(clause: SourceClause) -> PassOnProfile:
@@ -230,12 +225,6 @@ def _identity_seams(clause):
 def transform_definite(p: SourceProgram) -> ChainProgram:
     """Convert any definite program to chain form."""
     return _convert(p, "definite", map(_identity_seams, p.clauses), {})
-
-
-def clause_count_law(p: SourceProgram) -> int:
-    """Expected transformed clause count: 1 per unit clause, n + 2 per
-    clause with n body atoms."""
-    return sum(1 if c.is_unit else len(c.body) + 2 for c in p.clauses)
 
 
 @dataclass

@@ -2,18 +2,30 @@
 
 Chain form confines unification to unit clauses t_in -> t_out, so resolving
 them is the engines' whole kernel workload.  compile_unit turns a unit
-clause, once, into a flat program of functor, constant and equality checks
-at positions of the subject and a postfix build of the output, each section
-a tuple of fixed-width records that the runners unpack in place; this
-module is the one that knows that format.
+clause, once, into a flat program over registers: loads that check the
+subject's functors and copy their arguments into the next registers,
+constant, ground and equality checks on registers, and a build of the
+output.  Each section is a tuple of fixed-width records that the runners
+unpack in place; this module is the one that knows that format.
+
+The build makes each compound of t_out from one record (functor, gather id,
+unary): the gather id names an operator.itemgetter over the registers of
+the compound's arguments, and the compound made goes into the next
+register.  The getters live in one table here, shared by every unit whose
+compounds gather the same registers, so that a compiled unit holds only
+ints, strings, flags and terms of the clause itself: its ground subterms
+and, in match mode, the variables of t_out absent from t_in.  Once
+collected, the garbage collector no longer tracks a unit that has neither,
+and compiling one adds no tracked object.  Those ground subterms and
+variables of t_out take the registers after the loaded ones.
 
 In match mode run_unit executes the program without a substitution; it
 equals terms.match followed by Subst.apply on every unit and term.  Its
-registers only ever hold subterms of the subject, so when the subject is
-ground and t_out has no variable absent from t_in, every compound it builds
-is ground: it makes them with terms._ground_compound, which sets the ground
-flag without scanning the arguments.  That is the usual case, match mode on
-a G-chain program with a ground seed.
+registers only ever hold subterms of the subject and of the clause, so when
+the subject is ground and t_out has no variable absent from t_in, every
+compound it builds is ground: it makes them with terms._ground_compound,
+which sets the ground flag without scanning the arguments.  That is the
+usual case, match mode on a G-chain program with a ground seed.
 
 In unify mode unify_unit executes the same program against a binding store
 (variable serial -> term) with a trail, in the manner of the WAM: it reads
@@ -30,6 +42,9 @@ the interpreter's default recursion limit.
 
 from __future__ import annotations
 
+import threading
+from operator import itemgetter
+
 from .terms import (
     Compound,
     Constant,
@@ -39,33 +54,55 @@ from .terms import (
     _struct_eq,
 )
 
+# The gather table: gather id -> itemgetter over register indices, and the
+# indices -> their id.  It only grows, by one getter per distinct index
+# tuple, whatever the number of units or registries compiled.
+_GATHERS = []
+_GATHER_IDS = {}
+_GATHER_LOCK = threading.Lock()
+
+
+def _gather_id(indices):
+    with _GATHER_LOCK:
+        gid = _GATHER_IDS.setdefault(indices, len(_GATHERS))
+        if gid == len(_GATHERS):
+            _GATHERS.append(itemgetter(*indices))
+    return gid
+
 
 def compile_unit(t_in, t_out, unify=False):
     """The unit clause t_in -> t_out as a flat program for run_unit, or
     with unify set for unify_unit.
 
-    The program is a tuple of seven sections and one flag: the first five
-    sections and the flag serve run_unit, and unify set adds the last two.
+    The program is a tuple of nine sections, and with unify set three more.
     Register 0 holds the subject; each load appends a compound's arguments
     as the next registers, so every pattern position has a register known
     here.  Every record is a fixed-width tuple, read by unpacking.
-      loads:  (r, functor, arity)  register r holds a compound of that
-                                   functor and arity; load its arguments
-      consts: (r, constant)        register r holds that Constant
-      grounds: (r, term)           register r equals that ground compound
-      sames:  (r, r')              a repeated variable: its first register
-                                   r and a later one r' are equal
-      build:  the output in postfix: an int pushes that register, a
-              (functor, arity) pair replaces the top arity entries with
-              the compound, and any other item (a ground term, or a
-              variable absent from t_in) is pushed as it is; unify_unit
-              pushes a fresh copy of such a variable instead, one per call.
-      open:   True iff t_out has a variable absent from t_in, so that an
-              output built from a ground subject can still hold a variable.
+      loads:   (r, functor, arity)  register r holds a compound of that
+                                    functor and arity; load its arguments
+      checked: True iff any of the next three sections is non-empty
+      consts:  (r, symbol)          register r holds a Constant of that
+                                    symbol, of the same type
+      grounds: (r, term)            register r equals that ground compound
+      sames:   (r, r')              a repeated variable: its first register
+                                    r and a later one r' are equal
+      tail:    the terms that take the registers after the loaded ones: the
+               ground subterms of t_out at its leaves, then, in match mode
+               only, its variables absent from t_in
+      build:   (functor, gather id, unary)  one per compound of t_out, in
+               postfix order: the compound of that functor over the
+               registers gather id picks, put in the next register; unary
+               says there is one argument, which the getter returns bare
+      out:     the register that holds t_out once the build is done
+      open:    True iff t_out has a variable absent from t_in, so that an
+               output built from a ground subject can still hold a variable.
     With unify set, for unify_unit:
-      firsts: r                    the register of a variable's first
-                                   occurrence
-      names:  one name per register: the pattern variable's there, else _
+      firsts:  r                    the register of a variable's first
+                                    occurrence
+      names:   one name per loaded register: the pattern variable's there,
+               else _
+      fresh:   the names of t_out's variables absent from t_in, whose fresh
+               copies take the registers after the tail's
     A variable of t_in is bound at its first occurrence by being that
     register, so matching allocates no substitution.  Functors come from
     the clause's own compounds, so they are interned already.  Both walks
@@ -85,34 +122,52 @@ def compile_unit(t_in, t_out, unify=False):
             else:
                 firsts.append(r)
         elif tp is Constant:
-            consts.append((r, p))
+            consts.append((r, p.symbol))
         elif p.ground:
             grounds.append((r, p))
         else:
             loads.append((r, p.functor, len(p.args)))
             stack.extend(zip(p.args, range(len(names), len(names) + len(p.args))))
             names += map(_register_name, p.args)
+    # The leaves of t_out no load provides, each once: ground subterms,
+    # then variables absent from t_in, as dicts used for ordered sets.
+    leaves, free = {}, {}
+    stack = [t_out]
+    while stack:
+        t = stack.pop()
+        if type(t) is Variable:
+            if t not in first:
+                free[t] = None
+        elif type(t) is not Compound or t.ground:
+            leaves[t] = None
+        else:
+            stack.extend(reversed(t.args))
+    tail = (*leaves, *free)
+    at = dict(first)
+    at.update(zip(tail, range(len(names), len(names) + len(tail))))
     build = []
-    is_open = False
+    done_regs = []  # the registers of the finished subterms, postfix
     stack = [(t_out, False)]
     while stack:
         t, done = stack.pop()
-        if type(t) is Variable:
-            build.append(first.get(t, t))
-            is_open = is_open or t not in first
-        elif type(t) is not Compound or t.ground:
-            build.append(t)
+        if type(t) is not Compound or t.ground:
+            done_regs.append(at[t])
         elif done:
-            build.append((t.functor, len(t.args)))
+            n = len(t.args)
+            args = tuple(done_regs[-n:])
+            del done_regs[-n:]
+            done_regs.append(len(names) + len(tail) + len(build))
+            build.append((t.functor, _gather_id(args), n == 1))
         else:
             stack.append((t, True))
             stack.extend((a, False) for a in reversed(t.args))
+    checks = tuple(consts), tuple(grounds), tuple(sames)
     code = (
-        tuple(loads), tuple(consts), tuple(grounds), tuple(sames), tuple(build),
-        is_open,
+        tuple(loads), any(checks), *checks,
+        tuple(leaves) if unify else tail, tuple(build), done_regs[0], bool(free),
     )
     if unify:
-        code += tuple(firsts), tuple(names)
+        code += tuple(firsts), tuple(names), tuple(v.name for v in free)
     return code
 
 
@@ -125,52 +180,45 @@ def run_unit(code, x):
     x does not match the input.  Equal to match(t_in, x) followed by
     apply(t_out), which stay the reference.
 
-    Every register holds a subterm of x.  So when x is ground and the unit
-    is not open, every compound the build makes is ground, and it is made
-    by terms._ground_compound without a scan of its arguments."""
-    loads, consts, grounds, sames, build, is_open = code
+    Every register holds a subterm of x or of the clause.  So when x is
+    ground and the unit is not open, every compound the build makes is
+    ground, and it is made by terms._ground_compound without a scan of its
+    arguments."""
+    loads, checked, consts, grounds, sames, tail, build, out, is_open = code
     regs = [x]
     for r, functor, n in loads:
         s = regs[r]
         if type(s) is not Compound or s.functor != functor or len(s.args) != n:
             return None
         regs += s.args
-    for r, c in consts:
-        s = regs[r]
-        if (
-            type(s) is not Constant
-            or s.symbol != c.symbol
-            or type(s.symbol) is not type(c.symbol)
-        ):
-            return None
-    for r, t in grounds:
-        if not _struct_eq(t, regs[r]):
-            return None
-    for r, r2 in sames:
-        if not _struct_eq(regs[r], regs[r2]):
-            return None
+    if checked:
+        for r, c in consts:
+            s = regs[r]
+            if (
+                type(s) is not Constant
+                or s.symbol != c
+                or type(s.symbol) is not type(c)
+            ):
+                return None
+        for r, t in grounds:
+            if not _struct_eq(t, regs[r]):
+                return None
+        for r, r2 in sames:
+            if not _struct_eq(regs[r], regs[r2]):
+                return None
+    regs += tail
     tx = type(x)
     if is_open or tx is Variable or tx is Compound and not x.ground:
         make = Compound
     else:
         make = _ground_compound
-    out = []
-    for item in build:
-        ti = type(item)
-        if ti is int:
-            out.append(regs[item])
-        elif ti is tuple:
-            functor, n = item
-            if n == len(out):  # the root, for one: no slice to make
-                args = tuple(out)
-                out.clear()
-            else:
-                args = tuple(out[-n:])
-                del out[-n:]
-            out.append(make(functor, args))
+    gathers = _GATHERS
+    for functor, gid, unary in build:
+        if unary:
+            regs.append(make(functor, (gathers[gid](regs),)))
         else:
-            out.append(item)
-    return out[0]
+            regs.append(make(functor, gathers[gid](regs)))
+    return regs[out]
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +330,17 @@ def unify_unit(code, x, bind, trail):
     variable too.  At a variable's first occurrence an unbound subject
     variable is bound to a fresh variable named after the unit's; a repeated
     variable is unified, occurs check included, with the subject side on the
-    left.  The output is built from the registers, not resolved: it means
-    what it says only under the store.  On failure every binding this call
-    made is undone.  Up to renaming, resolved(output, bind) equals the
-    reference: rename_many, unify, then Subst.apply.
+    left.  The variables of the output absent from the input are made fresh
+    once, into their registers, and the output is built from the registers
+    by the same gathers as run_unit's, not resolved: it means what it says
+    only under the store.  On failure every binding this call made is
+    undone.  Up to renaming, resolved(output, bind) equals the reference:
+    rename_many, unify, then Subst.apply.
     """
-    loads, consts, grounds, sames, build, _, firsts, names = code
+    (
+        loads, checked, consts, grounds, sames, tail, build, out, _,
+        firsts, names, fresh,
+    ) = code
     mark = len(trail)
     get = bind.get
     made = None  # the serial of the first variable this call makes
@@ -321,45 +374,35 @@ def unify_unit(code, x, bind, trail):
             trail.append(s.serial)
             s = v
         regs[r] = s
-    for r, c in consts:
-        s = _deref(regs[r], get)
-        ts = type(s)
-        if ts is Variable:
-            bind[s.serial] = c
-            trail.append(s.serial)
-        elif (
-            ts is not Constant
-            or s.symbol != c.symbol
-            or type(s.symbol) is not type(c.symbol)
-        ):
-            untrail(bind, trail, mark)
-            return None
-    for r, t in grounds:
-        if not _unify_bound(regs[r], t, bind, trail):
-            untrail(bind, trail, mark)
-            return None
-    for r, r2 in sames:
-        if not _unify_bound(regs[r2], regs[r], bind, trail):
-            untrail(bind, trail, mark)
-            return None
-    out = []
-    fresh = None  # variable absent from t_in -> its fresh copy
-    for item in build:
-        ti = type(item)
-        if ti is int:
-            out.append(regs[item])
-        elif ti is tuple:
-            functor, n = item
-            args = out[-n:]
-            del out[-n:]
-            out.append(Compound(functor, args))
-        elif ti is Variable:
-            if fresh is None:
-                fresh = {}
-            v = fresh.get(item.serial)
-            if v is None:
-                v = fresh[item.serial] = Variable(item.name)
-            out.append(v)
+    if checked:
+        for r, c in consts:
+            s = _deref(regs[r], get)
+            ts = type(s)
+            if ts is Variable:
+                bind[s.serial] = Constant(c)
+                trail.append(s.serial)
+            elif (
+                ts is not Constant
+                or s.symbol != c
+                or type(s.symbol) is not type(c)
+            ):
+                untrail(bind, trail, mark)
+                return None
+        for r, t in grounds:
+            if not _unify_bound(regs[r], t, bind, trail):
+                untrail(bind, trail, mark)
+                return None
+        for r, r2 in sames:
+            if not _unify_bound(regs[r2], regs[r], bind, trail):
+                untrail(bind, trail, mark)
+                return None
+    regs += tail
+    if fresh:
+        regs += [Variable(name) for name in fresh]
+    gathers = _GATHERS
+    for functor, gid, unary in build:
+        if unary:
+            regs.append(Compound(functor, (gathers[gid](regs),)))
         else:
-            out.append(item)
-    return out[0]
+            regs.append(Compound(functor, gathers[gid](regs)))
+    return regs[out]

@@ -12,8 +12,51 @@ from chainform.chainir import compile_to_registry
 from chainform.fixtures import load_fixture
 from chainform.oracle import canonical_answer
 from chainform.syntax import parse_goal
-from chainform.terms import canonical, match, rename_many, unify
-from chainform.transform import compile_goal, transform_definite, transform_moded
+from chainform.forms import group_vars, moded_groups
+from chainform.terms import Constant, Variable, canonical, match, rename_many, unify
+from chainform.transform import (
+    _pass_on,
+    compile_goal,
+    transform_definite,
+    transform_moded,
+)
+
+
+def alpha_equivalent(a, b) -> bool:
+    """Structural equality up to a bijective renaming of variables."""
+    fwd = {}
+    bwd = {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        tx = type(x)
+        if tx is not type(y):
+            return False
+        if tx is Variable:
+            if fwd.setdefault(x.serial, y.serial) != y.serial:
+                return False
+            if bwd.setdefault(y.serial, x.serial) != x.serial:
+                return False
+        elif tx is Constant:
+            if type(x.symbol) is not type(y.symbol) or x.symbol != y.symbol:
+                return False
+        else:
+            if x.functor != y.functor or len(x.args) != len(y.args):
+                return False
+            stack.extend(zip(x.args, y.args))
+    return True
+
+
+def clause_count_law(p) -> int:
+    """Expected transformed clause count: 1 per unit clause, n + 2 per
+    clause with n body atoms."""
+    return sum(1 if c.is_unit else len(c.body) + 2 for c in p.clauses)
+
+
+def pass_on_sets_moded(clause, program):
+    """Per-seam pass-on sets of a moded clause, as the moded conversion
+    computes them from the clause's source and sink groups."""
+    return _pass_on(clause, *group_vars(*moded_groups(clause, program)))
 
 
 def same_answer_sequence(xs, ys):

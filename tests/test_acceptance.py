@@ -37,10 +37,13 @@ import time
 import pytest
 
 from conftest import (
+    alpha_equivalent,
+    clause_count_law,
     corpus_pipelines,
     decoded_canonical,
     first_answer_steps,
     oracle_canonical,
+    pass_on_sets_moded,
     same_answer_sequence,
 )
 from genprog import random_definite_program, random_moded_program
@@ -59,7 +62,6 @@ from chainform.terms import (
     Constant,
     NIL,
     Variable,
-    alpha_equivalent,
     canonical,
     cons,
     is_ground,
@@ -69,9 +71,7 @@ from chainform.terms import (
     unify,
 )
 from chainform.transform import (
-    clause_count_law,
     pass_on_set_definite,
-    pass_on_sets_moded,
     transform_definite,
     transform_moded,
 )

@@ -1,20 +1,20 @@
 """Chain IR and registry tests."""
 
 import pytest
+from conftest import alpha_equivalent
 
 from chainform.chainir import (
     ChainProgram,
     NonUnit,
+    Unit,
     UndefinedPredicateError,
     compile_to_registry,
     dump_registry,
-    registry_to_clauses,
 )
 from chainform.forms import check_chain
 from chainform.syntax import parse_program
 from chainform.terms import (
     NIL,
-    alpha_equivalent,
     cons,
     fresh_var,
     mk_tuple,
@@ -92,6 +92,20 @@ class TestCompile:
             by_pred[split_chain.predicate_of(c)] += 1
         for pred, labels in split_registry.defn.items():
             assert len(labels) == by_pred[pred]
+
+
+def registry_to_clauses(r):
+    """Invert compile_to_registry, up to label naming: clauses grouped by
+    predicate in defn order, alternatives in definition order."""
+    out = []
+    for pred, labels in r.defn.items():
+        for label in labels:
+            if label in r.isunit:
+                t, t_out = r.unit[label]
+                out.append(Unit(pred, t, t_out))
+            else:
+                out.append(NonUnit(pred, r.nonunit[label]))
+    return tuple(out)
 
 
 class TestRoundTrip:

@@ -6,6 +6,7 @@ import re
 import sys
 
 import pytest
+from conftest import alpha_equivalent
 from genprog import (
     random_definite_program,
     random_ground_goal,
@@ -31,7 +32,6 @@ from chainform.terms import (
     Constant,
     NIL,
     Variable,
-    alpha_equivalent,
     cons,
     mk_list,
     mk_tuple,

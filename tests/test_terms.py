@@ -1,13 +1,16 @@
 """Tests for the term kernel: unification, matching, renaming, substitution."""
 
+import gc
+
+from conftest import alpha_equivalent, build_pipeline
 from hypothesis import example, given, settings, strategies as st
 
+from chainform import units
 from chainform.terms import (
     Compound,
     Constant,
     Subst,
     Variable,
-    alpha_equivalent,
     canonical,
     cons,
     fresh_var,
@@ -15,13 +18,17 @@ from chainform.terms import (
     match,
     mk_list,
     mk_tuple,
-    rename_apart,
     rename_many,
     term_vars,
     unify,
     NIL,
 )
 from chainform.units import compile_unit, resolved, run_unit, unify_unit
+
+
+def rename_apart(t):
+    """Alpha-variant of t over fresh variables."""
+    return rename_many((t,))[0]
 
 
 def f(*args):
@@ -336,6 +343,16 @@ class TestCompiledUnit:
     # subject with an output-only variable, and a subject with a variable.
     @example((f(X_), g(f(X_), g(P_)), f(a)))
     @example((f(X_), g(f(X_), a), f(U_)))
+    # A unary constructor; outputs that are a bare register and a bare
+    # ground term; one register gathered twice; a ground leaf before an
+    # output-only variable; a symbol equal to the subject's in another type.
+    @example((f(X_), Compound("s", (X_,)), f(g(a))))
+    @example((f(X_, Y_), Y_, f(a, g(b))))
+    @example((f(X_), g(a, b), f(a)))
+    @example((f(X_), b, f(a)))
+    @example((g(X_), f(X_, X_), g(g(a))))
+    @example((f(X_), g(P_, a, X_), f(b)))
+    @example((f(X_, Constant(1)), X_, f(a, Constant(True))))
     def test_compiled_equals_match_then_apply(self, case):
         t_in, t_out, x = case
         want = _match_then_apply(t_in, t_out, x)
@@ -344,27 +361,79 @@ class TestCompiledUnit:
         if got is not None:
             _assert_ground_flags(got)
 
+    def test_output_only_variable_is_shared(self):
+        # Match mode renames nothing: the unit's own variable is the output.
+        got = run_unit(compile_unit(f(X_), g(P_, X_)), f(a))
+        assert got == g(P_, a) and got.args[0] is P_
+
     def test_forms_are_flat(self):
-        # Registers: 0 the subject, 1-4 f's arguments, 5-6 h's.  The walk
-        # pops the last argument first, so X is first seen at register 3.
+        # Registers: 0 the subject, 1-4 f's arguments, 5-6 h's, 7 the
+        # output-only P, 8-9 the compounds built.  The walk pops the last
+        # argument first, so X is first seen at register 3.
         t_in = f(X_, g(a, b), X_, Compound("h", (Y_, a)))
         t_out = g(Compound("h", (X_, P_)), Y_)
-        match_code = (
-            ((0, "f", 4), (4, "h", 2)),  # loads: (r, functor, arity)
-            ((6, a),),  # consts: (r, Constant)
+        loads = ((0, "f", 4), (4, "h", 2))  # (r, functor, arity)
+        checks = (
+            True,  # checked: the next three sections are not all empty
+            ((6, "a"),),  # consts: (r, symbol)
             ((2, g(a, b)),),  # grounds: (r, ground term)
             ((3, 1),),  # sames: (first register, later register)
-            (3, P_, ("h", 2), 5, ("g", 2)),  # build, postfix
-            True,  # open: P is absent from t_in
         )
-        unify_extra = (
+        # build: (functor, the registers gathered, unary), postfix
+        build = (("h", (3, 7), False), ("g", (8, 5), False))
+        match_code = compile_unit(t_in, t_out)
+        assert match_code[:5] == (loads, *checks)
+        assert match_code[5] == (P_,)  # tail: P itself, in register 7
+        assert _gathered(match_code[6]) == build
+        assert match_code[7:] == (9, True)  # out; open: P is absent from t_in
+        unify_code = compile_unit(t_in, t_out, unify=True)
+        assert unify_code[:5] == (loads, *checks)
+        assert unify_code[5] == ()  # tail: P is made fresh per call
+        assert _gathered(unify_code[6]) == build
+        assert unify_code[7:] == (
+            9,
+            True,
             (5, 3),  # firsts
-            ("_", "X", "_", "X", "_", "Y", "_"),  # names, one per register
+            ("_", "X", "_", "X", "_", "Y", "_"),  # names, one per load
+            ("P",),  # fresh: the names of the output-only variables
         )
-        assert compile_unit(t_in, t_out) == match_code
-        assert compile_unit(t_in, t_out, unify=True) == match_code + unify_extra
-        assert compile_unit(t_in, t_out)[5] is True
-        assert compile_unit(t_in, g(X_, Y_))[5] is False
+        assert compile_unit(t_in, g(X_, Y_))[8] is False
+        # A unary constructor's getter returns its one register bare.
+        unary = compile_unit(f(X_), Compound("s", (X_,)))
+        assert _gathered(unary[6]) == (("s", 1, True),)
+        assert unary[1] is False  # nothing to check
+
+    def test_compiled_units_stay_out_of_the_collector(self):
+        # h_4_0_1 is <St,[A|L],M> -> <[A|St],L,M>: no ground subterm, so its
+        # compiled forms hold nothing the collector tracks.  A collection
+        # untracks a tuple once its items are untracked, which takes one
+        # collection per level: records, sections, the program.
+        registry = build_pipeline("nrev", "moded").registry
+        for unify in (False, True):
+            code = compile_unit(*registry.unit["h_4_0_1"], unify)
+            for _ in range(3):
+                gc.collect()
+            assert not gc.is_tracked(code)
+        # Units gather through one shared table: the same program, parsed
+        # and converted again, adds no getter to it.
+        for unify in (False, True):
+            for t_in, t_out in registry.unit.values():
+                compile_unit(t_in, t_out, unify)
+        size = len(units._GATHERS)
+        again = build_pipeline("nrev", "moded").registry
+        for unify in (False, True):
+            for t_in, t_out in again.unit.values():
+                compile_unit(t_in, t_out, unify)
+        assert len(units._GATHERS) == size
+
+
+def _gathered(build):
+    # Each build record with its gather id replaced by the registers that
+    # getter picks: applied to range(n), a getter returns its indices.
+    return tuple(
+        (functor, units._GATHERS[gid](range(100)), unary)
+        for functor, gid, unary in build
+    )
 
 
 @st.composite
@@ -401,14 +470,26 @@ class TestStoreRunner:
     @example((f(X_, Y_, X_), g(Y_), f(U_, V_, V_), {V_: g(W_)}))
     @example((f(g(X_), X_), X_, f(U_, U_), {U_: g(V_)}))
     @example((X_, f(X_, P_, Y_), U_, {}))
+    # As for match mode: a unary constructor, a bare register, bare ground
+    # outputs, one register gathered twice, a ground leaf before an
+    # output-only variable, and a symbol equal in value but not in type.
+    @example((f(X_), Compound("s", (X_,)), f(U_), {}))
+    @example((f(X_, Y_), Y_, f(U_, g(V_)), {}))
+    @example((f(X_), g(a, b), f(U_), {}))
+    @example((f(X_), b, f(U_), {}))
+    @example((g(X_), f(X_, X_), g(U_), {}))
+    @example((f(X_), g(P_, a, X_), f(U_), {}))
+    @example((f(X_, Constant(1)), X_, f(U_, Constant(True)), {}))
     def test_equals_rename_unify_apply(self, case):
         t_in, t_out, x, pre = case
         bind, trail = _store(pre)
         before = (dict(bind), list(trail))
         s_pre = Subst(pre)
         # U's value may hold V: two passes resolve the store's chains.
-        want = _rename_unify_apply(t_in, t_out, s_pre.apply(s_pre.apply(x)))
-        got = unify_unit(compile_unit(t_in, t_out, unify=True), x, bind, trail)
+        x_pre = s_pre.apply(s_pre.apply(x))
+        want = _rename_unify_apply(t_in, t_out, x_pre)
+        code = compile_unit(t_in, t_out, unify=True)
+        got = unify_unit(code, x, bind, trail)
         if got is None:
             assert want is None
             assert (bind, trail) == before
@@ -419,6 +500,14 @@ class TestStoreRunner:
         _assert_ground_flags(pair)
         assert trail[: len(before[1])] == before[1]
         assert set(bind) == set(trail)
+        # Every variable the call made is new: none of the unit's own, and
+        # none shared with a second call from the same store.
+        bind2, trail2 = _store(pre)
+        again = resolved(unify_unit(code, x, bind2, trail2), bind2)
+        made = set(term_vars(resolved(got, bind))) - set(term_vars(x_pre))
+        made_again = set(term_vars(again)) - set(term_vars(x_pre))
+        assert not made & made_again
+        assert not made & set(term_vars(mk_tuple((t_in, t_out))))
 
     def test_occurs_check(self):
         Y = fresh_var("Y")

@@ -4,6 +4,7 @@ counts, goal compilation."""
 import os
 
 import pytest
+from conftest import alpha_equivalent, clause_count_law, pass_on_sets_moded
 from hypothesis import example, given, settings, strategies as st
 
 from chainform.chainir import NonUnit, Unit, compile_to_registry, dump_registry
@@ -18,7 +19,6 @@ from chainform.terms import (
     NIL,
     Subst,
     Variable,
-    alpha_equivalent,
     cons,
     mk_list,
     mk_tuple,
@@ -28,10 +28,8 @@ from chainform.terms import (
 from chainform.transform import (
     GoalError,
     TransformError,
-    clause_count_law,
     compile_goal,
     pass_on_set_definite,
-    pass_on_sets_moded,
     transform_definite,
     transform_moded,
 )
