@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import SourceClause, SourceProgram, _display_names, term_to_str
-from .terms import Compound, fresh_var, mk_tuple, rename_many, term_vars
+from .terms import Compound, fresh_var, mk_tuple, term_vars
 
 
 class UndefinedPredicateError(LookupError):
@@ -87,14 +87,14 @@ class Registry:
     nonunit: dict  # label -> tuple of body predicate names
     unit: dict  # label -> (input term, output term)
     isunit: frozenset  # = set of unit labels
-    # evaluation mode -> predicate -> its alternatives as the engines take
-    # them, one (label, body reversed, None) or (label, None, the unit
-    # compiled once for that mode) per clause, filled by the engines on a
+    # predicate -> its alternatives as the engines take them, in either
+    # evaluation mode, one (label, body reversed, None) or (label, None, the
+    # unit compiled once) per clause, filled by the engines on a
     # predicate's first selection, so a registry is not changed once
     # evaluated.  The alternatives hold strings and compiled units, whose
-    # builds name gathers in units' shared table rather than holding
-    # getters, so the garbage collector stops tracking them.  Not part of
-    # the registry's value: never compared, printed or dumped.
+    # builds name registers, or gathers in units' shared table, rather than
+    # holding getters, so the garbage collector stops tracking them.  Not
+    # part of the registry's value: never compared, printed or dumped.
     dispatch: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -154,12 +154,10 @@ def dump_registry(r: Registry) -> str:
     for label, body in r.nonunit.items():
         lines.append("nonunit(%s, [%s])." % (label, ",".join(body)))
     for label, (t, t_out) in r.unit.items():
-        # Rename per line so display names are stable and clause-local.
-        rt, rt_out = rename_many((t, t_out))
-        names = _display_names(term_vars(mk_tuple((rt, rt_out))))
+        names = _display_names(term_vars(mk_tuple((t, t_out))))
         lines.append(
             "unit(%s, %s, %s)."
-            % (label, term_to_str(rt, names), term_to_str(rt_out, names))
+            % (label, term_to_str(t, names), term_to_str(t_out, names))
         )
     for label in (l for l in _label_order(r) if l in r.isunit):
         lines.append("isunit(%s)." % label)

@@ -267,7 +267,7 @@ def cmd_transform(args) -> int:
 class _Session:
     """A chain program, the conversion that made it, its registry and its
     form, built once: every goal of a session runs over the same registry,
-    so goals share its dispatch tables (Registry.dispatch)."""
+    so goals share its dispatch table (Registry.dispatch)."""
 
     def __init__(self, chain, mode):
         self.chain = chain

@@ -26,22 +26,22 @@ All five are views over one loop, _search, which makes the traversal's state
 explicit: a stack of choice points, and the continuation as a cons list, so
 no formulation recurses in Python and none copies the continuation.
 
-Clause selection reads one dispatch table per evaluation mode, kept on the
-registry (Registry.dispatch) and filled on each predicate's first selection,
-so every goal over one registry shares it.  It maps a predicate to its
-alternatives: a non-unit clause's body, reversed, or a unit clause compiled
-once by units.compile_unit.  As in the WAM's try/retry/trust, a choice
-point holds an index into that tuple and is pushed only while an
-alternative after the one taken remains: a predicate's only or last
-alternative leaves none, so deterministic recursion runs in constant
-choice-stack space.
+Clause selection reads one dispatch table, kept on the registry
+(Registry.dispatch) and filled on each predicate's first selection, so every
+goal over one registry shares it, in either evaluation mode.  It maps a
+predicate to its alternatives: a non-unit clause's body, reversed, or a unit
+clause compiled once by units.compile_unit.  As in the WAM's
+try/retry/trust, a choice point holds an index into that tuple and is
+pushed only while an alternative after the one taken remains: a predicate's
+only or last alternative leaves none, so deterministic recursion runs in
+constant choice-stack space.
 
-Unit resolution has two variants over one compiler.  In match mode (for
-ground evaluation over G-chain programs) the query term is matched one-way
-against the unit input by units.run_unit, bound here as match.  In unify
-mode units.unify_unit, bound here as unify, unifies the query term with the
-unit input over the run's binding store and trail, as if the unit were
-renamed apart, so query variables stay stable for the goal decoder.  Each
+Unit resolution runs that one compiled form in one of two ways.  In match
+mode (for ground evaluation over G-chain programs) the query term is matched
+one-way against the unit input by units.run_unit, bound here as match.  In
+unify mode units.unify_unit, bound here as unify, unifies the query term
+with the unit input over the run's binding store and trail, as if the unit
+were renamed apart, so query variables stay stable for the goal decoder.  Each
 choice point records the trail's length at its predicate's selection, and
 resuming it undoes the trail to that mark; an answer is resolved through
 the store when it is yielded, so every engine hands out plain terms.
@@ -86,13 +86,9 @@ class BoundedResult:
     answer: Optional[object]  # None means no answer exists
     resource: int
 
-    @property
-    def has_answer(self):
-        return self.answer is not None
-
 
 class _Run:
-    """Shared state of one evaluation: the mode's dispatch table, the
+    """Shared state of one evaluation: the registry's dispatch table, the
     binding store and trail of unify mode, and the composition-step
     budget."""
 
@@ -105,8 +101,8 @@ class _Run:
             raise ValueError("budget must be non-negative, got %d" % budget)
         self.reg = reg
         self.matching = uni == MATCH
-        # Shared by every run in this mode over reg: see alternatives.
-        self.table = reg.dispatch.setdefault(uni, {})
+        # Shared by every run over reg, in either mode: see alternatives.
+        self.table = reg.dispatch
         self.budget = budget
         self.remaining = budget
         # Variable serial -> term, and the serials bound, oldest first.  Both
@@ -125,11 +121,10 @@ class _Run:
             labels = reg.defn[q]
         except KeyError:
             raise LookupError("no definition for predicate %r" % q) from None
-        unifying = not self.matching
         alts = []
         for label in labels:
             if label in reg.isunit:
-                alts.append((label, None, compile_unit(*reg.unit[label], unifying)))
+                alts.append((label, None, compile_unit(*reg.unit[label])))
             else:
                 alts.append((label, reg.nonunit[label][::-1], None))
         alts = self.table[q] = tuple(alts)

@@ -6,18 +6,21 @@ clause, once, into a flat program over registers: loads that check the
 subject's functors and copy their arguments into the next registers,
 constant, ground and equality checks on registers, and a build of the
 output.  Each section is a tuple of fixed-width records that the runners
-unpack in place; this module is the one that knows that format.
+unpack in place; this module is the one that knows that format.  As in the
+WAM, a unit has one program for both evaluation modes, and the runner
+decides how each instruction meets the subject.
 
-The build makes each compound of t_out from one record (functor, gather id,
-unary): the gather id names an operator.itemgetter over the registers of
-the compound's arguments, and the compound made goes into the next
-register.  The getters live in one table here, shared by every unit whose
-compounds gather the same registers, so that a compiled unit holds only
-ints, strings, flags and terms of the clause itself: its ground subterms
-and, in match mode, the variables of t_out absent from t_in.  Once
-collected, the garbage collector no longer tracks a unit that has neither,
-and compiling one adds no tracked object.  Those ground subterms and
-variables of t_out take the registers after the loaded ones.
+The build makes each compound of t_out from one record (functor, arg,
+unary), and the compound made goes into the next register.  A unary
+compound's arg is the register of its one argument; any other's is a
+gather id, naming an operator.itemgetter over the registers of the
+compound's arguments.  The getters live in one table here, shared by every
+unit whose compounds gather the same registers, so that a compiled unit
+holds only ints, strings, flags and terms of the clause itself: its ground
+subterms and the variables of t_out absent from t_in.  Once collected, the
+garbage collector no longer tracks a unit that has neither, and compiling
+one adds no tracked object.  Those ground subterms and variables of t_out
+take the registers after the loaded ones.
 
 In match mode run_unit executes the program without a substitution; it
 equals terms.match followed by Subst.apply on every unit and term.  Its
@@ -30,11 +33,12 @@ usual case, match mode on a G-chain program with a ground seed.
 In unify mode unify_unit executes the same program against a binding store
 (variable serial -> term) with a trail, in the manner of the WAM: it reads
 the subject through the store, binds unbound variables where the pattern
-has structure, unifies repeated variables with occurs check, and builds the
-output without resolving it.  The store's bindings are undone to a trail
-mark on failure and on backtracking (untrail), and resolved turns a term
-read under the store into a plain one.  Up to renaming it equals
-terms.rename_many, terms.unify and Subst.apply.
+has structure, unifies repeated variables with occurs check, replaces the
+variables of t_out absent from t_in by fresh copies, and builds the output
+without resolving it.  The store's bindings are undone to a trail mark on
+failure and on backtracking (untrail), and resolved turns a term read under
+the store into a plain one.  Up to renaming it equals terms.rename_many,
+terms.unify and Subst.apply.
 
 Every walk runs over an explicit stack, so terms of any depth are handled at
 the interpreter's default recursion limit.
@@ -70,14 +74,14 @@ def _gather_id(indices):
     return gid
 
 
-def compile_unit(t_in, t_out, unify=False):
-    """The unit clause t_in -> t_out as a flat program for run_unit, or
-    with unify set for unify_unit.
+def compile_unit(t_in, t_out):
+    """The unit clause t_in -> t_out as a flat program, the one that both
+    run_unit and unify_unit execute.
 
-    The program is a tuple of nine sections, and with unify set three more.
-    Register 0 holds the subject; each load appends a compound's arguments
-    as the next registers, so every pattern position has a register known
-    here.  Every record is a fixed-width tuple, read by unpacking.
+    The program is a tuple of eleven sections.  Register 0 holds the
+    subject; each load appends a compound's arguments as the next
+    registers, so every pattern position has a register known here.  Every
+    record is a fixed-width tuple, read by unpacking.
       loads:   (r, functor, arity)  register r holds a compound of that
                                     functor and arity; load its arguments
       checked: True iff any of the next three sections is non-empty
@@ -87,22 +91,21 @@ def compile_unit(t_in, t_out, unify=False):
       sames:   (r, r')              a repeated variable: its first register
                                     r and a later one r' are equal
       tail:    the terms that take the registers after the loaded ones: the
-               ground subterms of t_out at its leaves, then, in match mode
-               only, its variables absent from t_in
-      build:   (functor, gather id, unary)  one per compound of t_out, in
-               postfix order: the compound of that functor over the
-               registers gather id picks, put in the next register; unary
-               says there is one argument, which the getter returns bare
+               ground subterms of t_out at its leaves, then its variables
+               absent from t_in
+      build:   (functor, arg, unary)  one per compound of t_out, in postfix
+               order: the compound of that functor, put in the next
+               register.  A unary compound's arg is the register of its
+               one argument; any other's is the gather id of the getter
+               that picks its arguments' registers
       out:     the register that holds t_out once the build is done
-      open:    True iff t_out has a variable absent from t_in, so that an
-               output built from a ground subject can still hold a variable.
-    With unify set, for unify_unit:
+      open:    the number of t_out's variables absent from t_in, the last
+               registers of the tail; an output built from a ground
+               subject can still hold a variable iff it is not 0
       firsts:  r                    the register of a variable's first
                                     occurrence
       names:   one name per loaded register: the pattern variable's there,
                else _
-      fresh:   the names of t_out's variables absent from t_in, whose fresh
-               copies take the registers after the tail's
     A variable of t_in is bound at its first occurrence by being that
     register, so matching allocates no substitution.  Functors come from
     the clause's own compounds, so they are interned already.  Both walks
@@ -157,18 +160,16 @@ def compile_unit(t_in, t_out, unify=False):
             args = tuple(done_regs[-n:])
             del done_regs[-n:]
             done_regs.append(len(names) + len(tail) + len(build))
-            build.append((t.functor, _gather_id(args), n == 1))
+            arg = args[0] if n == 1 else _gather_id(args)
+            build.append((t.functor, arg, n == 1))
         else:
             stack.append((t, True))
             stack.extend((a, False) for a in reversed(t.args))
     checks = tuple(consts), tuple(grounds), tuple(sames)
-    code = (
-        tuple(loads), any(checks), *checks,
-        tuple(leaves) if unify else tail, tuple(build), done_regs[0], bool(free),
+    return (
+        tuple(loads), any(checks), *checks, tail, tuple(build), done_regs[0],
+        len(free), tuple(firsts), tuple(names),
     )
-    if unify:
-        code += tuple(firsts), tuple(names), tuple(v.name for v in free)
-    return code
 
 
 def _register_name(p):
@@ -184,7 +185,7 @@ def run_unit(code, x):
     ground and the unit is not open, every compound the build makes is
     ground, and it is made by terms._ground_compound without a scan of its
     arguments."""
-    loads, checked, consts, grounds, sames, tail, build, out, is_open = code
+    loads, checked, consts, grounds, sames, tail, build, out, is_open, _, _ = code
     regs = [x]
     for r, functor, n in loads:
         s = regs[r]
@@ -213,11 +214,11 @@ def run_unit(code, x):
     else:
         make = _ground_compound
     gathers = _GATHERS
-    for functor, gid, unary in build:
+    for functor, arg, unary in build:
         if unary:
-            regs.append(make(functor, (gathers[gid](regs),)))
+            regs.append(make(functor, (regs[arg],)))
         else:
-            regs.append(make(functor, gathers[gid](regs)))
+            regs.append(make(functor, gathers[arg](regs)))
     return regs[out]
 
 
@@ -332,14 +333,14 @@ def unify_unit(code, x, bind, trail):
     variable is unified, occurs check included, with the subject side on the
     left.  The variables of the output absent from the input are made fresh
     once, into their registers, and the output is built from the registers
-    by the same gathers as run_unit's, not resolved: it means what it says
+    by the same build as run_unit's, not resolved: it means what it says
     only under the store.  On failure every binding this call made is
     undone.  Up to renaming, resolved(output, bind) equals the reference:
     rename_many, unify, then Subst.apply.
     """
     (
-        loads, checked, consts, grounds, sames, tail, build, out, _,
-        firsts, names, fresh,
+        loads, checked, consts, grounds, sames, tail, build, out, n_open,
+        firsts, names,
     ) = code
     mark = len(trail)
     get = bind.get
@@ -397,12 +398,12 @@ def unify_unit(code, x, bind, trail):
                 untrail(bind, trail, mark)
                 return None
     regs += tail
-    if fresh:
-        regs += [Variable(name) for name in fresh]
+    if n_open:
+        regs[-n_open:] = [Variable(v.name) for v in regs[-n_open:]]
     gathers = _GATHERS
-    for functor, gid, unary in build:
+    for functor, arg, unary in build:
         if unary:
-            regs.append(Compound(functor, (gathers[gid](regs),)))
+            regs.append(Compound(functor, (regs[arg],)))
         else:
-            regs.append(Compound(functor, gathers[gid](regs)))
+            regs.append(Compound(functor, gathers[arg](regs)))
     return regs[out]

@@ -617,6 +617,23 @@ class TestPurity:
         run2 = [canonical(t) for t in eval_abcde(*args, uni="unify")]
         assert run1 == run2
 
+    def test_one_registry_in_both_modes(self, split):
+        # A ground goal on a moded program runs in either mode, over one
+        # dispatch table that compiles each unit once for both.
+        plan = split.plan("s([a,b,c],Y,Z)")
+        args = (plan.initial, plan.continuations)
+        registry = compile_to_registry(split.chain)
+        compiled = {}
+        for uni in ("match", "unify", "match"):
+            got = [canonical(t) for t in eval_abcde(*args, registry, uni)]
+            fresh = compile_to_registry(split.chain)
+            assert got == [canonical(t) for t in eval_abcde(*args, fresh, uni)]
+            assert got
+            assert set(registry.dispatch) <= set(registry.defn)
+            for q, alts in compiled.items():
+                assert registry.dispatch[q] is alts
+            compiled = dict(registry.dispatch)
+
 
 def _numeral_depth(t):
     # Counted with a loop: comparing or hashing a term this deep would

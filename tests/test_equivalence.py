@@ -5,12 +5,14 @@ duplicate clauses and goals that only the occurs check refutes; then the
 definite pipeline on long lists and on random programs, and the moded
 pipeline on random programs, through all five engines."""
 
+import functools
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
-from conftest import build_pipeline, same_answer_sequence
+from conftest import build_pipeline, corpus_pipelines, same_answer_sequence
 from genprog import (
     random_definite_program,
     random_ground_goal,
@@ -28,8 +30,8 @@ from chainform.engines import (
     eval_stream,
 )
 from chainform.oracle import canonical_answer, sld_solve
-from chainform.syntax import parse_goal, parse_program
-from chainform.terms import NIL
+from chainform.syntax import goal_to_str, parse_goal, parse_program
+from chainform.terms import NIL, canonical, term_vars
 from chainform.transform import compile_goal, transform_definite, transform_moded
 
 # Goals with no answer because every candidate unifier would bind a variable
@@ -144,7 +146,7 @@ def five_engine_answers(plan, registry, budget, uni="unify"):
     }
     bounded = eval_bounded(*args, uni=uni, budget=budget)
     assert same_answer_sequence(
-        [bounded.answer] if bounded.has_answer else [], raw["abcde"][:1]
+        [bounded.answer] if bounded.answer is not None else [], raw["abcde"][:1]
     )
     return {
         name: [canonical_answer(plan.goal, s) for s in plan.decode_all(answers)]
@@ -199,18 +201,38 @@ def test_moded_name_at_two_arities():
     assert_engines_match_oracle(reference, goal, exhaustive, ordered=True)
 
 
+# The generated programs of the differential tests: generator, goal
+# generator, conversion, plan mode and evaluation mode.
+RANDOM_KINDS = {
+    "definite": (random_definite_program, random_open_goal, transform_definite,
+                 "definite", "unify"),
+    "moded": (random_moded_program, random_ground_goal, transform_moded,
+              "moded", "match"),
+}
+
+
+@functools.cache
+def random_cases(kind):
+    """300 generated programs of one kind from random.Random(7), each with
+    its conversion, registry and goal, shared by the differential tests and
+    the pinned digest."""
+    program_of, goal_of, convert, _, _ = RANDOM_KINDS[kind]
+    rng = random.Random(7)
+    cases = []
+    for _ in range(300):
+        program = program_of(rng)
+        chain = convert(program)
+        cases.append((program, chain, compile_to_registry(chain), goal_of(rng, program)))
+    return tuple(cases)
+
+
 def test_random_definite_programs_match_oracle():
     """Differential test: random definite programs and random goals with open
     variables, every engine in unify mode under a step budget, against SLD
     resolution under a depth budget.  Runs where either side was cut off are
     skipped; the rest must agree as multisets."""
-    rng = random.Random(7)
     compared = answered = 0
-    for _ in range(300):
-        program = random_definite_program(rng)
-        chain = transform_definite(program)
-        registry = compile_to_registry(chain)
-        goal = random_open_goal(rng, program)
+    for program, chain, registry, goal in random_cases("definite"):
         reference = sld_solve(program, goal, 12)
         if reference.truncated:
             continue
@@ -235,13 +257,8 @@ def test_random_moded_programs_match_oracle():
     The skipped engine runs loop however large the budget: SLD prunes a
     call by the pattern of its output arguments, moded evaluation computes
     every output first and matches it afterwards."""
-    rng = random.Random(7)
     compared = answered = 0
-    for _ in range(300):
-        program = random_moded_program(rng)
-        chain = transform_moded(program)
-        registry = compile_to_registry(chain)
-        goal = random_ground_goal(rng, program)
+    for program, chain, registry, goal in random_cases("moded"):
         reference = sld_solve(program, goal, 12)
         if reference.truncated:
             continue
@@ -255,3 +272,75 @@ def test_random_moded_programs_match_oracle():
         answered += bool(reference.answers)
     # Guard against a generator change that makes the comparison vacuous.
     assert compared >= 180 and answered >= 30
+
+
+def _pinned(t):
+    # An answer up to renaming, with its variables' names in order.
+    return repr(canonical(t)), tuple(v.name for v in term_vars(t))
+
+
+def engine_records(plan, registry, uni, budget):
+    """What every engine does on one goal: the answer lists of the
+    exhaustive engines, eval_bounded's answer and resource, and each
+    enumerated answer with Enumeration.steps after its next().  A budget
+    exhaustion is recorded where it happens."""
+    args = (plan.initial, plan.continuations, registry)
+    runs = {
+        "abcde": lambda: eval_abcde(*args, uni=uni, budget=budget),
+        "continuation": lambda: eval_continuation(*args, uni=uni, budget=budget),
+        "stream": lambda: eval_stream(
+            NIL, [plan.initial], plan.continuations, registry,
+            uni=uni, budget=budget,
+        ),
+    }
+    for name, run in runs.items():
+        try:
+            yield name, [_pinned(t) for t in run()]
+        except BudgetExceededError:
+            yield name, "budget"
+    try:
+        bounded = eval_bounded(*args, uni=uni, budget=budget)
+        answer = bounded.answer
+        yield "bounded", answer is not None and _pinned(answer), bounded.resource
+    except BudgetExceededError:
+        yield "bounded", "budget"
+    enum = enumerate_prolog(*args, uni=uni, budget=budget)
+    steps = []
+    try:
+        while True:
+            answer = enum.next()
+            steps.append((answer is not None and _pinned(answer), enum.steps))
+            if answer is None:
+                break
+    except BudgetExceededError:
+        steps.append("budget")
+    yield "enumerate", steps
+
+
+def engine_digest(budget=3000):
+    """sha256 over engine_records for the corpus goals and the 300 + 300
+    generated programs, each record under its goal's text."""
+    digest = hashlib.sha256()
+
+    def add(plan, registry, uni):
+        goal = goal_to_str(plan.goal)
+        for record in engine_records(plan, registry, uni, budget):
+            digest.update(repr((goal, record)).encode("utf-8") + b"\n")
+
+    for pipe in corpus_pipelines():
+        for goal_text in pipe.goals():
+            add(pipe.plan(goal_text), pipe.registry, pipe.uni)
+    for kind, (_, _, _, mode, uni) in RANDOM_KINDS.items():
+        for _, chain, registry, goal in random_cases(kind):
+            add(compile_goal(goal, chain, mode), registry, uni)
+    return digest.hexdigest()
+
+
+# engine_digest(), taken before unit clauses had one compiled form for both
+# evaluation modes.
+ENGINE_DIGEST = "9a557cd03246212be30acc4c891b97f4c71290db55e3128562123a0fa7ebd8e0"
+
+
+class TestPinnedEngines:
+    def test_engine_digest(self):
+        assert engine_digest() == ENGINE_DIGEST

@@ -381,58 +381,49 @@ class TestCompiledUnit:
         )
         # build: (functor, the registers gathered, unary), postfix
         build = (("h", (3, 7), False), ("g", (8, 5), False))
-        match_code = compile_unit(t_in, t_out)
-        assert match_code[:5] == (loads, *checks)
-        assert match_code[5] == (P_,)  # tail: P itself, in register 7
-        assert _gathered(match_code[6]) == build
-        assert match_code[7:] == (9, True)  # out; open: P is absent from t_in
-        unify_code = compile_unit(t_in, t_out, unify=True)
-        assert unify_code[:5] == (loads, *checks)
-        assert unify_code[5] == ()  # tail: P is made fresh per call
-        assert _gathered(unify_code[6]) == build
-        assert unify_code[7:] == (
-            9,
-            True,
+        code = compile_unit(t_in, t_out)
+        assert code[:5] == (loads, *checks)
+        assert code[5] == (P_,)  # tail: P itself, in register 7
+        assert _gathered(code[6]) == build
+        assert code[7:] == (
+            9,  # out
+            1,  # open: P is absent from t_in, and the tail's last register
             (5, 3),  # firsts
             ("_", "X", "_", "X", "_", "Y", "_"),  # names, one per load
-            ("P",),  # fresh: the names of the output-only variables
         )
-        assert compile_unit(t_in, g(X_, Y_))[8] is False
-        # A unary constructor's getter returns its one register bare.
+        assert compile_unit(t_in, g(X_, Y_))[8] == 0
+        # A unary constructor's record holds its one register.
         unary = compile_unit(f(X_), Compound("s", (X_,)))
-        assert _gathered(unary[6]) == (("s", 1, True),)
+        assert unary[6] == (("s", 1, True),)
         assert unary[1] is False  # nothing to check
 
     def test_compiled_units_stay_out_of_the_collector(self):
         # h_4_0_1 is <St,[A|L],M> -> <[A|St],L,M>: no ground subterm, so its
-        # compiled forms hold nothing the collector tracks.  A collection
+        # compiled form holds nothing the collector tracks.  A collection
         # untracks a tuple once its items are untracked, which takes one
         # collection per level: records, sections, the program.
         registry = build_pipeline("nrev", "moded").registry
-        for unify in (False, True):
-            code = compile_unit(*registry.unit["h_4_0_1"], unify)
-            for _ in range(3):
-                gc.collect()
-            assert not gc.is_tracked(code)
+        code = compile_unit(*registry.unit["h_4_0_1"])
+        for _ in range(3):
+            gc.collect()
+        assert not gc.is_tracked(code)
         # Units gather through one shared table: the same program, parsed
         # and converted again, adds no getter to it.
-        for unify in (False, True):
-            for t_in, t_out in registry.unit.values():
-                compile_unit(t_in, t_out, unify)
+        for t_in, t_out in registry.unit.values():
+            compile_unit(t_in, t_out)
         size = len(units._GATHERS)
         again = build_pipeline("nrev", "moded").registry
-        for unify in (False, True):
-            for t_in, t_out in again.unit.values():
-                compile_unit(t_in, t_out, unify)
+        for t_in, t_out in again.unit.values():
+            compile_unit(t_in, t_out)
         assert len(units._GATHERS) == size
 
 
 def _gathered(build):
-    # Each build record with its gather id replaced by the registers that
-    # getter picks: applied to range(n), a getter returns its indices.
+    # Each build record with its register or gather id replaced by the
+    # registers it names: applied to range(n), a getter returns its indices.
     return tuple(
-        (functor, units._GATHERS[gid](range(100)), unary)
-        for functor, gid, unary in build
+        (functor, arg if unary else units._GATHERS[arg](range(100)), unary)
+        for functor, arg, unary in build
     )
 
 
@@ -488,7 +479,7 @@ class TestStoreRunner:
         # U's value may hold V: two passes resolve the store's chains.
         x_pre = s_pre.apply(s_pre.apply(x))
         want = _rename_unify_apply(t_in, t_out, x_pre)
-        code = compile_unit(t_in, t_out, unify=True)
+        code = compile_unit(t_in, t_out)
         got = unify_unit(code, x, bind, trail)
         if got is None:
             assert want is None
@@ -512,14 +503,14 @@ class TestStoreRunner:
     def test_occurs_check(self):
         Y = fresh_var("Y")
         bind, trail = {}, []
-        code = compile_unit(mk_tuple((X_, f(X_))), X_, unify=True)
+        code = compile_unit(mk_tuple((X_, f(X_))), X_)
         assert unify_unit(code, mk_tuple((Y, Y)), bind, trail) is None
         assert bind == {} and trail == []
 
     def test_failure_restores_store(self):
         # The first argument binds U before the constant check fails.
         bind, trail = _store({V_: b})
-        code = compile_unit(f(X_, a), X_, unify=True)
+        code = compile_unit(f(X_, a), X_)
         assert unify_unit(code, f(U_, V_), bind, trail) is None
         assert (bind, trail) == _store({V_: b})
 
@@ -528,14 +519,14 @@ class TestStoreRunner:
         # variable of the unit's name; a repeat binds the subject side.
         Y, Z = fresh_var("Y"), fresh_var("Z")
         bind, trail = {}, []
-        out = unify_unit(compile_unit(f(X_, X_), X_, unify=True), f(Y, Z), bind, trail)
+        out = unify_unit(compile_unit(f(X_, X_), X_), f(Y, Z), bind, trail)
         v = resolved(out, bind)
         assert type(v) is Variable and v.name == "X" and v not in (Y, Z, X_)
         assert resolved(f(Y, Z), bind) == f(v, v)
 
     def test_output_only_variables_fresh_per_call(self):
         bind, trail = {}, []
-        code = compile_unit(X_, f(X_, P_, P_), unify=True)
+        code = compile_unit(X_, f(X_, P_, P_))
         first = unify_unit(code, a, bind, trail)
         second = unify_unit(code, a, bind, trail)
         p1, p2 = first.args[1], second.args[1]
@@ -684,7 +675,10 @@ class TestDeepTerms:
         X, Y = fresh_var("X"), fresh_var("Y")
         t_in = mk_tuple((self.numeral(self.N, X), Y, Y))
         t_out = self.numeral(self.N, mk_tuple((Y, X)))
+        size = len(units._GATHERS)
         code = compile_unit(t_in, t_out)
+        # Unary constructors name their register: only the pair gathers.
+        assert len(units._GATHERS) - size <= 1
         # The repeated Y is compared with two equal, distinct deep terms.
         deep_a = self.numeral(self.N, a)
         x = mk_tuple((self.numeral(self.N, f(b)), deep_a, self.numeral(self.N, a)))
@@ -700,7 +694,7 @@ class TestDeepTerms:
         X, Y = fresh_var("X"), fresh_var("Y")
         t_in = mk_tuple((self.numeral(self.N, X), Y, Y))
         t_out = mk_tuple((Y, X))
-        code = compile_unit(t_in, t_out, unify=True)
+        code = compile_unit(t_in, t_out)
         A, B, C = fresh_var("A"), fresh_var("B"), fresh_var("C")
         # Read mode down the first argument; the repeated Y unifies two deep
         # open terms; a bare subject variable takes write mode all the way.
