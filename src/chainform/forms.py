@@ -6,15 +6,17 @@ places of an atom, as its directive for that name and arity declares them,
 form its input tuple and the 'out' places its output tuple, each preserving
 argument order.  Data flows from the head input and the body atoms' outputs
 (the "source" groups) into the body atoms' inputs and the head output (the
-"sink" groups).
+"sink" groups).  analyse_moded finds a clause's groups, their variables and
+its violations in one walk; the check and the moded conversion each call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import SourceClause, SourceProgram
-from .terms import Variable, mk_tuple, term_vars
+from .terms import Compound, Variable, term_vars
 
 MODED = "moded"
 CHAIN = "chain"
@@ -63,27 +65,74 @@ def split_args(args, modes):
     return tuple(ins), tuple(outs)
 
 
-def moded_groups(clause: SourceClause, program: SourceProgram):
-    """The source groups (head input, then each body atom's output) and the
-    sink groups (each body atom's input, then the head output) of a clause,
-    as tuple terms.  Raises MissingModeError when an atom's predicate has no
+class ModedClause(NamedTuple):
+    """One clause's moded analysis.  Variable sets hold serials."""
+
+    sources: tuple  # argument tuples: the head input, each body output
+    sinks: tuple  # argument tuples: each body input, the head output
+    source_vars: tuple  # of sets, one per source group
+    sink_vars: tuple  # of sets, one per sink group
+    order: dict  # serial -> Variable, in first-occurrence order over the clause
+    violations: list  # check_moded's entries for the clause
+
+
+def analyse_moded(idx, clause: SourceClause, program: SourceProgram) -> ModedClause:
+    """The mode grouping of clause idx, its groups' variables and its
+    violations of the moded conditions, in one walk over each atom
+    argument.  Raises MissingModeError when an atom's predicate has no
     directive for its arity."""
-    ins, outs = [], []
+    atoms = []  # per atom: its input and output tuples and their serials
+    order = {}
     for atom in (clause.head, *clause.body):
         key = (atom.functor, len(atom.args))
         d = program.mode_for(*key)
         if d is None:
             raise MissingModeError("no mode directive for predicate %s/%d" % key)
-        t_in, t_out = split_args(atom.args, d.modes)
-        ins.append(mk_tuple(t_in))
-        outs.append(mk_tuple(t_out))
-    return (ins[0], *outs[1:]), (*ins[1:], outs[0])
-
-
-def group_vars(sources, sinks):
-    """The variable sets of a clause's source groups and of its sink
-    groups, as moded_groups gives them."""
-    return [set(term_vars(t)) for t in sources], [set(term_vars(t)) for t in sinks]
+        t_in, t_out, v_in, v_out = [], [], set(), set()
+        for a, m in zip(atom.args, d.modes):
+            group, serials = (t_in, v_in) if m == "in" else (t_out, v_out)
+            group.append(a)
+            stack = [a]
+            while stack:
+                t = stack.pop()
+                if type(t) is Variable:
+                    serials.add(t.serial)
+                    order.setdefault(t.serial, t)
+                elif type(t) is Compound and not t.ground:
+                    stack.extend(reversed(t.args))
+        atoms.append((tuple(t_in), tuple(t_out), v_in, v_out))
+    ins, outs, in_vars, out_vars = zip(*atoms)
+    source_vars = (in_vars[0], *out_vars[1:])
+    sink_vars = (*in_vars[1:], out_vars[0])
+    # 1. Each sink group's variables are bound by the source groups up to it.
+    violations = []
+    available = set()
+    for i, vs in enumerate(sink_vars):
+        available |= source_vars[i]
+        extra = vs - available
+        if extra:
+            names = _var_list(order[s] for s in extra)
+            detail = "sink group %d uses %s not bound by any earlier source group"
+            violations.append((idx, COND_FLOW, detail % (i, names)))
+    # 2. The source groups are pairwise disjoint exactly when their union,
+    # available, is as large as their sizes summed.  Otherwise one pass over
+    # them, each variable keeping the groups it occurred in so far, finds
+    # every sharing pair.
+    if len(available) < sum(map(len, source_vars)):
+        holders = {}
+        shared = {}  # (i, j) -> the variables groups i < j share
+        for j, vs in enumerate(source_vars):
+            for s in vs:
+                earlier = holders.setdefault(s, [])
+                for i in earlier:
+                    shared.setdefault((i, j), []).append(order[s])
+                earlier.append(j)
+        for i, j in sorted(shared):
+            names = _var_list(shared[i, j])
+            detail = "source groups %d and %d share %s" % (i, j, names)
+            violations.append((idx, COND_DISJOINT, detail))
+    sources, sinks = (ins[0], *outs[1:]), (*ins[1:], outs[0])
+    return ModedClause(sources, sinks, source_vars, sink_vars, order, violations)
 
 
 def check_moded(p: SourceProgram) -> FormReport:
@@ -92,46 +141,8 @@ def check_moded(p: SourceProgram) -> FormReport:
     2. the source groups are pairwise variable-disjoint."""
     violations = []
     for idx, c in enumerate(p.clauses):
-        violations += moded_violations(idx, *group_vars(*moded_groups(c, p)))
+        violations += analyse_moded(idx, c, p).violations
     return FormReport(MODED, violations)
-
-
-def moded_violations(idx, sources, sinks):
-    """check_moded's violations for clause idx, from its group_vars."""
-    violations = []
-    available = set()
-    for i, vs in enumerate(sinks):
-        available |= sources[i]
-        extra = vs - available
-        if extra:
-            violations.append(
-                (
-                    idx,
-                    COND_FLOW,
-                    "sink group %d uses %s not bound by any earlier "
-                    "source group" % (i, _var_list(extra)),
-                )
-            )
-    # One pass over the running union of the source groups: each variable
-    # keeps the groups it occurred in so far.
-    holders = {}
-    shared = {}  # (i, j) -> the variables groups i < j share
-    for j, vs in enumerate(sources):
-        for v in vs:
-            earlier = holders.setdefault(v, [])
-            for i in earlier:
-                shared.setdefault((i, j), set()).add(v)
-            earlier.append(j)
-    for i, j in sorted(shared):
-        violations.append(
-            (
-                idx,
-                COND_DISJOINT,
-                "source groups %d and %d share %s"
-                % (i, j, _var_list(shared[i, j])),
-            )
-        )
-    return violations
 
 
 def _var_list(vs):

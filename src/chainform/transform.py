@@ -37,14 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .chainir import ChainProgram, NonUnit, Unit
-from .forms import (
-    MODED,
-    FormReport,
-    group_vars,
-    moded_groups,
-    moded_violations,
-    split_args,
-)
+from .forms import MODED, FormReport, ModedClause, analyse_moded, split_args
 from .syntax import Goal, SourceClause, SourceProgram
 from .terms import (
     NIL,
@@ -83,45 +76,32 @@ class PassOnProfile:
     stack_var: Variable
 
 
-def _clause_occurrence_order(clause: SourceClause):
-    return term_vars(mk_tuple((clause.head, *clause.body)))
-
-
-def _ordered(vset, order):
-    return tuple(v for v in order if v in vset)
-
-
 def _sigma(vs, stack_var):
     return mk_list(vs, stack_var) if vs else stack_var
 
 
-def _attach(stack_term, group):
+def _attach(stack_term, args):
     """Prepend a stack onto an argument tuple: the tuple stays flat."""
-    return mk_tuple((stack_term, *group.args))
+    return mk_tuple((stack_term, *args))
 
 
-def _pass_on(clause: SourceClause, sources, sinks) -> PassOnProfile:
+def _pass_on(analysis: ModedClause) -> PassOnProfile:
     """Per-seam pass-on sets of a clause, from the variable sets of its
     source and sink groups.
 
     Seam j separates the source groups strictly before it from the sink
     groups at or after it; its pass-on set is the intersection of their
     variable sets, so seam 0 and seam n+1 are always empty.  A variable is
-    passed on at every seam after the first source group it occurs in, up
-    to the last sink group it occurs in; one pass over each side finds
-    those groups."""
-    first = {}
-    for i, vs in enumerate(sources):
-        for v in vs:
-            first.setdefault(v, i)
-    last = {}
-    for k, vs in enumerate(sinks):
-        for v in vs:
-            last[v] = k
-    sets = [[] for _ in range(len(clause.body) + 2)]
-    for v in _clause_occurrence_order(clause):
-        if v in first and v in last:
-            for j in range(first[v] + 1, last[v] + 1):
+    passed on at every seam after the source group it occurs in (the
+    source groups of a moded clause are disjoint), up to the last sink
+    group it occurs in; one pass over each side finds those groups."""
+    n = len(analysis.sources)
+    first = {s: i for i, vs in enumerate(analysis.source_vars) for s in vs}
+    last = {s: k for k, vs in enumerate(analysis.sink_vars) for s in vs}
+    sets = [[] for _ in range(n + 1)]
+    for s, v in analysis.order.items():
+        if s in first and s in last:
+            for j in range(first[s] + 1, last[s] + 1):
                 sets[j].append(v)
     stack_var = fresh_var("St")
     sets = tuple(map(tuple, sets))
@@ -132,10 +112,15 @@ def _pass_on(clause: SourceClause, sources, sinks) -> PassOnProfile:
 def pass_on_set_definite(clause: SourceClause) -> PassOnProfile:
     """The single pass-on set of a definite clause: variables of the clause
     minus those occurring in every atom."""
-    groups = [set(term_vars(a)) for a in (clause.head, *clause.body)]
-    union = set().union(*groups)
-    common = groups[0].intersection(*groups[1:]) if len(groups) > 1 else groups[0]
-    vs = _ordered(union - common, _clause_occurrence_order(clause))
+    order = {}
+    groups = []
+    for atom in (clause.head, *clause.body):
+        vs = term_vars(atom)
+        groups.append({v.serial for v in vs})
+        for v in vs:
+            order.setdefault(v.serial, v)
+    common = groups[0].intersection(*groups[1:])
+    vs = tuple(v for s, v in order.items() if s not in common)
     stack_var = fresh_var("St")
     return PassOnProfile((vs,), (_sigma(vs, stack_var),), stack_var)
 
@@ -144,8 +129,8 @@ class _Names:
     """Fresh predicate names, collision-checked against the source program's
     predicate names and one another."""
 
-    def __init__(self, program: SourceProgram):
-        self.taken = {name for name, _ in program.predicates()}
+    def __init__(self, predicates):
+        self.taken = {name for name, _ in predicates}
 
     def fresh(self, candidate):
         while candidate in self.taken:
@@ -164,8 +149,9 @@ def _convert(p: SourceProgram, kind, seams, source_modes) -> ChainProgram:
     program; each unit source clause yields a single stack-preserving unit
     for its stack-extended predicate.
     """
-    names = _Names(p)
-    entry = {key: names.fresh(key[0] + "_hat") for key in p.predicates()}
+    predicates = p.predicates()
+    names = _Names(predicates)
+    entry = {key: names.fresh(key[0] + "_hat") for key in predicates}
     clauses = []
     provenance = []
     for idx, (clause, (sources, sinks, sigmas)) in enumerate(
@@ -199,13 +185,14 @@ def _convert(p: SourceProgram, kind, seams, source_modes) -> ChainProgram:
 
 def transform_moded(p: SourceProgram) -> ChainProgram:
     """Convert a moded program to chain form (the result is G-chain)."""
+    # Only the groups and the stack terms outlive a clause's analysis:
+    # keeping every clause's variable sets costs peak memory.
     seams = []
     violations = []
     for idx, clause in enumerate(p.clauses):
-        sources, sinks = moded_groups(clause, p)
-        vs = group_vars(sources, sinks)
-        violations += moded_violations(idx, *vs)
-        seams.append((sources, sinks, _pass_on(clause, *vs).sigmas))
+        analysis = analyse_moded(idx, clause, p)
+        violations += analysis.violations
+        seams.append((analysis.sources, analysis.sinks, _pass_on(analysis).sigmas))
     if violations:
         raise TransformError(
             "program is not moded:\n%s" % FormReport(MODED, violations)
@@ -215,7 +202,7 @@ def transform_moded(p: SourceProgram) -> ChainProgram:
 
 
 def _identity_seams(clause):
-    groups = [mk_tuple(a.args) for a in (clause.head, *clause.body)]
+    groups = [a.args for a in (clause.head, *clause.body)]
     profile = pass_on_set_definite(clause)
     st = profile.stack_var
     sigmas = (st, *profile.sigmas * len(clause.body), st)

@@ -12,7 +12,7 @@ from chainform.chainir import compile_to_registry
 from chainform.fixtures import load_fixture
 from chainform.oracle import canonical_answer
 from chainform.syntax import parse_goal
-from chainform.forms import group_vars, moded_groups
+from chainform.forms import analyse_moded
 from chainform.terms import Constant, Variable, canonical, match, rename_many, unify
 from chainform.transform import (
     _pass_on,
@@ -56,7 +56,7 @@ def clause_count_law(p) -> int:
 def pass_on_sets_moded(clause, program):
     """Per-seam pass-on sets of a moded clause, as the moded conversion
     computes them from the clause's source and sink groups."""
-    return _pass_on(clause, *group_vars(*moded_groups(clause, program)))
+    return _pass_on(analyse_moded(0, clause, program))
 
 
 def same_answer_sequence(xs, ys):

@@ -6,14 +6,13 @@ from chainform.forms import (
     COND_DISJOINT,
     COND_FLOW,
     MissingModeError,
+    analyse_moded,
     check_chain,
     check_gchain,
     check_moded,
     check_prechain,
-    moded_groups,
 )
 from chainform.syntax import parse_program
-from chainform.terms import term_vars
 
 SPLIT = """\
 :- mode(s, [in,out,out]).
@@ -84,14 +83,27 @@ class TestModed:
 
     def test_moded_view_groups(self):
         p = parse_program(SPLIT)
-        sources, sinks = moded_groups(p.clauses[1], p)
+        clause = p.clauses[1]
+        analysis = analyse_moded(1, clause, p)
         # Head input [A|N], head output ([A|L], M); body input (N), output (L, M).
-        head_in, body_out = sources
-        body_in, head_out = sinks
-        assert len(head_in.args) == 1
-        assert len(head_out.args) == 2
-        assert len(body_out.args) == 2
-        assert {v.name for v in term_vars(body_in)} == {"N"}
+        head_in, body_out = analysis.sources
+        body_in, head_out = analysis.sinks
+        assert head_in == clause.head.args[:1]
+        assert head_out == clause.head.args[1:]
+        assert body_in == clause.body[0].args[:1]
+        assert body_out == clause.body[0].args[1:]
+        # Variable sets hold serials; the order is first occurrence in the
+        # clause text.
+        order = analysis.order
+        assert [v.name for v in order.values()] == ["A", "N", "L", "M"]
+        assert all(s == v.serial for s, v in order.items())
+
+        def names(groups):
+            return [{order[s].name for s in vs} for vs in groups]
+
+        assert names(analysis.source_vars) == [{"A", "N"}, {"L", "M"}]
+        assert names(analysis.sink_vars) == [{"N"}, {"A", "L", "M"}]
+        assert analysis.violations == []
 
     def test_directive_for_another_arity_does_not_apply(self):
         p = parse_program(":- mode(p,[in,out]).\np(a).\np(a,b).")

@@ -366,6 +366,15 @@ class TestCompiledUnit:
         got = run_unit(compile_unit(f(X_), g(P_, X_)), f(a))
         assert got == g(P_, a) and got.args[0] is P_
 
+    def test_open_unit_on_ground_subject(self):
+        # p(X) -> f(g(P), X) on the ground p(a): the subject is ground but
+        # the unit is open, so every compound enclosing P is built unground.
+        t_in, t_out = Compound("p", (X_,)), f(g(P_), X_)
+        got = run_unit(compile_unit(t_in, t_out), Compound("p", (a,)))
+        assert got == _match_then_apply(t_in, t_out, Compound("p", (a,)))
+        assert got == f(g(P_), a)
+        assert got.ground is False and got.args[0].ground is False
+
     def test_forms_are_flat(self):
         # Registers: 0 the subject, 1-4 f's arguments, 5-6 h's, 7 the
         # output-only P, 8-9 the compounds built.  The walk pops the last

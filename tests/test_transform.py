@@ -1,18 +1,30 @@
 """Conversion-to-chain-form tests: pass-on profiles, clause shapes, clause
-counts, goal compilation."""
+counts, goal compilation, and the conversions pinned on generated
+programs."""
 
+import functools
+import hashlib
 import os
+import random
 
 import pytest
 from conftest import alpha_equivalent, clause_count_law, pass_on_sets_moded
+from genprog import random_definite_program, random_moded_program
 from hypothesis import example, given, settings, strategies as st
 
 from chainform.chainir import NonUnit, Unit, compile_to_registry, dump_registry
 from chainform.cli import _render_chain
 from chainform.fixtures import FIXTURE_NAMES, load_fixture
-from chainform.forms import MissingModeError, check_chain, check_gchain
+from chainform.forms import MissingModeError, check_chain, check_gchain, check_moded
 from chainform.engines import eval_abcde
-from chainform.syntax import Goal, parse_goal, parse_program, term_to_str
+from chainform.syntax import (
+    Goal,
+    ModeDirective,
+    SourceProgram,
+    parse_goal,
+    parse_program,
+    term_to_str,
+)
 from chainform.terms import (
     Compound,
     Constant,
@@ -63,6 +75,91 @@ def test_golden_conversion(fixture, mode):
     text = _render_chain(chain) + dump_registry(compile_to_registry(chain))
     with open(path, encoding="utf-8") as handle:
         assert text == handle.read()
+
+
+def _flip_modes(rng, program):
+    """program with each 'in'/'out' of its directives swapped one time in
+    three, so that about half of the results fail the moded conditions."""
+    flip = {"in": "out", "out": "in"}
+    modes = tuple(
+        ModeDirective(
+            d.predicate,
+            tuple(flip[m] if rng.random() < 1 / 3 else m for m in d.modes),
+        )
+        for d in program.modes
+    )
+    return SourceProgram(program.clauses, modes, program.name)
+
+
+def pinned_programs():
+    """The bundled fixtures, then 300 generated moded programs, 300
+    generated definite programs and 300 generated moded programs with
+    flipped directives, each drawn from its own random.Random(7)."""
+    programs = [load_fixture(name) for name in FIXTURE_NAMES]
+    moded, definite, flipped = (random.Random(7) for _ in range(3))
+    programs += [random_moded_program(moded) for _ in range(300)]
+    programs += [random_definite_program(definite) for _ in range(300)]
+    programs += [
+        _flip_modes(flipped, random_moded_program(flipped)) for _ in range(300)
+    ]
+    return tuple(programs)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (TransformError, MissingModeError) as err:
+        return "%s: %s" % (type(err).__name__, err)
+
+
+def _conversion_text(convert, program):
+    chain = convert(program)
+    return _render_chain(chain) + dump_registry(compile_to_registry(chain))
+
+
+@functools.cache
+def conversion_records():
+    """For each of pinned_programs(): str(check_moded(program)), then the
+    moded and the definite conversion's chain program and registry as
+    `chainform transform --registry` prints them; a refusal in place of any
+    of the three is its exception's type and message."""
+    return tuple(
+        (
+            _outcome(lambda: str(check_moded(program))),
+            _outcome(lambda: _conversion_text(transform_moded, program)),
+            _outcome(lambda: _conversion_text(transform_definite, program)),
+        )
+        for program in pinned_programs()
+    )
+
+
+# sha256 over conversion_records(), taken before the moded check and the
+# moded conversion shared one analysis per clause.
+CONVERSION_DIGEST = "3d95c98d28a1960790a9cfdab9a7dd7b4a1c1145b6ce15bc612d5237a32b4a92"
+
+
+class TestPinnedConversions:
+    def test_conversion_digest(self):
+        digest = hashlib.sha256()
+        for record in conversion_records():
+            digest.update(repr(record).encode("utf-8") + b"\n")
+        assert digest.hexdigest() == CONVERSION_DIGEST
+
+    def test_check_and_conversion_agree(self):
+        """transform_moded refuses exactly the programs check_moded reports
+        violations for, and its message embeds the report; on a missing
+        directive both raise MissingModeError with the same text."""
+        refused = 0
+        for check, moded, _ in conversion_records():
+            if check.startswith("MissingModeError: "):
+                assert moded == check
+            elif check == "moded: holds":
+                assert moded.startswith("% converted to chain form")
+            else:
+                assert moded == "TransformError: program is not moded:\n" + check
+                refused += 1
+        # Guard against a generator change that leaves no refusal to compare.
+        assert refused >= 100
 
 
 def names_of(vs):
