@@ -88,13 +88,15 @@ class Registry:
     unit: dict  # label -> (input term, output term)
     isunit: frozenset  # = set of unit labels
     # predicate -> its alternatives as the engines take them, in either
-    # evaluation mode, one (label, body reversed, None) or (label, None, the
-    # unit compiled once) per clause, filled by the engines on a
-    # predicate's first selection, so a registry is not changed once
-    # evaluated.  The alternatives hold strings and compiled units, whose
-    # builds name registers, or gathers in units' shared table, rather than
-    # holding getters, so the garbage collector stops tracking them.  Not
-    # part of the registry's value: never compared, printed or dumped.
+    # evaluation mode, one (label, body reversed, None), (label, None, the
+    # unit compiled once) or (label, rest of the body reversed, the unit
+    # that alone defines the body's first predicate, compiled) per clause,
+    # filled by the engines on a predicate's first selection, so a
+    # registry is not changed once evaluated.  The alternatives hold
+    # strings and compiled units, whose builds name registers, or gathers
+    # in units' shared table, rather than holding getters, so the garbage
+    # collector stops tracking them.  Not part of the registry's value:
+    # never compared, printed or dumped.
     dispatch: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

@@ -30,7 +30,13 @@ Clause selection reads one dispatch table, kept on the registry
 (Registry.dispatch) and filled on each predicate's first selection, so every
 goal over one registry shares it, in either evaluation mode.  It maps a
 predicate to its alternatives: a non-unit clause's body, reversed, or a unit
-clause compiled once by units.compile_unit.  As in the WAM's
+clause compiled once by units.compile_unit.  A non-unit clause whose body
+starts with a predicate that one unit clause defines, as every clause of
+both conversions starts with its h_0, carries that unit compiled and the
+rest of its body: taking the clause applies the unit at once, as the
+selection of its first predicate would, and spends that selection's
+budget step, so the counts and the budget's exhaustion point are those of
+the unfolded search.  As in the WAM's
 try/retry/trust, a choice point holds an index into that tuple and is
 pushed only while an alternative after the one taken remains: a predicate's
 only or last alternative leaves none, so deterministic recursion runs in
@@ -112,10 +118,15 @@ class _Run:
 
     def alternatives(self, q):
         """q's alternatives in definition order, as the search takes them:
-        (label, body reversed, None) for a non-unit clause and (label, None,
-        compiled unit) for a unit clause.  The search never reads the label;
-        it names the clause a choice point will resume.  Made on q's first
-        selection and kept in the table."""
+        (label, None, compiled unit) for a unit clause, and for a non-unit
+        clause either (label, body reversed, None) or, when the body's first
+        predicate is defined by exactly one clause and that clause is a
+        unit, (label, the rest of the body reversed, that unit compiled).
+        Every h_0 of both conversions is such a predicate, so each clause's
+        first restructuring unit is applied as part of taking the clause.
+        The search never reads the label; it names the clause a choice
+        point will resume.  Made on q's first selection and kept in the
+        table."""
         reg = self.reg
         try:
             labels = reg.defn[q]
@@ -125,8 +136,16 @@ class _Run:
         for label in labels:
             if label in reg.isunit:
                 alts.append((label, None, compile_unit(*reg.unit[label])))
+                continue
+            body = reg.nonunit[label]
+            # Read from defn and isunit, not from the first predicate's own
+            # alternatives, so a left-recursive clause cannot recurse here.
+            first = reg.defn.get(body[0], ())
+            if len(first) == 1 and first[0] in reg.isunit:
+                unit = compile_unit(*reg.unit[first[0]])
+                alts.append((label, body[:0:-1], unit))
             else:
-                alts.append((label, reg.nonunit[label][::-1], None))
+                alts.append((label, body[::-1], None))
         alts = self.table[q] = tuple(alts)
         return alts
 
@@ -144,14 +163,18 @@ def _search(run, x, qs):
     the continuation; its alternatives come from the run's dispatch table
     as (label, body reversed or None, compiled unit or None) triples.  They
     are taken in order: a unit clause is applied to the term by one call of
-    the module-level match or unify, and a non-unit clause prepends its
-    body to rest.  When an alternative is taken and another follows it, a choice
-    point (term, rest, alternatives, index of that next one, trail length
-    at the selection) is pushed; the only or last alternative is taken with
-    none, so deterministic recursion keeps the choice stack flat.  Resuming
-    a choice point first undoes the trail to its mark.  An answer is
-    yielded as the term itself in match mode and resolved through the
-    binding store in unify mode.
+    the module-level match or unify, a non-unit clause prepends its body to
+    rest, and a clause with its first unit folded in spends one more step,
+    applies the unit the same way and prepends the rest of its body.  A
+    unit that fails moves on to the next alternative, just as the unfolded
+    search, its first predicate failing, would resume the choice point that
+    taking the clause pushed.  When an alternative is taken and another
+    follows it, a choice point (term, rest, alternatives, index of that
+    next one, trail length at the selection) is pushed; the only or last
+    alternative is taken with none, so deterministic recursion keeps the
+    choice stack flat.  Resuming a choice point first undoes the trail to
+    its mark.  An answer is yielded as the term itself in match mode and
+    resolved through the binding store in unify mode.
     """
     table = run.table
     matching = run.matching
@@ -194,7 +217,18 @@ def _search(run, x, qs):
                 if i < n:
                     _, body, unit = alts[i]
                     i += 1
-                    if body is None:
+                    if unit is None:
+                        x = y
+                        ks = rest
+                        for q in body:
+                            ks = (q, ks)
+                    else:
+                        if body is not None:
+                            # A folded clause: this is the selection of its
+                            # body's first predicate, one step of its own.
+                            if remaining <= 0:
+                                raise BudgetExceededError(run.budget)
+                            remaining -= 1
                         if matching:
                             # The kernel by its module-level name, looked
                             # up at each attempt: see match.
@@ -204,11 +238,9 @@ def _search(run, x, qs):
                         if x is None:
                             continue
                         ks = rest
-                    else:
-                        x = y
-                        ks = rest
-                        for q in body:
-                            ks = (q, ks)
+                        if body:
+                            for q in body:
+                                ks = (q, ks)
                     if i < n:
                         choices.append((y, rest, alts, i, mark))
                     break

@@ -7,11 +7,14 @@ functors are ``tuple`` (argument grouping, rendered with angle brackets) and
 Terms are immutable.  Every compound term records at construction whether it
 is ground, and each walk below (occurs check, resolution, substitution,
 renaming, variable collection) stops at a ground compound instead of
-descending into it.  Compound computes the flag from its arguments' flags;
-_ground_compound, the one other constructor, takes it as given from a
-caller that knows every argument is ground and the functor interned (the
-match-mode unit runner, whose registers then hold only subterms of a
-ground subject and the clause's own ground subterms).
+descending into it.  Compound computes the flag from its arguments' flags.
+The unit runners of the units module, the one other place compounds are
+made, build their outputs in place (object.__new__, then the three slots)
+and hold the invariant themselves: the match-mode runner sets the flag
+when its registers hold only subterms of a ground subject and the clause's
+own ground subterms, and otherwise computes it from the arguments as
+Compound does.  Their functors come from the clause's compounds, so they
+are interned already, and their args are tuples.
 
 match is the reference one-way matcher: it reads the pattern generically and
 returns a Subst, which apply then substitutes into an output term.  unify,
@@ -85,9 +88,9 @@ class Compound:
     argument terms.
 
     Invariant: ``ground`` is True iff no Variable occurs anywhere inside the
-    term.  It is computed once, here, from the arguments' own flags (or set
-    by _ground_compound, whose caller knows it holds); since terms are never
-    mutated it cannot go stale.
+    term.  It is computed once, here, from the arguments' own flags (or by
+    the unit runners, which build compounds in place: see the module
+    docstring); since terms are never mutated it cannot go stale.
     """
 
     __slots__ = ("functor", "args", "ground")
@@ -150,21 +153,6 @@ class Compound:
                     stack += (a, ", ")
                 stack += (t.args[0], t.functor + "(")
         return "".join(out)
-
-
-_new_object = object.__new__
-
-
-def _ground_compound(functor, args):
-    """Compound(functor, args) for a caller that already knows the result is
-    ground: functor interned, args a tuple of ground terms.  The three
-    slots are set directly, with no intern, no copy and no scan of args;
-    a wrong call would break the ground flag's invariant."""
-    t = _new_object(Compound)
-    t.functor = functor
-    t.args = args
-    t.ground = True
-    return t
 
 
 def fresh_var(name="_G"):

@@ -186,13 +186,18 @@ def _convert(p: SourceProgram, kind, seams, source_modes) -> ChainProgram:
 def transform_moded(p: SourceProgram) -> ChainProgram:
     """Convert a moded program to chain form (the result is G-chain)."""
     # Only the groups and the stack terms outlive a clause's analysis:
-    # keeping every clause's variable sets costs peak memory.
+    # keeping every clause's variable sets costs peak memory.  Once a
+    # violation is found the program is refused, so only the violations
+    # are collected from then on.
     seams = []
     violations = []
     for idx, clause in enumerate(p.clauses):
         analysis = analyse_moded(idx, clause, p)
         violations += analysis.violations
-        seams.append((analysis.sources, analysis.sinks, _pass_on(analysis).sigmas))
+        if not violations:
+            seams.append(
+                (analysis.sources, analysis.sinks, _pass_on(analysis).sigmas)
+            )
     if violations:
         raise TransformError(
             "program is not moded:\n%s" % FormReport(MODED, violations)

@@ -22,23 +22,33 @@ garbage collector no longer tracks a unit that has neither, and compiling
 one adds no tracked object.  Those ground subterms and variables of t_out
 take the registers after the loaded ones.
 
+Both runners build each compound of the output in place: object.__new__
+and its three slots set directly, with no call of Compound.__init__, so
+they hold its invariants themselves.  Functors come from the clause's own
+compounds and are interned already, and args are tuples.  The ground flag
+is computed from the arguments as Compound computes it, except in match
+mode on a ground subject when t_out has no variable absent from t_in: the
+registers then hold only subterms of the subject and of the clause, so
+every compound built is ground and the flag is set without a scan.  That
+is the usual case, match mode on a G-chain program with a ground seed.
+
+A unit whose t_out equals t_in, such as a conversion's ⟨St,R⟩ -> ⟨St,R⟩,
+is an identity: its program has no tail and no build, and its output is
+register 0, the subject itself once the checks pass.
+
 In match mode run_unit executes the program without a substitution; it
-equals terms.match followed by Subst.apply on every unit and term.  Its
-registers only ever hold subterms of the subject and of the clause, so when
-the subject is ground and t_out has no variable absent from t_in, every
-compound it builds is ground: it makes them with terms._ground_compound,
-which sets the ground flag without scanning the arguments.  That is the
-usual case, match mode on a G-chain program with a ground seed.
+equals terms.match followed by Subst.apply on every unit and term.
 
 In unify mode unify_unit executes the same program against a binding store
 (variable serial -> term) with a trail, in the manner of the WAM: it reads
 the subject through the store, binds unbound variables where the pattern
 has structure, unifies repeated variables with occurs check, replaces the
 variables of t_out absent from t_in by fresh copies, and builds the output
-without resolving it.  The store's bindings are undone to a trail mark on
-failure and on backtracking (untrail), and resolved turns a term read under
-the store into a plain one.  Up to renaming it equals terms.rename_many,
-terms.unify and Subst.apply.
+without resolving it.  It reads a register through the store only where the
+register holds a variable.  The store's bindings are undone to a trail mark
+on failure, when the call made any, and on backtracking (untrail), and
+resolved turns a term read under the store into a plain one.  Up to
+renaming it equals terms.rename_many, terms.unify and Subst.apply.
 
 Every walk runs over an explicit stack, so terms of any depth are handled at
 the interpreter's default recursion limit.
@@ -49,14 +59,9 @@ from __future__ import annotations
 import threading
 from operator import itemgetter
 
-from .terms import (
-    Compound,
-    Constant,
-    Variable,
-    _ground_compound,
-    _rebuild,
-    _struct_eq,
-)
+from .terms import Compound, Constant, Variable, _rebuild, _struct_eq
+
+_new_object = object.__new__
 
 # The gather table: gather id -> itemgetter over register indices, and the
 # indices -> their id.  It only grows, by one getter per distinct index
@@ -98,7 +103,8 @@ def compile_unit(t_in, t_out):
                register.  A unary compound's arg is the register of its
                one argument; any other's is the gather id of the getter
                that picks its arguments' registers
-      out:     the register that holds t_out once the build is done
+      out:     the register that holds t_out once the build is done; 0,
+               with no tail and no build, when t_out equals t_in
       open:    the number of t_out's variables absent from t_in, the last
                registers of the tail; an output built from a ground
                subject can still hold a variable iff it is not 0
@@ -132,6 +138,11 @@ def compile_unit(t_in, t_out):
             loads.append((r, p.functor, len(p.args)))
             stack.extend(zip(p.args, range(len(names), len(names) + len(p.args))))
             names += map(_register_name, p.args)
+    checks = tuple(consts), tuple(grounds), tuple(sames)
+    head = (tuple(loads), any(checks), *checks)
+    if _struct_eq(t_in, t_out):
+        # An identity unit: the subject, once checked, is the output.
+        return (*head, (), (), 0, 0, tuple(firsts), tuple(names))
     # The leaves of t_out no load provides, each once: ground subterms,
     # then variables absent from t_in, as dicts used for ordered sets.
     leaves, free = {}, {}
@@ -165,10 +176,9 @@ def compile_unit(t_in, t_out):
         else:
             stack.append((t, True))
             stack.extend((a, False) for a in reversed(t.args))
-    checks = tuple(consts), tuple(grounds), tuple(sames)
     return (
-        tuple(loads), any(checks), *checks, tail, tuple(build), done_regs[0],
-        len(free), tuple(firsts), tuple(names),
+        *head, tail, tuple(build), done_regs[0], len(free), tuple(firsts),
+        tuple(names),
     )
 
 
@@ -181,10 +191,10 @@ def run_unit(code, x):
     x does not match the input.  Equal to match(t_in, x) followed by
     apply(t_out), which stay the reference.
 
-    Every register holds a subterm of x or of the clause.  So when x is
-    ground and the unit is not open, every compound the build makes is
-    ground, and it is made by terms._ground_compound without a scan of its
-    arguments."""
+    An identity unit returns x itself.  Every register holds a subterm of x
+    or of the clause.  So when x is ground and the unit is not open, every
+    compound the build makes is ground, and its flag is set without a scan
+    of its arguments."""
     loads, checked, consts, grounds, sames, tail, build, out, is_open, _, _ = code
     regs = [x]
     for r, functor, n in loads:
@@ -207,19 +217,39 @@ def run_unit(code, x):
         for r, r2 in sames:
             if not _struct_eq(regs[r], regs[r2]):
                 return None
+    if not out:
+        return x
     regs += tail
     tx = type(x)
     if is_open or tx is Variable or tx is Compound and not x.ground:
-        make = Compound
+        _build(build, regs)
     else:
-        make = _ground_compound
+        gathers = _GATHERS
+        for functor, arg, unary in build:
+            t = _new_object(Compound)
+            t.functor = functor
+            t.args = (regs[arg],) if unary else gathers[arg](regs)
+            t.ground = True
+            regs.append(t)
+    return regs[out]
+
+
+def _build(build, regs):
+    # The build over regs, each compound's ground flag computed from its
+    # arguments as Compound computes it.
     gathers = _GATHERS
     for functor, arg, unary in build:
-        if unary:
-            regs.append(make(functor, (regs[arg],)))
-        else:
-            regs.append(make(functor, gathers[arg](regs)))
-    return regs[out]
+        t = _new_object(Compound)
+        t.functor = functor
+        t.args = args = (regs[arg],) if unary else gathers[arg](regs)
+        ground = True
+        for a in args:
+            ta = type(a)
+            if ta is Variable or ta is Compound and not a.ground:
+                ground = False
+                break
+        t.ground = ground
+        regs.append(t)
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +354,19 @@ def unify_unit(code, x, bind, trail):
     output term, or None when x does not unify with the input.
 
     The unit's variables are fresh for each call, as if the clause were
-    renamed apart.  A load reads its register through the store: a compound
-    is checked and its arguments loaded (read mode); an unbound variable is
-    bound to the functor over fresh variables, which become the argument
-    registers (write mode).  Constants and ground subterms bind an unbound
-    variable too.  At a variable's first occurrence an unbound subject
+    renamed apart.  A load reads its register through the store where it
+    holds a variable: a compound is checked and its arguments loaded (read
+    mode); an unbound variable is bound to the functor over fresh
+    variables, which become the argument registers (write mode).  Constants
+    and ground subterms bind an unbound variable too.  At a variable's first occurrence an unbound subject
     variable is bound to a fresh variable named after the unit's; a repeated
     variable is unified, occurs check included, with the subject side on the
     left.  The variables of the output absent from the input are made fresh
     once, into their registers, and the output is built from the registers
     by the same build as run_unit's, not resolved: it means what it says
-    only under the store.  On failure every binding this call made is
-    undone.  Up to renaming, resolved(output, bind) equals the reference:
+    only under the store.  An identity unit's output is register 0, the
+    subject as read.  On failure every binding this call made is undone.
+    Up to renaming, resolved(output, bind) equals the reference:
     rename_many, unify, then Subst.apply.
     """
     (
@@ -347,11 +378,15 @@ def unify_unit(code, x, bind, trail):
     made = None  # the serial of the first variable this call makes
     regs = [x]
     for r, functor, n in loads:
-        s = _deref(regs[r], get)
+        s = regs[r]
         ts = type(s)
+        if ts is Variable:
+            s = _deref(s, get)
+            ts = type(s)
         if ts is Compound:
             if s.functor != functor or len(s.args) != n:
-                untrail(bind, trail, mark)
+                if len(trail) > mark:
+                    untrail(bind, trail, mark)
                 return None
             regs += s.args
         elif ts is Variable:
@@ -363,22 +398,29 @@ def unify_unit(code, x, bind, trail):
             trail.append(s.serial)
             regs += args
         else:
-            untrail(bind, trail, mark)
+            if len(trail) > mark:
+                untrail(bind, trail, mark)
             return None
     for r in firsts:
-        s = _deref(regs[r], get)
-        # Serials only grow, so a variable at or past made came from a
-        # load's write mode above and already carries its pattern's name.
-        if type(s) is Variable and (made is None or s.serial < made):
-            v = Variable(names[r])
-            bind[s.serial] = v
-            trail.append(s.serial)
-            s = v
-        regs[r] = s
+        s = regs[r]
+        if type(s) is Variable:
+            s = _deref(s, get)
+            # Serials only grow, so a variable at or past made came from a
+            # load's write mode above and already carries its pattern's
+            # name.
+            if type(s) is Variable and (made is None or s.serial < made):
+                v = Variable(names[r])
+                bind[s.serial] = v
+                trail.append(s.serial)
+                s = v
+            regs[r] = s
     if checked:
         for r, c in consts:
-            s = _deref(regs[r], get)
+            s = regs[r]
             ts = type(s)
+            if ts is Variable:
+                s = _deref(s, get)
+                ts = type(s)
             if ts is Variable:
                 bind[s.serial] = Constant(c)
                 trail.append(s.serial)
@@ -387,23 +429,23 @@ def unify_unit(code, x, bind, trail):
                 or s.symbol != c
                 or type(s.symbol) is not type(c)
             ):
-                untrail(bind, trail, mark)
+                if len(trail) > mark:
+                    untrail(bind, trail, mark)
                 return None
         for r, t in grounds:
             if not _unify_bound(regs[r], t, bind, trail):
-                untrail(bind, trail, mark)
+                if len(trail) > mark:
+                    untrail(bind, trail, mark)
                 return None
         for r, r2 in sames:
             if not _unify_bound(regs[r2], regs[r], bind, trail):
-                untrail(bind, trail, mark)
+                if len(trail) > mark:
+                    untrail(bind, trail, mark)
                 return None
+    if not out:
+        return regs[0]
     regs += tail
     if n_open:
         regs[-n_open:] = [Variable(v.name) for v in regs[-n_open:]]
-    gathers = _GATHERS
-    for functor, arg, unary in build:
-        if unary:
-            regs.append(Compound(functor, (regs[arg],)))
-        else:
-            regs.append(Compound(functor, gathers[arg](regs)))
+    _build(build, regs)
     return regs[out]

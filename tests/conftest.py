@@ -202,14 +202,26 @@ def oracle_canonical(pipeline, goal_text, depth_budget=10_000):
     return [canonical_answer(goal, a.bindings) for a in result.answers]
 
 
-def counted_search(registry, x, qs, uni, first_only=False, pending=None):
+class BudgetCut(Exception):
+    """counted_search was given a budget and a selection would pass it;
+    answers holds the answers found before."""
+
+    def __init__(self, answers):
+        super().__init__("budget cut after %d answers" % len(answers))
+        self.answers = answers
+
+
+def counted_search(
+    registry, x, qs, uni, first_only=False, pending=None, budget=None
+):
     """Independent instrumented search: depth-first, definition order.
     Returns the answers (at most one with first_only), the composition steps
     and the unit resolutions attempted and succeeded, each counted across
     all branches explored.  Given a list as pending, it appends for each
     answer the number of selections on that answer's derivation that took
-    an alternative other than their predicate's last.  Kept free of the
-    engines module on purpose."""
+    an alternative other than their predicate's last.  Given a budget, it
+    raises BudgetCut at the selection that would make one step more.  Kept
+    free of the engines module on purpose."""
     steps = attempted = succeeded = 0
     answers = []
 
@@ -236,6 +248,8 @@ def counted_search(registry, x, qs, uni, first_only=False, pending=None):
             if pending is not None:
                 pending.append(open_)
             return first_only
+        if steps == budget:
+            raise BudgetCut(answers)
         steps += 1
         labels = registry.defn[k[0]]
         for j, label in enumerate(labels):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    BudgetCut,
     build_pipeline,
     counted_search,
     decoded_canonical,
@@ -27,7 +28,7 @@ from genprog import (
 )
 
 from chainform import engines
-from chainform.chainir import compile_to_registry
+from chainform.chainir import Registry, compile_to_registry
 from chainform.engines import (
     BudgetExceededError,
     enumerate_prolog,
@@ -475,6 +476,27 @@ class TestDefinitions:
         assert enumerate_prolog(x, ["none"], registry).next() is None
         assert eval_bounded(x, ["none"], registry).resource == 1
 
+    def test_first_predicate_folded_only_when_one_unit_defines_it(self):
+        # p_1 is p :- p (left recursive), q_1 is q :- u, u, r_1 is r :- p.
+        # Only u, defined by one unit, folds into q_1; p's only clause is
+        # no unit, and deciding so does not follow p into itself.
+        X = Variable("X")
+        registry = Registry(
+            defn={"p": ("p_1",), "q": ("q_1",), "r": ("r_1",), "u": ("u_1",)},
+            nonunit={"p_1": ("p",), "q_1": ("u", "u"), "r_1": ("p",)},
+            unit={"u_1": (X, Compound("f", (X,)))},
+            isunit=frozenset({"u_1"}),
+        )
+        for uni in ("match", "unify"):
+            with time_limit(5), pytest.raises(BudgetExceededError):
+                eval_abcde(a, ["r"], registry, uni, budget=100)
+            answers, steps, _ = counted_search(registry, a, ["q"], uni)
+            enum = enumerate_prolog(a, ["q"], registry, uni)
+            assert list(enum) == answers == [Compound("f", (Compound("f", (a,)),))]
+            assert enum.steps == steps == 3
+        assert [body for _, body, _ in registry.dispatch["q"]] == [("u",)]
+        assert [unit for _, _, unit in registry.dispatch["p"]] == [None]
+
 
 class TestOpenListScale:
     """len(L, s^N(0)) in definite mode builds L as a list of N fresh
@@ -579,6 +601,59 @@ class TestBudget:
             assert e.steps == first
             assert e.next() is None
             assert e.steps == first
+
+    @pytest.mark.parametrize(
+        "fixture, mode, prefix",
+        [("nrev", "moded", ""), ("append", "definite", "ap(X,Y,")],
+    )
+    def test_every_budget_cuts_where_counted_search_does(
+        self, fixture, mode, prefix
+    ):
+        # A clause's first unit is applied as part of taking the clause,
+        # but its selection still costs its own step, at the same point.
+        pipe = build_pipeline(fixture, mode)
+        goals = [g for g in pipe.goals() if g.startswith(prefix)]
+        assert goals
+        for goal_text in goals:
+            plan = pipe.plan(goal_text)
+            args = (plan.initial, plan.continuations, pipe.registry, pipe.uni)
+            _, full, _ = counted_search(pipe.registry, *args[:2], pipe.uni)
+            for budget in range(full + 1):
+                try:
+                    want = counted_search(
+                        pipe.registry, *args[:2], pipe.uni, budget=budget
+                    )[0]
+                    cut = False
+                except BudgetCut as stop:
+                    want, cut = stop.answers, True
+                where = (goal_text, budget)
+                enum = enumerate_prolog(*args, budget=budget)
+                got = []
+                try:
+                    got.extend(enum)
+                    exhausted = False
+                except BudgetExceededError:
+                    exhausted = True
+                assert exhausted == cut, where
+                assert same_answer_sequence(got, want), where
+                assert enum.steps == (budget if cut else full), where
+                for name, run in EXHAUSTIVE_ENGINES.items():
+                    if cut:
+                        with pytest.raises(BudgetExceededError):
+                            run(args, budget)
+                    else:
+                        assert same_answer_sequence(run(args, budget), want), (
+                            name,
+                            *where,
+                        )
+                if want:
+                    first = eval_bounded(*args, budget=budget)
+                    assert same_answer_sequence([first.answer], want[:1]), where
+                elif cut:
+                    with pytest.raises(BudgetExceededError):
+                        eval_bounded(*args, budget=budget)
+                else:
+                    assert eval_bounded(*args, budget=budget).resource == full
 
     def test_budget_not_hit_on_finite_goal(self, split):
         plan = split.plan("s([a],Y,Z)")

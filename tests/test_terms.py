@@ -1,6 +1,7 @@
 """Tests for the term kernel: unification, matching, renaming, substitution."""
 
 import gc
+import sys
 
 from conftest import alpha_equivalent, build_pipeline
 from hypothesis import example, given, settings, strategies as st
@@ -305,9 +306,13 @@ _FREE_VARS = tuple(Variable(n, -(i + 300)) for i, n in enumerate("PQ"))
 def units_and_subjects(draw):
     """A unit clause t_in -> t_out and a term to apply it to.  Patterns may
     repeat variables and hold ground subterms; outputs may use variables
-    absent from t_in.  The subject is an instance of t_in or any term."""
+    absent from t_in, or be t_in itself (an identity unit).  The subject is
+    an instance of t_in or any term."""
     t_in = draw(_terms(_LEFT_VARS))
-    t_out = draw(_terms(_LEFT_VARS + _FREE_VARS))
+    if draw(st.integers(0, 4)):
+        t_out = draw(_terms(_LEFT_VARS + _FREE_VARS))
+    else:
+        t_out = t_in
     if draw(st.booleans()):
         bindings = draw(
             st.dictionaries(st.sampled_from(_LEFT_VARS), _terms(_RIGHT_VARS))
@@ -353,6 +358,9 @@ class TestCompiledUnit:
     @example((g(X_), f(X_, X_), g(g(a))))
     @example((f(X_), g(P_, a, X_), f(b)))
     @example((f(X_, Constant(1)), X_, f(a, Constant(True))))
+    # Identity units, one with a repeated variable.
+    @example((f(X_, X_), f(X_, X_), f(a, b)))
+    @example((f(X_, g(Y_)), f(X_, g(Y_)), f(U_, g(a))))
     def test_compiled_equals_match_then_apply(self, case):
         t_in, t_out, x = case
         want = _match_then_apply(t_in, t_out, x)
@@ -426,6 +434,33 @@ class TestCompiledUnit:
             compile_unit(t_in, t_out)
         assert len(units._GATHERS) == size
 
+    def test_identity_unit(self):
+        # nrev's h_2_2_1, <St,R> -> <St,R>: no build and no tail, the output
+        # is register 0, and a ground subject comes back as itself.
+        registry = build_pipeline("nrev", "moded").registry
+        t_in, t_out = registry.unit["h_2_2_1"]
+        assert t_in == t_out
+        code = compile_unit(t_in, t_out)
+        assert code[5:9] == ((), (), 0, 0)  # tail, build, out, open
+        x = mk_tuple((mk_list([a]), mk_list([b, a])))
+        assert run_unit(code, x) is x
+        assert run_unit(code, f(a, b)) is None
+        # Structural equality decides, not identity; a renamed copy is no
+        # identity.
+        assert compile_unit(t_in, mk_tuple(t_out.args))[7] == 0
+        assert compile_unit(t_in, rename_many((t_in,))[0])[7] != 0
+
+    def test_nonlinear_identity_unit(self):
+        code = compile_unit(mk_tuple((X_, X_)), mk_tuple((X_, X_)))
+        assert code[5:9] == ((), (), 0, 0)
+        assert code[4] == ((2, 1),)  # sames: X's repeat is still checked
+        assert run_unit(code, mk_tuple((a, b))) is None
+        x = mk_tuple((g(a), g(a)))
+        assert run_unit(code, x) is x
+        bind, trail = {}, []
+        assert unify_unit(code, mk_tuple((a, b)), bind, trail) is None
+        assert bind == {} and trail == []
+
 
 def _gathered(build):
     # Each build record with its register or gather id replaced by the
@@ -461,6 +496,49 @@ def _store(pre):
     return {v.serial: t for v, t in pre.items()}, [v.serial for v in pre]
 
 
+def _assert_well_built(t):
+    # Every compound reachable from t: its ground flag equals a fresh
+    # recursive scan, its functor is interned, its args are a tuple.
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if type(s) is Compound:
+            assert s.ground == _variable_free(s)
+            assert sys.intern(s.functor) is s.functor
+            assert type(s.args) is tuple
+            stack.extend(s.args)
+
+
+class TestInPlaceBuild:
+    """The runners build output compounds without Compound.__init__, so
+    they hold its invariants themselves."""
+
+    @given(units_and_subjects())
+    @settings(max_examples=300)
+    @example((f(X_), g(f(X_), g(P_)), f(a)))
+    @example((f(X_), g(f(X_), a), f(U_)))
+    @example((f(X_), Compound("s", (X_,)), f(g(a))))
+    @example((X_, f(X_, P_, Y_), f(a)))
+    def test_match_mode(self, case):
+        t_in, t_out, x = case
+        got = run_unit(compile_unit(t_in, t_out), x)
+        if got is not None:
+            _assert_well_built(got)
+
+    @given(units_subjects_stores())
+    @settings(max_examples=300)
+    @example((f(X_), Compound("s", (X_,)), f(U_), {}))
+    @example((f(X_, Y_), g(Y_, X_), f(U_, a), {U_: g(V_)}))
+    @example((f(X_), g(P_, a, X_), f(U_), {}))
+    def test_unify_mode(self, case):
+        t_in, t_out, x, pre = case
+        bind, trail = _store(pre)
+        got = unify_unit(compile_unit(t_in, t_out), x, bind, trail)
+        if got is not None:
+            _assert_well_built(got)
+            _assert_well_built(resolved(got, bind))
+
+
 class TestStoreRunner:
     @given(units_subjects_stores())
     @settings(max_examples=300)
@@ -480,6 +558,10 @@ class TestStoreRunner:
     @example((g(X_), f(X_, X_), g(U_), {}))
     @example((f(X_), g(P_, a, X_), f(U_), {}))
     @example((f(X_, Constant(1)), X_, f(U_, Constant(True)), {}))
+    # Identity units: the output is the subject as read.
+    @example((f(X_, X_), f(X_, X_), f(U_, g(V_)), {}))
+    @example((f(X_, g(Y_)), f(X_, g(Y_)), f(U_, U_), {}))
+    @example((X_, X_, U_, {U_: g(V_)}))
     def test_equals_rename_unify_apply(self, case):
         t_in, t_out, x, pre = case
         bind, trail = _store(pre)

@@ -268,6 +268,32 @@ class TestTransformModed:
         with pytest.raises(TransformError):
             transform_moded(parse_program(text))
 
+    def test_refusal_stops_computing_seams(self, monkeypatch):
+        # The second clause violates the flow condition: the conversion
+        # computes the first clause's pass-on sets, then only violations,
+        # and refuses with the check's whole report.
+        from chainform import transform
+
+        text = """\
+        :- mode(s, [in,out,out]).
+        s(L, [], L).
+        s([A|N], [A|L], M) :- s(K, L, M).
+        s([A|N], L, [A|M]) :- s(N, L, M).
+        s([A|N], L, [B|M]) :- s(N, L, M).
+        """
+        program = parse_program(text)
+        calls = []
+        real = transform._pass_on
+        monkeypatch.setattr(
+            transform, "_pass_on", lambda a: calls.append(a) or real(a)
+        )
+        with pytest.raises(TransformError) as refused:
+            transform_moded(program)
+        assert len(calls) == 1
+        report = check_moded(program)
+        assert len(report.violations) == 2
+        assert str(refused.value) == "program is not moded:\n%s" % report
+
     def test_hat_name_collision_avoided(self):
         text = """\
         :- mode(p, [in,out]).
