@@ -15,6 +15,7 @@ separate for readability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .syntax import SourceClause, SourceProgram, _display_names, term_to_str
 from .terms import Compound, fresh_var, mk_tuple, term_vars
@@ -100,6 +101,17 @@ class Registry:
     dispatch: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # The entry predicates, ChainProgram.entry's values, of a registry that
+    # compile_to_registry built from a conversion; None in one built by
+    # hand.  Every other predicate a conversion defines is a restructuring
+    # unit h_j, and the engines take the pure identities among those as
+    # empty bodies (see engines._Run.alternatives), which changes no
+    # answer, step or budget.  So it is not part of the registry's value
+    # either: never compared or printed, and dump_registry does not print
+    # it.  The entry predicates are kept rather than the h_j, which
+    # outnumber them: in perfbench's large-program a set of its 480 entry
+    # predicates takes 33 KB, one of its 1280 h_j 128 KB.
+    entry: Optional[frozenset] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         assert self.isunit == frozenset(self.unit)
@@ -109,6 +121,11 @@ def compile_to_registry(p: ChainProgram, declare_empty=()) -> Registry:
     """Build the registry.  Labels are '<pred>_<j>' with j the 1-based
     position of the clause inside its predicate's definition; alternative
     order is textual order.
+
+    The entry predicates, p.entry's values, are recorded as entry when p
+    records any, as a conversion does: each clause whose role in
+    p.provenance is 'main' defines one, and every other clause is a
+    restructuring unit h_j, the one clause of a predicate of its own.
 
     Predicates used in bodies but never defined are an error, which names
     them by their source predicates where p records them (p.entry); a
@@ -145,6 +162,7 @@ def compile_to_registry(p: ChainProgram, declare_empty=()) -> Registry:
         nonunit,
         unit,
         frozenset(unit),
+        frozenset(p.entry.values()) if p.entry else None,
     )
 
 

@@ -36,11 +36,14 @@ both conversions starts with its h_0, carries that unit compiled and the
 rest of its body: taking the clause applies the unit at once, as the
 selection of its first predicate would, and spends that selection's
 budget step, so the counts and the budget's exhaustion point are those of
-the unfolded search.  As in the WAM's
-try/retry/trust, a choice point holds an index into that tuple and is
-pushed only while an alternative after the one taken remains: a predicate's
-only or last alternative leaves none, so deterministic recursion runs in
-constant choice-stack space.
+the unfolded search.  A pass-through seam, a restructuring unit h_j of a
+conversion that is a pure identity such as nrev's ⟨St,R⟩ -> ⟨St,R⟩, is
+taken as an empty body: its selection spends its step and the unit is
+never run (see _Run.alternatives).  As in the WAM's try/retry/trust, a
+choice point holds an index into that tuple and is pushed only while an
+alternative after the one taken remains: a predicate's only or last
+alternative leaves none, so deterministic recursion runs in constant
+choice-stack space.
 
 Unit resolution runs that one compiled form in one of two ways.  In match
 mode (for ground evaluation over G-chain programs) the query term is matched
@@ -64,12 +67,13 @@ from .terms import is_tuple
 # Unused here: perfbench's kernel counters wrap these names on this module
 # (perfbench/tracing.KERNEL_FUNCTIONS), so they must stay attributes of it.
 from .terms import rename_many, term_vars
-from .units import compile_unit, resolved, untrail
+from .units import compile_unit, is_pass_through, resolved, untrail
 
 # A compiled unit applied to a term, or None.  The engines call these by
 # their module-level names once per unit attempt, match in match mode and
 # unify in unify mode, so that one wrapper on chainform.engines.match or
-# chainform.engines.unify sees every attempt (perfbench counts them so).
+# chainform.engines.unify sees every attempt (perfbench counts them so);
+# a pass-through seam is no attempt, as it runs no unit.
 from .units import run_unit as match
 from .units import unify_unit as unify
 
@@ -124,6 +128,30 @@ class _Run:
         unit, (label, the rest of the body reversed, that unit compiled).
         Every h_0 of both conversions is such a predicate, so each clause's
         first restructuring unit is applied as part of taking the clause.
+
+        A pass-through seam is a restructuring predicate h_j of a
+        conversion (in a registry that records its entry predicates, one
+        that is not among them) whose one clause is a unit compiled to a
+        pure identity (units.is_pass_through), such as nrev's
+        ⟨St,R⟩ -> ⟨St,R⟩.  Its one alternative is (label, (), None), an
+        empty body: its selection spends its step, leaves no choice point
+        and runs no unit.  This is safe because in both conversions the
+        subject at a seam h_j past h_0 is an answer of the body predicate
+        before it, so the output of a unit: a tuple that unit built,
+        ⟨stack, that predicate's output group⟩, or one an identity passed
+        on unchanged.  The seam unit's t_in is ⟨σ_j, the same group⟩, of
+        the same width, so an identity over distinct variables always
+        succeeds on it and returns it: in match mode the subject itself,
+        in unify mode the subject with its unbound variables bound to fresh
+        ones, the same answer up to renaming.  Skipping the unit changes no
+        answer, step, budget exhaustion point or eval_bounded resource;
+        only the kernel sees fewer attempts.  The argument covers the
+        seams a search reaches through clause bodies, as every goal plan's
+        search does, not a continuation that itself starts at an h_j.  A
+        registry built by hand records no entry predicates, so each of its
+        units still runs.  The decision costs a set lookup and a look at
+        the compiled unit, once, at q's first selection.
+
         The search never reads the label; it names the clause a choice
         point will resume.  Made on q's first selection and kept in the
         table."""
@@ -132,10 +160,17 @@ class _Run:
             labels = reg.defn[q]
         except KeyError:
             raise LookupError("no definition for predicate %r" % q) from None
+        # A restructuring predicate of a conversion: neither an entry
+        # predicate nor in a registry built by hand.
+        seam = len(labels) == 1 and reg.entry is not None and q not in reg.entry
         alts = []
         for label in labels:
             if label in reg.isunit:
-                alts.append((label, None, compile_unit(*reg.unit[label])))
+                unit = compile_unit(*reg.unit[label])
+                if seam and is_pass_through(unit):
+                    alts.append((label, (), None))
+                else:
+                    alts.append((label, None, unit))
                 continue
             body = reg.nonunit[label]
             # Read from defn and isunit, not from the first predicate's own

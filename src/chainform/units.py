@@ -182,6 +182,17 @@ def compile_unit(t_in, t_out):
     )
 
 
+def is_pass_through(code):
+    """True iff the compiled unit is a pure identity: t_in = t_out = one
+    compound over distinct variables, so one load, no check, and the output
+    in register 0 (an identity has no tail and no build).  Applied to a
+    compound of that functor and width, it succeeds in either mode and
+    returns the subject: as it is in match mode, and in unify mode as read,
+    each of its unbound variables bound to a fresh one."""
+    loads, checked, _, _, _, _, _, out, _, _, _ = code
+    return len(loads) == 1 and not checked and not out
+
+
 def _register_name(p):
     return p.name if type(p) is Variable else "_"
 

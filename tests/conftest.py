@@ -4,6 +4,7 @@ first-answer step counter."""
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
@@ -13,7 +14,15 @@ from chainform.fixtures import load_fixture
 from chainform.oracle import canonical_answer
 from chainform.syntax import parse_goal
 from chainform.forms import analyse_moded
-from chainform.terms import Constant, Variable, canonical, match, rename_many, unify
+from chainform.terms import (
+    Compound,
+    Constant,
+    Variable,
+    canonical,
+    match,
+    rename_many,
+    unify,
+)
 from chainform.transform import (
     _pass_on,
     compile_goal,
@@ -175,14 +184,23 @@ def pipelines():
 DEFAULT_RECURSION_LIMIT = 1000
 
 
+@contextmanager
+def recursion_limit(limit):
+    """Run the body at the given recursion limit, restoring the old one."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
 @pytest.fixture
 def default_recursion_limit():
     """Run the test at the interpreter's default recursion limit, whatever
     the limit of the test process is."""
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)
-    yield
-    sys.setrecursionlimit(saved)
+    with recursion_limit(DEFAULT_RECURSION_LIMIT):
+        yield
 
 
 def decoded_canonical(pipeline, goal_text, answers):
@@ -211,19 +229,51 @@ class BudgetCut(Exception):
         self.answers = answers
 
 
+def pass_through_predicates(registry):
+    """The predicates the engines take as pass-through seams, decided here
+    from the unit's terms: in a registry that records its entry predicates
+    (one built from a conversion), a predicate that is not one of them,
+    whose one clause is a unit t -> t with t a compound over distinct
+    variables."""
+    if registry.entry is None:
+        return frozenset()
+    out = set()
+    for q, labels in registry.defn.items():
+        if q in registry.entry or len(labels) != 1:
+            continue
+        t_in, t_out = registry.unit.get(labels[0], (None, None))
+        if (
+            type(t_in) is Compound
+            and t_in.args
+            and all(type(v) is Variable for v in t_in.args)
+            and len(set(t_in.args)) == len(t_in.args)
+            and t_in == t_out
+        ):
+            out.add(q)
+    return frozenset(out)
+
+
 def counted_search(
-    registry, x, qs, uni, first_only=False, pending=None, budget=None
+    registry, x, qs, uni, first_only=False, pending=None, budget=None,
+    passes=None, depths=None,
 ):
     """Independent instrumented search: depth-first, definition order.
     Returns the answers (at most one with first_only), the composition steps
     and the unit resolutions attempted and succeeded, each counted across
     all branches explored.  Given a list as pending, it appends for each
     answer the number of selections on that answer's derivation that took
-    an alternative other than their predicate's last.  Given a budget, it
-    raises BudgetCut at the selection that would make one step more.  Kept
-    free of the engines module on purpose."""
+    an alternative other than their predicate's last.  Given a list as
+    passes, it appends (label, term) for each attempt at a pass-through
+    seam (pass_through_predicates), which the engines make without running
+    the unit.  Given a list as depths, it appends for each answer the number
+    of selections of the registry's entry predicates on that answer's
+    derivation, its depth in source clauses.  Given a budget, it raises
+    BudgetCut at the selection that would make one step more.  Kept free of
+    the engines module on purpose."""
     steps = attempted = succeeded = 0
     answers = []
+    seams = pass_through_predicates(registry) if passes is not None else ()
+    entry = registry.entry if depths is not None else ()
 
     def resolve(label, t):
         nonlocal attempted, succeeded
@@ -239,30 +289,36 @@ def counted_search(
         succeeded += y is not None
         return y
 
-    def search(t, k, open_):
+    def search(t, k, open_, depth):
         # True when the search is to stop.  open_ counts the selections on
-        # this branch that have alternatives left.
+        # this branch that have alternatives left, depth its selections of
+        # entry predicates.
         nonlocal steps
         if not k:
             answers.append(t)
             if pending is not None:
                 pending.append(open_)
+            if depths is not None:
+                depths.append(depth)
             return first_only
         if steps == budget:
             raise BudgetCut(answers)
         steps += 1
         labels = registry.defn[k[0]]
+        if k[0] in seams:
+            passes.append((labels[0], t))
+        depth += k[0] in entry
         for j, label in enumerate(labels):
             more = open_ + (j < len(labels) - 1)
             if label in registry.isunit:
                 y = resolve(label, t)
-                if y is not None and search(y, k[1:], more):
+                if y is not None and search(y, k[1:], more, depth):
                     return True
-            elif search(t, registry.nonunit[label] + k[1:], more):
+            elif search(t, registry.nonunit[label] + k[1:], more, depth):
                 return True
         return False
 
-    search(x, tuple(qs), 0)
+    search(x, tuple(qs), 0, 0)
     return answers, steps, (attempted, succeeded)
 
 

@@ -1,7 +1,10 @@
 """Chain IR and registry tests."""
 
+import random
+
 import pytest
-from conftest import alpha_equivalent
+from conftest import MODED_FIXTURES, alpha_equivalent
+from genprog import random_definite_program, random_moded_program
 
 from chainform.chainir import (
     ChainProgram,
@@ -11,6 +14,7 @@ from chainform.chainir import (
     compile_to_registry,
     dump_registry,
 )
+from chainform.fixtures import load_fixture
 from chainform.forms import check_chain
 from chainform.syntax import parse_program
 from chainform.terms import (
@@ -19,7 +23,7 @@ from chainform.terms import (
     fresh_var,
     mk_tuple,
 )
-from chainform.transform import transform_moded
+from chainform.transform import transform_definite, transform_moded
 
 SPLIT = """\
 :- mode(s, [in,out,out]).
@@ -84,6 +88,36 @@ class TestCompile:
         )
         r = compile_to_registry(prog, declare_empty=("q",))
         assert r.defn["q"] == ()
+
+    def test_entry_is_what_provenance_calls_main(self):
+        """The registry of a conversion records the entry predicates: those
+        of the clauses whose role is 'main'.  Every other predicate it
+        defines is a restructuring unit h_j's, whose one clause is that
+        unit; the engines' pass-through seams rest on this."""
+        rng = random.Random(7)
+        programs = [
+            convert(load_fixture(name))
+            for name in MODED_FIXTURES
+            for convert in (transform_moded, transform_definite)
+        ]
+        for _ in range(100):
+            programs.append(transform_moded(random_moded_program(rng)))
+            programs.append(transform_definite(random_definite_program(rng)))
+        for chain in programs:
+            r = compile_to_registry(chain)
+            roles = {}
+            for clause, (_, role) in zip(chain.clauses, chain.provenance, strict=True):
+                roles.setdefault(chain.predicate_of(clause), set()).add(role)
+            assert r.entry == {q for q, rs in roles.items() if rs == {"main"}}
+            for q in set(r.defn) - r.entry:
+                assert roles[q] != {"main"} and len(roles[q]) == 1, q
+                assert len(r.defn[q]) == 1 and r.defn[q][0] in r.isunit, q
+
+    def test_hand_built_program_records_no_entry(self, split_chain):
+        prog = ChainProgram(
+            clauses=split_chain.clauses, provenance=split_chain.provenance
+        )
+        assert compile_to_registry(prog).entry is None
 
     def test_alternative_counts(self, split_chain, split_registry):
         by_pred = {}

@@ -3,10 +3,13 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
+from conftest import CORPUS_GOALS
 
 import chainform
 from chainform import cli
@@ -509,3 +512,70 @@ class TestStats:
         out = capsys.readouterr().out
         assert "ratio" in out
         assert "x" in out.splitlines()[-1]
+
+
+# Characters the random edits insert or substitute: the language's own
+# punctuation, names, digits and layout, a quote, and a digit int() rejects.
+EDIT_CHARS = "()[]|,.:-_ \n%'aXYs09\u00b2"
+
+# Every command the robustness test runs, each given the program file and
+# the goal: check, transform --registry, and solve under every engine and
+# conversion.
+FUZZ_COMMANDS = [
+    lambda path, goal: ["check", path],
+    lambda path, goal: ["transform", path, "--registry"],
+] + [
+    (lambda engine, mode: lambda path, goal: [
+        "solve", path, "-g", goal, "--engine", engine, "--mode", mode,
+        "--budget", "2000",
+    ])(engine, mode)
+    for engine in ("abcde", "continuation", "stream", "bounded")
+    for mode in ("moded", "definite", "auto")
+]
+
+
+def edited(rng, text, edits):
+    """text after that many random one-character insertions, deletions and
+    substitutions."""
+    chars = list(text)
+    for _ in range(edits):
+        op = rng.randrange(3)
+        if op == 0 or not chars:
+            chars.insert(rng.randrange(len(chars) + 1), rng.choice(EDIT_CHARS))
+        elif op == 1:
+            del chars[rng.randrange(len(chars))]
+        else:
+            chars[rng.randrange(len(chars))] = rng.choice(EDIT_CHARS)
+    return "".join(chars)
+
+
+class TestRobustness:
+    def test_edited_inputs_exit_with_documented_codes(self, tmp_path, capsys):
+        """cli.main on fixture texts and corpus goals with up to ten random
+        character edits each: no exception escapes, every return code is a
+        documented one (0-4), and an exit raised is a usage error (2)."""
+        rng = random.Random(16)
+        path = tmp_path / "edited.pl"
+        codes = Counter()
+        for _ in range(250):
+            fixture = rng.choice(sorted(CORPUS_GOALS))
+            # Few edits more often than many, so that more runs get past
+            # the parser.
+            edits = lambda: min(rng.randint(0, 10), rng.randint(0, 10))
+            path.write_text(
+                edited(rng, fixture_text(fixture), edits()), encoding="utf-8"
+            )
+            goal = edited(rng, rng.choice(CORPUS_GOALS[fixture]), edits())
+            for command in FUZZ_COMMANDS:
+                argv = command(str(path), goal)
+                try:
+                    code = main(argv)
+                except SystemExit as err:
+                    assert err.code == 2, argv
+                    code = 2
+                assert code in range(5), argv
+                codes[code] += 1
+                capsys.readouterr()
+        # Edits that keep a program answerable, and ones that break it.
+        assert codes[0] and codes[1] and codes[2], codes
+

@@ -18,6 +18,7 @@ from conftest import (
     decoded_canonical,
     first_answer_steps,
     oracle_canonical,
+    pass_through_predicates,
     same_answer_sequence,
 )
 from genprog import (
@@ -37,6 +38,7 @@ from chainform.engines import (
     eval_continuation,
     eval_stream,
 )
+from chainform.oracle import canonical_answer
 from chainform.syntax import Goal, parse_goal, parse_program
 from chainform.terms import (
     Compound,
@@ -235,9 +237,10 @@ class TestBounded:
 
 
 class TestKernelHook:
-    """Every match-mode unit attempt of every engine calls the module-level
-    name chainform.engines.match once, so a wrapper installed there, as
-    perfbench's kernel counters install theirs, sees all of them."""
+    """Every match-mode unit attempt of every engine but those at
+    pass-through seams calls the module-level name chainform.engines.match
+    once, so a wrapper installed there, as perfbench's kernel counters
+    install theirs, sees all of them.  nrev has pass-through seams."""
 
     ENGINES = {
         "abcde": lambda args: eval_abcde(*args),
@@ -260,23 +263,32 @@ class TestKernelHook:
             return result
 
         monkeypatch.setattr(engines, "match", counted)
+        skipped_in_all = 0
         for goal_text in nrev.goals():
             plan = nrev.plan(goal_text)
             args = (plan.initial, plan.continuations, nrev.registry)
+            passes = []
             answers, _, (attempted, succeeded) = counted_search(
                 nrev.registry, plan.initial, plan.continuations, "match",
-                first_only=engine == "bounded",
+                first_only=engine == "bounded", passes=passes,
             )
             calls["all"] = calls["ok"] = 0
             got = self.ENGINES[engine](args)
             assert got == (answers or [None]), goal_text
-            assert (calls["all"], calls["ok"]) == (attempted, succeeded), goal_text
-            assert attempted > 0
+            # A pass-through seam runs no unit, and its unit never fails.
+            skipped = len(passes)
+            assert calls["all"] == attempted - skipped, goal_text
+            assert calls["ok"] == succeeded - skipped, goal_text
+            assert calls["all"] > 0
+            skipped_in_all += skipped
+        assert skipped_in_all > 0
 
 
 class TestUnifyKernelHook:
-    """Every unify-mode unit attempt of every engine calls the module-level
-    name chainform.engines.unify once, as TestKernelHook checks for match."""
+    """Every unify-mode unit attempt of every engine but those at
+    pass-through seams calls the module-level name chainform.engines.unify
+    once, as TestKernelHook checks for match.  append has no pass-through
+    seam."""
 
     @pytest.mark.parametrize("engine", sorted(TestKernelHook.ENGINES))
     def test_wrapper_counts_every_unit_attempt(self, engine, monkeypatch):
@@ -294,15 +306,18 @@ class TestUnifyKernelHook:
         for goal_text in append.goals():
             plan = append.plan(goal_text)
             args = (plan.initial, plan.continuations, append.registry, "unify")
+            passes = []
             answers, _, (attempted, succeeded) = counted_search(
                 append.registry, plan.initial, plan.continuations, "unify",
-                first_only=engine == "bounded",
+                first_only=engine == "bounded", passes=passes,
             )
             calls["all"] = calls["ok"] = 0
             got = TestKernelHook.ENGINES[engine](args)
             assert same_answer_sequence(got, answers or [None]), goal_text
-            assert (calls["all"], calls["ok"]) == (attempted, succeeded), goal_text
-            assert attempted > 0
+            skipped = len(passes)
+            assert calls["all"] == attempted - skipped, goal_text
+            assert calls["ok"] == succeeded - skipped, goal_text
+            assert calls["all"] > 0
 
 
 class TestKernelNameAtEachAttempt:
@@ -496,6 +511,92 @@ class TestDefinitions:
             assert enum.steps == steps == 3
         assert [body for _, body, _ in registry.dispatch["q"]] == [("u",)]
         assert [unit for _, _, unit in registry.dispatch["p"]] == [None]
+
+
+class TestPassThroughSeams:
+    def test_table_empties_exactly_the_pass_through_predicates(self, pipelines):
+        """After every corpus goal has run, a predicate's alternatives in
+        the dispatch table are one empty body exactly when counted_search
+        takes it for a pass-through seam, and no other alternative is an
+        empty body."""
+        seams = 0
+        for pipe in pipelines:
+            registry = compile_to_registry(pipe.chain)
+            for goal_text in pipe.goals():
+                plan = pipe.plan(goal_text)
+                eval_abcde(plan.initial, plan.continuations, registry, pipe.uni)
+            passing = pass_through_predicates(registry)
+            for q, alts in registry.dispatch.items():
+                if q in passing:
+                    assert alts == ((registry.defn[q][0], (), None),), q
+                    seams += 1
+                else:
+                    assert all(body != () for _, body, _ in alts), q
+        # The moded corpus has seven pass-through seams; no corpus goal
+        # takes gt's recursive clause in quicksort, whose h_1 is one.
+        assert seams == 6
+
+    @pytest.mark.parametrize(
+        "mode,text,goals",
+        [
+            (
+                "moded",
+                ":- mode(p,[in,out]).\n:- mode(q,[in,out]).\n"
+                ":- mode(r,[in,out]).\n"
+                "p(X,Y) :- q(X,a), r(a,Y).\nq(1,a).\nq(2,b).\nr(a,c).\n",
+                {"p(1,Y)": ["p(1,c)"], "p(2,Y)": []},
+            ),
+            (
+                "definite",
+                "p(X) :- q(X,a), q(X,a).\nq(1,Z).\nq(2,b).\n",
+                {"p(1)": ["p(1)"], "p(2)": [], "p(X)": ["p(1)"]},
+            ),
+        ],
+    )
+    def test_identity_with_a_check_still_runs(self, mode, text, goals):
+        """An identity h_j whose input holds a constant, such as
+        ⟨St,a⟩ -> ⟨St,a⟩ or ⟨St,X,a⟩ -> ⟨St,X,a⟩ here, checks its subject
+        and is no pass-through seam: it still runs, and rejects the moded
+        q's answer b."""
+        program = parse_program(text)
+        convert = transform_moded if mode == "moded" else transform_definite
+        chain = convert(program)
+        registry = compile_to_registry(chain)
+        uni = "match" if mode == "moded" else "unify"
+        for goal_text, want in goals.items():
+            plan = compile_goal(parse_goal(goal_text), chain, mode)
+            answers = eval_abcde(plan.initial, plan.continuations, registry, uni)
+            got = [canonical_answer(plan.goal, s) for s in plan.decode_all(answers)]
+            assert got == [canonical(parse_goal(w).atom) for w in want], goal_text
+        checked = [
+            q for q in set(registry.defn) - registry.entry
+            if len(set(registry.unit[registry.defn[q][0]])) == 1
+            and q not in pass_through_predicates(registry)
+        ]
+        assert checked
+        for q in checked:
+            ((_, body, unit),) = registry.dispatch[q]
+            assert body is None and unit is not None, q
+
+    @pytest.mark.parametrize("uni", ["match", "unify"])
+    def test_hand_built_registry_runs_its_identity_units(self, uni):
+        """The subject of an identity unit is a tuple of its width only at
+        the seams of a conversion.  A registry built by hand records no
+        entry predicates, so its identity unit still runs, and fails on a
+        subject that is no tuple; recording an entry set would skip it."""
+        X, Y = Variable("X"), Variable("Y")
+        parts = dict(
+            defn={"u": ("u_1",)},
+            nonunit={},
+            unit={"u_1": (mk_tuple([X, Y]), mk_tuple([X, Y]))},
+            isunit=frozenset({"u_1"}),
+        )
+        registry = Registry(**parts)
+        assert registry.entry is None
+        assert eval_abcde(a, ["u"], registry, uni) == []
+        ((_, body, unit),) = registry.dispatch["u"]
+        assert body is None and unit is not None
+        assert eval_abcde(a, ["u"], Registry(**parts, entry=frozenset()), uni) == [a]
 
 
 class TestOpenListScale:

@@ -12,7 +12,15 @@ from collections import Counter
 
 import pytest
 
-from conftest import build_pipeline, corpus_pipelines, same_answer_sequence
+from conftest import (
+    BudgetCut,
+    alpha_equivalent,
+    build_pipeline,
+    corpus_pipelines,
+    counted_search,
+    recursion_limit,
+    same_answer_sequence,
+)
 from genprog import (
     random_definite_program,
     random_ground_goal,
@@ -33,6 +41,13 @@ from chainform.oracle import canonical_answer, sld_solve
 from chainform.syntax import goal_to_str, parse_goal, parse_program
 from chainform.terms import NIL, canonical, term_vars
 from chainform.transform import compile_goal, transform_definite, transform_moded
+from chainform.units import (
+    compile_unit,
+    is_pass_through,
+    resolved,
+    run_unit,
+    unify_unit,
+)
 
 # Goals with no answer because every candidate unifier would bind a variable
 # to a term containing it.
@@ -272,6 +287,128 @@ def test_random_moded_programs_match_oracle():
         answered += bool(reference.answers)
     # Guard against a generator change that makes the comparison vacuous.
     assert compared >= 180 and answered >= 30
+
+
+# The oracle's depth budget and the engines' step budget on the generated
+# programs, as in the differential tests above.
+RANDOM_DEPTH = 12
+RANDOM_STEPS = 5_000
+# counted_search's budget on a run that the oracle truncates or the engines
+# do not finish: it applies every unifier eagerly, so the terms of some
+# such runs grow at every step.
+CUT_STEPS = 100
+
+
+def searched_cases():
+    """Every corpus goal and every generated program's goal, as (source
+    program, registry, plan, evaluation mode, oracle depth budget)."""
+    for pipe in corpus_pipelines():
+        for goal_text in pipe.goals():
+            yield pipe.source, pipe.registry, pipe.plan(goal_text), pipe.uni, 10_000
+    for kind, (_, _, _, mode, uni) in RANDOM_KINDS.items():
+        for program, chain, registry, goal in random_cases(kind):
+            plan = compile_goal(goal, chain, mode)
+            yield program, registry, plan, uni, RANDOM_DEPTH
+
+
+def _engine_steps(registry, plan, uni):
+    # The steps of a run to exhaustion, None when it passes RANDOM_STEPS.
+    enum = enumerate_prolog(
+        plan.initial, plan.continuations, registry, uni, RANDOM_STEPS
+    )
+    try:
+        for _ in enum:
+            pass
+    except BudgetExceededError:
+        return None
+    return enum.steps
+
+
+@functools.cache
+def searched():
+    """searched_cases, each with the oracle's result and counted_search's
+    answers, the entry-predicate selections on each answer's derivation,
+    its attempts at pass-through seams, and whether its budget cut it off.
+    The budget is the engines' steps on a run that they finish and the
+    oracle does not truncate, else CUT_STEPS."""
+    out = []
+    for case in searched_cases():
+        source, registry, plan, uni, depth_budget = case
+        reference = sld_solve(source, plan.goal, depth_budget)
+        steps = None if reference.truncated else _engine_steps(registry, plan, uni)
+        depths, passes = [], []
+        # counted_search recurses once per step on a derivation.
+        with recursion_limit(RANDOM_STEPS + 1_000):
+            try:
+                answers, _, _ = counted_search(
+                    registry, plan.initial, plan.continuations, uni,
+                    budget=CUT_STEPS if steps is None else steps,
+                    passes=passes, depths=depths,
+                )
+                cut = False
+            except BudgetCut as err:
+                answers, cut = err.answers, True
+        assert not (cut and steps), plan.goal
+        out.append((case, reference, answers, depths, passes, cut))
+    return tuple(out)
+
+
+def test_pass_through_units_return_their_subject():
+    """At every selection of a pass-through seam on the corpus and the
+    generated programs, the unit the engines skip would succeed and return
+    its subject if run: the subject itself in match mode, and in unify
+    mode the subject as read, equal up to renaming once resolved."""
+    seen = Counter()
+    for (_, registry, _, uni, _), _, _, _, passes, _ in searched():
+        codes = {}
+        for label, t in passes:
+            code = codes.get(label)
+            if code is None:
+                code = codes[label] = compile_unit(*registry.unit[label])
+                assert is_pass_through(code), label
+            if uni == "match":
+                assert run_unit(code, t) is t, label
+            else:
+                bind, trail = {}, []
+                out = unify_unit(code, t, bind, trail)
+                assert out is t, label
+                assert alpha_equivalent(resolved(out, bind), t), label
+        seen[uni] += len(passes)
+    # Both modes meet pass-through seams: guard against a vacuous check.
+    assert seen["match"] > 1000 and seen["unify"] > 0, seen
+
+
+def test_entry_selections_are_source_depth():
+    """The premise of a depth bound counted in entry-predicate selections:
+    on the corpus and the generated programs, each answer's entry-predicate
+    selections equal the depth of its SLD derivation on the source
+    program.  Moded answers compare in order and definite ones as
+    multisets of (answer, depth); where the step budget cuts counted_search
+    off, its answers so far must be a prefix, or a sub-multiset, of the
+    oracle's.  Only runs the oracle truncates are skipped."""
+    compared = cut_off = 0
+    for (_, _, plan, uni, _), reference, answers, depths, _, cut in searched():
+        if reference.truncated:
+            continue
+        want = [
+            (canonical_answer(plan.goal, a.bindings), a.depth)
+            for a in reference.answers
+        ]
+        got = []
+        for answer, depth in zip(answers, depths, strict=True):
+            s = plan.decode(answer)
+            if s is not None:
+                got.append((canonical_answer(plan.goal, s), depth))
+        if uni == "match":
+            assert got == (want[: len(got)] if cut else want), plan.goal
+        else:
+            assert (Counter(got) <= Counter(want) if cut
+                    else Counter(got) == Counter(want)), plan.goal
+        compared += 1
+        cut_off += cut
+    # The corpus goals and 249 + 256 generated ones run to the end; 47
+    # moded ones loop where SLD does not (see the differential test).
+    assert compared - cut_off >= 500 and cut_off < 60, (compared, cut_off)
 
 
 def _pinned(t):
