@@ -95,9 +95,12 @@ class Registry:
     # filled by the engines on a predicate's first selection, so a
     # registry is not changed once evaluated.  The alternatives hold
     # strings and compiled units, whose builds name registers, or gathers
-    # in units' shared table, rather than holding getters, so the garbage
-    # collector stops tracking them.  Not part of the registry's value:
-    # never compared, printed or dumped.
+    # in units' shared table, rather than holding getters, and whose match
+    # functions, generated one per shape, are named by an id in another
+    # shared table of units rather than held, so the garbage collector
+    # stops tracking them.  Filling an entry compiles its units; a shape's
+    # function is generated at its first match-mode run.  Not part of
+    # the registry's value: never compared, printed or dumped.
     dispatch: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 a requested check failed (or the program or the
 goal could not be compiled), 2 parse error or usage error (a step budget
-that is not a non-negative integer included), 3 step budget exhausted, 4
-out of memory (or an unexpected recursion error).
+that is not a non-negative integer included, and a program file that
+cannot be read or decoded as UTF-8, or an output file that cannot be
+written), 3 step budget exhausted, 4 out of memory (or an unexpected
+recursion error).
 """
 
 from __future__ import annotations
@@ -76,6 +78,15 @@ COMPILE_ERRORS = (
     GoalError,
     UndefinedPredicateError,
 )
+
+
+class FileAccessError(Exception):
+    """A program file that cannot be read or decoded, or an output file
+    that cannot be written: reported in one line, as a usage error."""
+
+    def __init__(self, verb, path, err):
+        reason = err.strerror if isinstance(err, OSError) and err.strerror else err
+        super().__init__("cannot %s %s: %s" % (verb, path, reason))
 
 
 def _budget(text):
@@ -166,6 +177,9 @@ def main(argv=None) -> int:
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return EXIT_PARSE_ERROR
+    except FileAccessError as err:
+        print("error: %s" % err, file=sys.stderr)
+        return EXIT_PARSE_ERROR
     except BudgetExceededError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_BUDGET
@@ -182,8 +196,11 @@ def entry():
 
 
 def _load(path) -> SourceProgram:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise FileAccessError("read", path, err) from None
     name = os.path.splitext(os.path.basename(path))[0]
     return parse_program(text, name=name)
 
@@ -249,8 +266,11 @@ def cmd_transform(args) -> int:
     text = _render_chain(chain)
     summary = "%d -> %d" % (len(program.clauses), len(chain.clauses))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise FileAccessError("write", args.output, err) from None
         print(summary)
     else:
         sys.stdout.write(text)
@@ -359,8 +379,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_repl(args) -> int:
-    # Built on the first goal; a program that cannot be loaded is reported
-    # at every goal, and the session goes on.
+    # Built on the first goal; a program that cannot be read or loaded is
+    # reported at every goal, and the session goes on.
     session = None
     while True:
         try:
@@ -378,7 +398,7 @@ def cmd_repl(args) -> int:
         except ParseError as err:
             print("parse error: %s" % err)
             continue
-        except COMPILE_ERRORS as err:
+        except (FileAccessError, *COMPILE_ERRORS) as err:
             print("error: %s" % err)
             continue
         enum = enumerate_prolog(

@@ -37,7 +37,21 @@ is an identity: its program has no tail and no build, and its output is
 register 0, the subject itself once the checks pass.
 
 In match mode run_unit executes the program without a substitution; it
-equals terms.match followed by Subst.apply on every unit and term.
+equals terms.match followed by Subst.apply on every unit and term.  Match
+mode is where chain form does all of its unification, so there the
+program is not interpreted: compile_unit also gives a unit its shape, the
+program with every functor, symbol, symbol type and term lifted out into
+the unit's own constants tuple, and each distinct shape one match
+function, generated as straight-line Python with each register a local and
+made by compile() once, at the first match-mode run of a unit of that
+shape.  The program's last two sections are that
+function's id in a shared table and the lifted constants, so a compiled
+unit still holds no function object, which the collector would track, and
+renamed copies of a program share every function.  The generated source
+refers to registers and to positions in the constants tuple only: no text
+of a clause reaches it, and it exists only in memory.  Units of more than
+_MAX_REGISTERS registers keep the register loop, since compile()'s cost
+grows with the unit; unify mode always runs the program as it is.
 
 In unify mode unify_unit executes the same program against a binding store
 (variable serial -> term) with a trail, in the manner of the WAM: it reads
@@ -56,7 +70,9 @@ the interpreter's default recursion limit.
 
 from __future__ import annotations
 
+import itertools
 import threading
+from functools import partial
 from operator import itemgetter
 
 from .terms import Compound, Constant, Variable, _rebuild, _struct_eq
@@ -83,7 +99,7 @@ def compile_unit(t_in, t_out):
     """The unit clause t_in -> t_out as a flat program, the one that both
     run_unit and unify_unit execute.
 
-    The program is a tuple of eleven sections.  Register 0 holds the
+    The program is a tuple of thirteen sections.  Register 0 holds the
     subject; each load appends a compound's arguments as the next
     registers, so every pattern position has a register known here.  Every
     record is a fixed-width tuple, read by unpacking.
@@ -112,6 +128,13 @@ def compile_unit(t_in, t_out):
                                     occurrence
       names:   one name per loaded register: the pattern variable's there,
                else _
+      shape:   the id of the unit's generated match function in the
+               shape table, or None for a unit of more than
+               _MAX_REGISTERS registers (loaded, tail and built)
+      lifted:  the constants that function reads, in the order _source
+               numbers them: each load's functor, each constant check's
+               symbol and its type, each ground check's term, the tail,
+               and each build record's functor
     A variable of t_in is bound at its first occurrence by being that
     register, so matching allocates no substitution.  Functors come from
     the clause's own compounds, so they are interned already.  Both walks
@@ -142,7 +165,10 @@ def compile_unit(t_in, t_out):
     head = (tuple(loads), any(checks), *checks)
     if _struct_eq(t_in, t_out):
         # An identity unit: the subject, once checked, is the output.
-        return (*head, (), (), 0, 0, tuple(firsts), tuple(names))
+        return (
+            *head, (), (), 0, 0, tuple(firsts), tuple(names),
+            *_shape(head, (), (), 0, 0, len(names)),
+        )
     # The leaves of t_out no load provides, each once: ground subterms,
     # then variables absent from t_in, as dicts used for ordered sets.
     leaves, free = {}, {}
@@ -159,7 +185,7 @@ def compile_unit(t_in, t_out):
     tail = (*leaves, *free)
     at = dict(first)
     at.update(zip(tail, range(len(names), len(names) + len(tail))))
-    build = []
+    build, gathered = [], []
     done_regs = []  # the registers of the finished subterms, postfix
     stack = [(t_out, False)]
     while stack:
@@ -173,12 +199,15 @@ def compile_unit(t_in, t_out):
             done_regs.append(len(names) + len(tail) + len(build))
             arg = args[0] if n == 1 else _gather_id(args)
             build.append((t.functor, arg, n == 1))
+            gathered.append(args)
         else:
             stack.append((t, True))
             stack.extend((a, False) for a in reversed(t.args))
+    build = tuple(build)
     return (
-        *head, tail, tuple(build), done_regs[0], len(free), tuple(firsts),
+        *head, tail, build, done_regs[0], len(free), tuple(firsts),
         tuple(names),
+        *_shape(head, tail, build, done_regs[0], len(free), len(names), gathered),
     )
 
 
@@ -189,8 +218,8 @@ def is_pass_through(code):
     compound of that functor and width, it succeeds in either mode and
     returns the subject: as it is in match mode, and in unify mode as read,
     each of its unbound variables bound to a fresh one."""
-    loads, checked, _, _, _, _, _, out, _, _, _ = code
-    return len(loads) == 1 and not checked and not out
+    loads, checked = code[:2]
+    return len(loads) == 1 and not checked and not code[7]
 
 
 def _register_name(p):
@@ -202,11 +231,16 @@ def run_unit(code, x):
     x does not match the input.  Equal to match(t_in, x) followed by
     apply(t_out), which stay the reference.
 
-    An identity unit returns x itself.  Every register holds a subterm of x
+    A unit of at most _MAX_REGISTERS registers runs its shape's generated
+    match function; a larger one runs the register loop below.  An
+    identity unit returns x itself.  Every register holds a subterm of x
     or of the clause.  So when x is ground and the unit is not open, every
     compound the build makes is ground, and its flag is set without a scan
     of its arguments."""
-    loads, checked, consts, grounds, sames, tail, build, out, is_open, _, _ = code
+    shape = code[11]
+    if shape is not None:
+        return _MATCHERS[shape](x, code)
+    loads, checked, consts, grounds, sames, tail, build, out, is_open = code[:9]
     regs = [x]
     for r, functor, n in loads:
         s = regs[r]
@@ -230,19 +264,27 @@ def run_unit(code, x):
                 return None
     if not out:
         return x
-    regs += tail
     tx = type(x)
     if is_open or tx is Variable or tx is Compound and not x.ground:
-        _build(build, regs)
-    else:
-        gathers = _GATHERS
-        for functor, arg, unary in build:
-            t = _new_object(Compound)
-            t.functor = functor
-            t.args = (regs[arg],) if unary else gathers[arg](regs)
-            t.ground = True
-            regs.append(t)
+        return _finish(code, regs)
+    regs += tail
+    gathers = _GATHERS
+    for functor, arg, unary in build:
+        t = _new_object(Compound)
+        t.functor = functor
+        t.args = (regs[arg],) if unary else gathers[arg](regs)
+        t.ground = True
+        regs.append(t)
     return regs[out]
+
+
+def _finish(code, regs):
+    # The output of a unit whose input matched, given the loaded registers,
+    # when its compounds' ground flags need computing: an open unit, or a
+    # subject that holds a variable.
+    regs += code[5]
+    _build(code[6], regs)
+    return regs[code[7]]
 
 
 def _build(build, regs):
@@ -261,6 +303,192 @@ def _build(build, regs):
                 break
         t.ground = ground
         regs.append(t)
+
+
+# ---------------------------------------------------------------------------
+# Match functions, one per shape.
+#
+# A unit's shape is its program with every functor, symbol, symbol type and
+# term lifted out: register numbers, arities, and the kinds of its checks
+# and build.  Each shape gets one function, generated as straight-line
+# Python source and made by compile() when a unit of that shape first runs
+# in match mode; until then its table entry is a stand-in that does this,
+# so a shape only unify mode meets is never generated.  Its signature is
+# (subject, compiled unit) -> output or None, the same as run_unit's with
+# the arguments swapped.  The source names registers r0, r1, ... and reads
+# every lifted constant as k[i], k being the unit's lifted section, so
+# nothing of the clause, and nothing a user wrote, ever reaches its text.
+# The text lives only in memory and is dropped once compiled: the
+# repository holds no generated code.  Units that differ only in their
+# functors and constants, such as a program's renamed copies, share one
+# function.
+#
+# The function covers the usual case, a ground subject and a unit that is
+# not open, where every compound built is ground.  Otherwise, once the
+# checks pass, it hands its loaded registers to _finish, which computes the
+# ground flags as the register loop does.
+#
+# The functions live in one table here, append-only and locked as the
+# gather table is, so a compiled unit holds only a shape id and its lifted
+# tuple, and the collector stops tracking it as before.  A function object
+# per unit would be a tracked object per unit, which every collection
+# walks.  A unit of more than _MAX_REGISTERS registers gets no function,
+# and run_unit interprets its program: generating a function costs about
+# 0.35 ms for a small shape and grows with the unit, by 10 µs a register
+# on a flat unit and 50-65 µs on a deeply nested one (Python 3.11), so a
+# unit of thousands of registers is not worth it.
+
+# The largest unit of either conversion of the bundled fixtures has 28
+# registers.
+_MAX_REGISTERS = 64
+
+# Shape id -> match function, or its stand-in until the shape's first
+# match-mode run, and the shape key -> its id.  A key is a tuple of ints,
+# never source text.
+_MATCHERS = []
+_SHAPE_IDS = {}
+_SHAPE_LOCK = threading.Lock()
+
+# The globals of every generated function.
+_GENERATED_GLOBALS = {
+    "Compound": Compound,
+    "Constant": Constant,
+    "Variable": Variable,
+    "_new": _new_object,
+    "_struct_eq": _struct_eq,
+    "_finish": _finish,
+}
+
+
+def _shape(head, tail, build, out, n_open, n_loaded, gathered=()):
+    # The last two sections of a compiled unit: its shape id, or None when
+    # it is over the cap, and its lifted constants.
+    loads, _, consts, grounds, sames = head
+    if n_loaded + len(tail) + len(build) > _MAX_REGISTERS:
+        return None, ()
+    key = (
+        tuple([(r, n) for r, _, n in loads]),
+        tuple([r for r, _ in consts]),
+        tuple([r for r, _ in grounds]),
+        sames,
+        tuple(gathered),
+        out,
+        n_open,
+        n_loaded,
+        len(tail),
+    )
+    lifted = [functor for _, functor, _ in loads]
+    for _, c in consts:
+        lifted += (c, type(c))
+    lifted += [t for _, t in grounds]
+    lifted += tail
+    lifted += [functor for functor, _, _ in build]
+    return _shape_id(key), tuple(lifted)
+
+
+def _shape_id(key):
+    # A shape is in _SHAPE_IDS only once its entry is in _MATCHERS, so a
+    # hit needs no lock.  The entry is a stand-in until the shape's first
+    # match-mode run, which generates the function: a unit only ever run in
+    # unify mode costs no compile().
+    sid = _SHAPE_IDS.get(key)
+    if sid is not None:
+        return sid
+    with _SHAPE_LOCK:
+        sid = _SHAPE_IDS.get(key)
+        if sid is None:
+            sid = len(_MATCHERS)
+            _MATCHERS.append(partial(_generate, sid, key))
+            _SHAPE_IDS[key] = sid
+    return sid
+
+
+def _generate(sid, key, x, code):
+    # The stand-in for shape sid: make its function, put it in the table
+    # in the stand-in's place, and run it.
+    with _SHAPE_LOCK:
+        match = _MATCHERS[sid]
+        if type(match) is partial:
+            namespace = {}
+            exec(
+                compile(_source(key), "<unit shape %d>" % sid, "exec"),
+                _GENERATED_GLOBALS,
+                namespace,
+            )
+            match = _MATCHERS[sid] = namespace["match"]
+    return match(x, code)
+
+
+def _source(key):
+    """The Python source of the match function of a shape: run_unit's
+    register loop unrolled for that shape, each register a local."""
+    loads, consts, grounds, sames, gathered, out, n_open, n_loaded, n_tail = key
+    k = itertools.count()  # the next lifted constant's index
+    lines = ["def match(r0, code):", " k = code[12]"]
+    fail = "return None"
+    nxt = 1
+    for r, n in loads:
+        targets = ", ".join("r%d" % i for i in range(nxt, nxt + n))
+        nxt += n
+        lines += [
+            " if type(r%d) is not Compound or r%d.functor != k[%d]: %s"
+            % (r, r, next(k), fail),
+            " a = r%d.args" % r,
+            " if len(a) != %d: %s" % (n, fail),
+            " %s, = a" % targets,
+        ]
+    for r in consts:
+        lines.append(
+            " if type(r%d) is not Constant or r%d.symbol != k[%d]"
+            " or type(r%d.symbol) is not k[%d]: %s"
+            % (r, r, next(k), r, next(k), fail)
+        )
+    for r in grounds:
+        i = next(k)
+        lines.append(
+            " if r%d is not k[%d] and not _struct_eq(k[%d], r%d): %s"
+            % (r, i, i, r, fail)
+        )
+    for r, r2 in sames:
+        lines.append(
+            " if r%d is not r%d and not _struct_eq(r%d, r%d): %s"
+            % (r, r2, r, r2, fail)
+        )
+    # Each register as an expression: a loaded one or a built one is a
+    # local, one of the tail a lifted constant.
+    expr = ["r%d" % r for r in range(n_loaded)]
+    expr += ["k[%d]" % next(k) for _ in range(n_tail)]
+    if not gathered:
+        lines.append(" return %s" % expr[out])
+        return "\n".join(lines) + "\n"
+    # An open unit's output holds a variable whatever the subject, and a
+    # subject holding one passes it on: both take _finish, which computes
+    # each compound's ground flag.  A subject checked against a constant
+    # or a ground term is ground.
+    finish = " return _finish(code, [%s])" % ", ".join(expr[:n_loaded])
+    if n_open:
+        lines.append(finish)
+        return "\n".join(lines) + "\n"
+    if loads:
+        lines.append(" if not r0.ground:" + finish)
+    elif not consts and not grounds:
+        lines.append(
+            " if type(r0) is Variable or type(r0) is Compound and not r0.ground:"
+            + finish
+        )
+    # Every register holds a subterm of a ground subject or of the clause,
+    # so every compound built is ground.
+    for args in gathered:
+        r = len(expr)
+        lines += [
+            " r%d = _new(Compound)" % r,
+            " r%d.functor = k[%d]" % (r, next(k)),
+            " r%d.args = (%s,)" % (r, ", ".join(expr[a] for a in args)),
+            " r%d.ground = True" % r,
+        ]
+        expr.append("r%d" % r)
+    lines.append(" return r%d" % out)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +610,7 @@ def unify_unit(code, x, bind, trail):
     """
     (
         loads, checked, consts, grounds, sames, tail, build, out, n_open,
-        firsts, names,
+        firsts, names, _, _,
     ) = code
     mark = len(trail)
     get = bind.get

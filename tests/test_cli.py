@@ -486,6 +486,88 @@ class TestRepl:
         assert out.count("Y = ") == 1
 
 
+def _unreadable(kind, tmp_path):
+    """A program path that cannot be read: missing, a directory, or a file
+    that is not UTF-8."""
+    path = tmp_path / ("%s.pl" % kind)
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "undecodable":
+        path.write_bytes(b"s([],[],[]).\n% caf\xe9\n")
+    return str(path)
+
+
+UNREADABLE = ("missing", "directory", "undecodable")
+REASONS = {
+    "missing": "No such file or directory",
+    "directory": "Is a directory",
+    "undecodable": "'utf-8' codec can't decode byte 0xe9",
+}
+FILE_COMMANDS = {
+    "check": lambda path: ["check", path],
+    "transform": lambda path: ["transform", path],
+    "solve": lambda path: ["solve", path, "-g", "s([a],Y,Z)"],
+    "stats": lambda path: ["stats", path],
+}
+
+
+class TestFileErrors:
+    """A file that cannot be read or written is a usage error: one line on
+    stderr, exit 2, no traceback."""
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+    def test_unreadable_program(self, command, kind, tmp_path, capsys):
+        path = _unreadable(kind, tmp_path)
+        assert main(FILE_COMMANDS[command](path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read %s: %s" % (path, REASONS[kind]))
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_transform_into_a_missing_directory(self, split_file, tmp_path, capsys):
+        out = tmp_path / "absent" / "chain.pl"
+        assert main(["transform", split_file, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: cannot write %s: No such file or directory\n" % out
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_process_prints_no_traceback(self, kind, tmp_path):
+        path = _unreadable(kind, tmp_path)
+        proc = run_python(["-m", "chainform.cli", "check", path], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot read %s: " % path)
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_repl_reports_and_goes_on(self, kind, tmp_path, monkeypatch, capsys):
+        # The program becomes readable after the first goal: the second
+        # goal builds the session and is answered.
+        path = _unreadable(kind, tmp_path)
+
+        class Script(io.StringIO):
+            goals = 0
+
+            def readline(self, *args):
+                line = super().readline(*args)
+                self.goals += 1
+                if self.goals == 2:
+                    if kind == "directory":
+                        os.rmdir(path)
+                    with open(path, "w", encoding="utf-8") as handle:
+                        handle.write(fixture_text("split"))
+                return line
+
+        monkeypatch.setattr("sys.stdin", Script("s([a],Y,Z)\ns([a],Y,Z)\nn\n"))
+        assert main(["repl", path]) == 0
+        out = capsys.readouterr().out
+        assert out.count("error: cannot read %s: %s" % (path, REASONS[kind])) == 1
+        assert "Y = [], Z = [a]" in out
+
+
 class TestStats:
     def test_reference_rows_flagged(self, capsys):
         assert main(["stats"]) == 0

@@ -1,9 +1,18 @@
 """Tests for the term kernel: unification, matching, renaming, substitution."""
 
+import ast
 import gc
 import sys
+from contextlib import contextmanager
+from types import FunctionType
 
-from conftest import alpha_equivalent, build_pipeline
+import pytest
+from conftest import (
+    DEFINITE_FIXTURES,
+    MODED_FIXTURES,
+    alpha_equivalent,
+    build_pipeline,
+)
 from hypothesis import example, given, settings, strategies as st
 
 from chainform import units
@@ -333,41 +342,92 @@ U_, V_, W_ = _RIGHT_VARS
 P_ = _FREE_VARS[0]
 
 
-class TestCompiledUnit:
-    @given(units_and_subjects())
-    @settings(max_examples=300)
-    @example((Constant(1), a, Constant("1")))
-    @example((Constant("1"), a, Constant("1")))
-    @example((f(X_), X_, f(a, b)))
-    @example((f(X_, X_), X_, f(a, b)))
-    @example((f(X_, X_), g(X_, P_), f(g(a), g(a))))
-    @example((f(g(a, b), X_), X_, f(g(a, b), b)))
-    @example((f(g(a, b), X_), X_, f(g(a, Constant("c")), b)))
-    @example((X_, f(X_, P_, Y_), f(a)))
+# A 0-ary compound: ground, so a pattern checks it as a ground subterm.
+n0 = Compound("n", ())
+
+# One case of each kind of record per runner: constant checks that differ
+# only in the symbol's type, ground subterms, repeated variables, open
+# outputs, 0-ary compounds and identity units.
+MATCH_EXAMPLES = (
+    (Constant(1), a, Constant("1")),
+    (Constant("1"), a, Constant("1")),
+    (f(X_), X_, f(a, b)),
+    (f(X_, X_), X_, f(a, b)),
+    (f(X_, X_), g(X_, P_), f(g(a), g(a))),
+    (f(g(a, b), X_), X_, f(g(a, b), b)),
+    (f(g(a, b), X_), X_, f(g(a, Constant("c")), b)),
+    (X_, f(X_, P_, Y_), f(a)),
     # Where every compound built must not be taken for ground: a ground
     # subject with an output-only variable, and a subject with a variable.
-    @example((f(X_), g(f(X_), g(P_)), f(a)))
-    @example((f(X_), g(f(X_), a), f(U_)))
+    (f(X_), g(f(X_), g(P_)), f(a)),
+    (f(X_), g(f(X_), a), f(U_)),
     # A unary constructor; outputs that are a bare register and a bare
     # ground term; one register gathered twice; a ground leaf before an
     # output-only variable; a symbol equal to the subject's in another type.
-    @example((f(X_), Compound("s", (X_,)), f(g(a))))
-    @example((f(X_, Y_), Y_, f(a, g(b))))
-    @example((f(X_), g(a, b), f(a)))
-    @example((f(X_), b, f(a)))
-    @example((g(X_), f(X_, X_), g(g(a))))
-    @example((f(X_), g(P_, a, X_), f(b)))
-    @example((f(X_, Constant(1)), X_, f(a, Constant(True))))
+    (f(X_), Compound("s", (X_,)), f(g(a))),
+    (f(X_, Y_), Y_, f(a, g(b))),
+    (f(X_), g(a, b), f(a)),
+    (f(X_), b, f(a)),
+    (g(X_), f(X_, X_), g(g(a))),
+    (f(X_), g(P_, a, X_), f(b)),
+    (f(X_, Constant(1)), X_, f(a, Constant(True))),
+    # 0-ary compounds: checked against another 0-ary compound, a constant
+    # of the same name and a compound of the same functor; built into the
+    # output as a ground leaf.
+    (f(X_, n0), g(X_, n0), f(a, n0)),
+    (f(X_, n0), X_, f(a, Compound("m", ()))),
+    (f(X_, n0), X_, f(a, Constant("n"))),
+    (f(X_, n0), X_, f(a, Compound("n", (a,)))),
+    # A pattern that is a constant, a ground compound or a variable at the
+    # root, on a ground and a non-ground subject.
+    (g(a, b), f(P_), g(a, b)),
+    (X_, g(X_, X_), g(U_)),
+    (X_, g(X_, X_), g(a)),
     # Identity units, one with a repeated variable.
-    @example((f(X_, X_), f(X_, X_), f(a, b)))
-    @example((f(X_, g(Y_)), f(X_, g(Y_)), f(U_, g(a))))
+    (f(X_, X_), f(X_, X_), f(a, b)),
+    (f(X_, g(Y_)), f(X_, g(Y_)), f(U_, g(a))),
+    (f(X_, g(Y_)), f(X_, g(Y_)), f(a, g(a))),
+)
+
+
+def _match_examples(test):
+    for case in reversed(MATCH_EXAMPLES):
+        test = example(case)(test)
+    return test
+
+
+@contextmanager
+def _interpreted():
+    # Every unit compiled inside is over the cap, so run_unit interprets
+    # its program instead of calling a generated match function.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(units, "_MAX_REGISTERS", 0)
+        yield
+
+
+def _check_match_then_apply(t_in, t_out, x):
+    want = _match_then_apply(t_in, t_out, x)
+    got = run_unit(compile_unit(t_in, t_out), x)
+    assert got == want
+    if got is not None:
+        _assert_ground_flags(got)
+
+
+class TestCompiledUnit:
+    @given(units_and_subjects())
+    @settings(max_examples=300)
+    @_match_examples
     def test_compiled_equals_match_then_apply(self, case):
-        t_in, t_out, x = case
-        want = _match_then_apply(t_in, t_out, x)
-        got = run_unit(compile_unit(t_in, t_out), x)
-        assert got == want
-        if got is not None:
-            _assert_ground_flags(got)
+        _check_match_then_apply(*case)
+
+    @given(units_and_subjects())
+    @settings(max_examples=300)
+    @_match_examples
+    def test_interpreted_equals_match_then_apply(self, case):
+        with _interpreted():
+            code = compile_unit(*case[:2])
+            assert code[11] is None
+            _check_match_then_apply(*case)
 
     def test_output_only_variable_is_shared(self):
         # Match mode renames nothing: the unit's own variable is the output.
@@ -402,12 +462,17 @@ class TestCompiledUnit:
         assert code[:5] == (loads, *checks)
         assert code[5] == (P_,)  # tail: P itself, in register 7
         assert _gathered(code[6]) == build
-        assert code[7:] == (
+        assert code[7:11] == (
             9,  # out
             1,  # open: P is absent from t_in, and the tail's last register
             (5, 3),  # firsts
             ("_", "X", "_", "X", "_", "Y", "_"),  # names, one per load
         )
+        # shape: the id of its generated match function; lifted: what that
+        # function reads, in order: the loads' functors, the constant's
+        # symbol and type, the ground term, the tail, the built functors.
+        assert type(code[11]) is int
+        assert code[12] == ("f", "h", "a", str, g(a, b), P_, "h", "g")
         assert compile_unit(t_in, g(X_, Y_))[8] == 0
         # A unary constructor's record holds its one register.
         unary = compile_unit(f(X_), Compound("s", (X_,)))
@@ -471,6 +536,138 @@ def _gathered(build):
     )
 
 
+def _source_of(code):
+    # The generated source of a compiled unit's shape, made again from its
+    # key: the table keeps only the compiled function.
+    key = next(k for k, sid in units._SHAPE_IDS.items() if sid == code[11])
+    return units._source(key)
+
+
+def _renamed(t, tag):
+    # t with every functor and every string symbol suffixed by tag.
+    if type(t) is Compound:
+        return Compound(t.functor + tag, tuple(_renamed(x, tag) for x in t.args))
+    if type(t) is Constant and type(t.symbol) is str:
+        return Constant(t.symbol + tag)
+    return t
+
+
+# Functor and symbol texts no generated source can hold.
+HOSTILE = ('q"uote', "it's", "new\nline", "par)en(", "ünï→λ", "t\tab")
+
+
+def _hostile_unit(names):
+    # A unit with loads, a constant check, two ground checks (one of a
+    # 0-ary compound), a repeated variable and an output-only variable,
+    # its every functor and symbol taken from names.
+    n1, n2, n3, n4, n5, n6 = names
+    t_in = Compound(n1, (
+        X_,
+        Compound(n2, (Y_, Constant(n3))),
+        Compound(n4, ()),
+        Compound(n5, (Constant(n6), Constant(7))),
+        Y_,
+    ))
+    t_out = Compound(n5, (Y_, Compound(n2, (X_, Constant(n6))), P_))
+    x = Compound(n1, (
+        g(a),
+        Compound(n2, (b, Constant(n3))),
+        Compound(n4, ()),
+        Compound(n5, (Constant(n6), Constant(7))),
+        b,
+    ))
+    return t_in, t_out, x
+
+
+class TestGeneratedShapes:
+    @given(st.lists(st.text(min_size=1), min_size=6, max_size=6))
+    @settings(max_examples=100)
+    @example(list(HOSTILE))
+    def test_any_text_agrees_with_the_reference(self, names):
+        # Functors and symbols built through the API, whatever their text.
+        t_in, t_out, x = _hostile_unit(names)
+        _check_match_then_apply(t_in, t_out, x)
+        wrong = Compound(names[0], (a, *x.args[1:4], b))
+        _check_match_then_apply(t_in, t_out, wrong)
+        assert compile_unit(t_in, t_out)[11] is not None
+
+    def test_no_clause_text_in_the_source(self):
+        t_in, t_out, x = _hostile_unit(HOSTILE)
+        code = compile_unit(t_in, t_out)
+        source = _source_of(code)
+        assert source.isascii()
+        for text in (*HOSTILE, *map(repr, code[12])):
+            assert text not in source
+        assert run_unit(code, x) == _match_then_apply(t_in, t_out, x)
+
+    def test_renamed_copies_share_shapes(self):
+        # The six moded fixtures' units under 40 renamings of every functor
+        # and symbol: the copies add no shape beyond the first's, and a
+        # unit compiled again adds none either.
+        pairs = [
+            pair
+            for name in MODED_FIXTURES
+            for pair in build_pipeline(name, "moded").registry.unit.values()
+        ]
+        codes = [compile_unit(*pair) for pair in pairs]
+        size = len(units._MATCHERS)
+        for i in range(40):
+            tag = "_%d" % i
+            for (t_in, t_out), code in zip(pairs, codes):
+                copy = compile_unit(_renamed(t_in, tag), _renamed(t_out, tag))
+                assert copy[11] == code[11]
+        for (t_in, t_out), code in zip(pairs, codes):
+            assert compile_unit(t_in, t_out) == code
+        assert len(units._MATCHERS) == size
+
+    def test_the_cap(self):
+        # f(X1..Xk) -> g(Xk..X1) takes 1 + k + 1 registers: the subject, its
+        # arguments and the compound built.
+        cap = units._MAX_REGISTERS
+        for k, generated in ((cap - 2, True), (cap - 1, False)):
+            xs = [Variable("X%d" % i) for i in range(k)]
+            t_in, t_out = Compound("f", xs), Compound("g", xs[::-1])
+            code = compile_unit(t_in, t_out)
+            assert (code[11] is not None) == generated
+            assert len(code[10]) + len(code[5]) + len(code[6]) == k + 2
+            x = Compound("f", [Constant(i) for i in range(k)])
+            assert run_unit(code, x) == _match_then_apply(t_in, t_out, x)
+            assert run_unit(code, Compound("f", x.args[1:])) is None
+
+    def test_generated_at_the_first_match_mode_run(self):
+        # A shape no other test makes: unify mode leaves its table entry a
+        # stand-in, and its first match-mode run generates its function.
+        xs = [Variable("X%d" % i) for i in range(17)]
+        t_in = Compound("f", xs)
+        t_out = Compound("g", (Compound("h", xs[:2]), *xs[2:]))
+        code = compile_unit(t_in, t_out)
+        x = Compound("f", [Constant(i) for i in range(17)])
+        assert unify_unit(code, x, {}, []) is not None
+        assert not isinstance(units._MATCHERS[code[11]], FunctionType)
+        assert run_unit(code, x) == _match_then_apply(t_in, t_out, x)
+        assert isinstance(units._MATCHERS[code[11]], FunctionType)
+
+    def test_sources_parse_as_python_3_10(self):
+        # pyproject.toml's requires-python floor: every shape of both
+        # conversions of the bundled fixtures is Python 3.10 source.
+        pipelines = [
+            build_pipeline(name, mode)
+            for name in MODED_FIXTURES
+            for mode in ("moded", "definite")
+        ]
+        pipelines += [build_pipeline(name, "definite") for name in DEFINITE_FIXTURES]
+        shapes = {
+            compile_unit(*pair)[11]
+            for pipe in pipelines
+            for pair in pipe.registry.unit.values()
+        }
+        assert None not in shapes
+        keys = [k for k, sid in units._SHAPE_IDS.items() if sid in shapes]
+        assert len(keys) == len(shapes) > 40
+        for key in keys:
+            ast.parse(units._source(key), feature_version=(3, 10))
+
+
 @st.composite
 def units_subjects_stores(draw):
     """units_and_subjects, with a binding store that may already bind
@@ -509,21 +706,28 @@ def _assert_well_built(t):
             stack.extend(s.args)
 
 
+def _check_well_built(t_in, t_out, x):
+    got = run_unit(compile_unit(t_in, t_out), x)
+    if got is not None:
+        _assert_well_built(got)
+
+
 class TestInPlaceBuild:
     """The runners build output compounds without Compound.__init__, so
     they hold its invariants themselves."""
 
     @given(units_and_subjects())
     @settings(max_examples=300)
-    @example((f(X_), g(f(X_), g(P_)), f(a)))
-    @example((f(X_), g(f(X_), a), f(U_)))
-    @example((f(X_), Compound("s", (X_,)), f(g(a))))
-    @example((X_, f(X_, P_, Y_), f(a)))
+    @_match_examples
     def test_match_mode(self, case):
-        t_in, t_out, x = case
-        got = run_unit(compile_unit(t_in, t_out), x)
-        if got is not None:
-            _assert_well_built(got)
+        _check_well_built(*case)
+
+    @given(units_and_subjects())
+    @settings(max_examples=300)
+    @_match_examples
+    def test_match_mode_interpreted(self, case):
+        with _interpreted():
+            _check_well_built(*case)
 
     @given(units_subjects_stores())
     @settings(max_examples=300)
