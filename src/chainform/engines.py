@@ -49,16 +49,16 @@ Unit resolution runs that one compiled form in one of two ways.  In match
 mode (for ground evaluation over G-chain programs) the query term is matched
 one-way against the unit input by units.run_unit, bound here as match,
 which calls the straight-line match function generated for the unit's
-shape, or interprets the unit's program when it is over units'
-_MAX_REGISTERS; the function is made at the first match-mode attempt of a
-unit of that shape and shared by every unit of that shape, in every
-registry.  In unify mode units.unify_unit, bound here as unify, unifies
-the query term with the unit input over the run's binding store and
-trail, as if the unit were renamed apart, so query variables stay stable
-for the goal decoder.  Each choice point records the trail's length at its
-predicate's selection, and resuming it undoes the trail to that mark; an
-answer is resolved through the store when it is yielded, so every engine
-hands out plain terms.
+shape, or, for a unit over units' _MAX_REGISTERS, the reference matcher
+terms.match and Subst.apply; the function is made at the first
+match-mode attempt of a unit of that shape and shared by every unit of
+that shape, in every registry.  In unify mode units.unify_unit, bound
+here as unify, unifies the query term with the unit input over the run's
+binding store and trail, as if the unit were renamed apart, so query
+variables stay stable for the goal decoder.  Each choice point records
+the trail's length at its predicate's selection, and resuming it undoes
+the trail to that mark; an answer is resolved through the store when it
+is yielded, so every engine hands out plain terms.
 """
 
 from __future__ import annotations

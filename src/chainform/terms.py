@@ -20,8 +20,9 @@ match is the reference one-way matcher: it reads the pattern generically and
 returns a Subst, which apply then substitutes into an output term.  unify,
 rename_many and apply are the reference for unification at a unit clause.
 The engines run unit clauses compiled by the units module instead, and the
-tests hold those to the references here.  Goal plans decode ground answers
-with match and the others with unify.
+tests hold those to the references here.  A unit too large for the units
+module to generate a match function runs match and apply themselves.  Goal
+plans decode ground answers with match and the others with unify.
 
 Every walk runs over an explicit stack, so terms of any depth are handled at
 the interpreter's default recursion limit; Compound.__hash__ and

@@ -20,7 +20,8 @@ holds only ints, strings, flags and terms of the clause itself: its ground
 subterms and the variables of t_out absent from t_in.  Once collected, the
 garbage collector no longer tracks a unit that has neither, and compiling
 one adds no tracked object.  Those ground subterms and variables of t_out
-take the registers after the loaded ones.
+take the registers after the loaded ones.  A unit over the cap (below)
+also holds its clause, so the collector keeps tracking it.
 
 Both runners build each compound of the output in place: object.__new__
 and its three slots set directly, with no call of Compound.__init__, so
@@ -34,24 +35,27 @@ is the usual case, match mode on a G-chain program with a ground seed.
 
 A unit whose t_out equals t_in, such as a conversion's ⟨St,R⟩ -> ⟨St,R⟩,
 is an identity: its program has no tail and no build, and its output is
-register 0, the subject itself once the checks pass.
+register 0, the subject itself once the checks pass.  Only a match-mode
+unit over the cap returns an equal term that the reference builds.
 
-In match mode run_unit executes the program without a substitution; it
-equals terms.match followed by Subst.apply on every unit and term.  Match
-mode is where chain form does all of its unification, so there the
-program is not interpreted: compile_unit also gives a unit its shape, the
-program with every functor, symbol, symbol type and term lifted out into
-the unit's own constants tuple, and each distinct shape one match
-function, generated as straight-line Python with each register a local and
-made by compile() once, at the first match-mode run of a unit of that
-shape.  The program's last two sections are that
-function's id in a shared table and the lifted constants, so a compiled
-unit still holds no function object, which the collector would track, and
-renamed copies of a program share every function.  The generated source
-refers to registers and to positions in the constants tuple only: no text
-of a clause reaches it, and it exists only in memory.  Units of more than
-_MAX_REGISTERS registers keep the register loop, since compile()'s cost
-grows with the unit; unify mode always runs the program as it is.
+In match mode run_unit equals terms.match followed by Subst.apply on every
+unit and term.  Match mode is where chain form does all of its
+unification, so there the program is not interpreted: compile_unit also
+gives a unit its shape, the program with every functor, symbol, symbol
+type and term lifted out into the unit's own constants tuple, and each
+distinct shape one match function, generated as straight-line Python with
+each register a local and made by compile() once, at the first match-mode
+run of a unit of that shape.  The function runs without a substitution.
+The program's last two sections are that function's id in a shared table
+and the lifted constants, so a compiled unit still holds no function
+object, which the collector would track, and renamed copies of a program
+share every function.  The generated source refers to registers and to
+positions in the constants tuple only: no text of a clause reaches it, and
+it exists only in memory.  A unit of more than _MAX_REGISTERS registers
+gets no function, since compile()'s cost grows with the unit: its last two
+sections are None and the clause (t_in, t_out), and run_unit runs it
+through that reference, terms.match and Subst.apply.  Unify mode always
+runs the program as it is.
 
 In unify mode unify_unit executes the same program against a binding store
 (variable serial -> term) with a trail, in the manner of the WAM: it reads
@@ -75,7 +79,7 @@ import threading
 from functools import partial
 from operator import itemgetter
 
-from .terms import Compound, Constant, Variable, _rebuild, _struct_eq
+from .terms import Compound, Constant, Variable, _rebuild, _struct_eq, match
 
 _new_object = object.__new__
 
@@ -96,8 +100,8 @@ def _gather_id(indices):
 
 
 def compile_unit(t_in, t_out):
-    """The unit clause t_in -> t_out as a flat program, the one that both
-    run_unit and unify_unit execute.
+    """The unit clause t_in -> t_out as a flat program, the one that
+    unify_unit executes and each generated match function unrolls.
 
     The program is a tuple of thirteen sections.  Register 0 holds the
     subject; each load appends a compound's arguments as the next
@@ -134,11 +138,13 @@ def compile_unit(t_in, t_out):
       lifted:  the constants that function reads, in the order _source
                numbers them: each load's functor, each constant check's
                symbol and its type, each ground check's term, the tail,
-               and each build record's functor
+               and each build record's functor; for a unit over the cap,
+               the clause (t_in, t_out), which run_unit hands to the
+               reference
     A variable of t_in is bound at its first occurrence by being that
-    register, so matching allocates no substitution.  Functors come from
-    the clause's own compounds, so they are interned already.  Both walks
-    run over an explicit stack.
+    register, so matching within the cap allocates no substitution.
+    Functors come from the clause's own compounds, so they are interned
+    already.  Both walks run over an explicit stack.
     """
     loads, consts, grounds, sames, firsts = [], [], [], [], []
     first = {}  # variable of t_in -> the register of its first occurrence
@@ -167,7 +173,7 @@ def compile_unit(t_in, t_out):
         # An identity unit: the subject, once checked, is the output.
         return (
             *head, (), (), 0, 0, tuple(firsts), tuple(names),
-            *_shape(head, (), (), 0, 0, len(names)),
+            *_shape(t_in, t_out, head, (), (), 0, 0, len(names)),
         )
     # The leaves of t_out no load provides, each once: ground subterms,
     # then variables absent from t_in, as dicts used for ordered sets.
@@ -207,7 +213,10 @@ def compile_unit(t_in, t_out):
     return (
         *head, tail, build, done_regs[0], len(free), tuple(firsts),
         tuple(names),
-        *_shape(head, tail, build, done_regs[0], len(free), len(names), gathered),
+        *_shape(
+            t_in, t_out, head, tail, build, done_regs[0], len(free),
+            len(names), gathered,
+        ),
     )
 
 
@@ -232,50 +241,17 @@ def run_unit(code, x):
     apply(t_out), which stay the reference.
 
     A unit of at most _MAX_REGISTERS registers runs its shape's generated
-    match function; a larger one runs the register loop below.  An
-    identity unit returns x itself.  Every register holds a subterm of x
-    or of the clause.  So when x is ground and the unit is not open, every
-    compound the build makes is ground, and its flag is set without a scan
-    of its arguments."""
+    match function.  There an identity unit returns x itself, and every
+    register holds a subterm of x or of the clause, so when x is ground
+    and the unit is not open every compound the build makes is ground,
+    and its flag is set without a scan of its arguments.  A larger unit
+    runs the reference itself, match and then apply."""
     shape = code[11]
     if shape is not None:
         return _MATCHERS[shape](x, code)
-    loads, checked, consts, grounds, sames, tail, build, out, is_open = code[:9]
-    regs = [x]
-    for r, functor, n in loads:
-        s = regs[r]
-        if type(s) is not Compound or s.functor != functor or len(s.args) != n:
-            return None
-        regs += s.args
-    if checked:
-        for r, c in consts:
-            s = regs[r]
-            if (
-                type(s) is not Constant
-                or s.symbol != c
-                or type(s.symbol) is not type(c)
-            ):
-                return None
-        for r, t in grounds:
-            if not _struct_eq(t, regs[r]):
-                return None
-        for r, r2 in sames:
-            if not _struct_eq(regs[r], regs[r2]):
-                return None
-    if not out:
-        return x
-    tx = type(x)
-    if is_open or tx is Variable or tx is Compound and not x.ground:
-        return _finish(code, regs)
-    regs += tail
-    gathers = _GATHERS
-    for functor, arg, unary in build:
-        t = _new_object(Compound)
-        t.functor = functor
-        t.args = (regs[arg],) if unary else gathers[arg](regs)
-        t.ground = True
-        regs.append(t)
-    return regs[out]
+    t_in, t_out = code[12]
+    s = match(t_in, x)
+    return None if s is None else s.apply(t_out)
 
 
 def _finish(code, regs):
@@ -326,17 +302,18 @@ def _build(build, regs):
 # The function covers the usual case, a ground subject and a unit that is
 # not open, where every compound built is ground.  Otherwise, once the
 # checks pass, it hands its loaded registers to _finish, which computes the
-# ground flags as the register loop does.
+# ground flags as Compound does.
 #
 # The functions live in one table here, append-only and locked as the
 # gather table is, so a compiled unit holds only a shape id and its lifted
 # tuple, and the collector stops tracking it as before.  A function object
 # per unit would be a tracked object per unit, which every collection
 # walks.  A unit of more than _MAX_REGISTERS registers gets no function,
-# and run_unit interprets its program: generating a function costs about
-# 0.35 ms for a small shape and grows with the unit, by 10 µs a register
-# on a flat unit and 50-65 µs on a deeply nested one (Python 3.11), so a
-# unit of thousands of registers is not worth it.
+# and run_unit runs it through the reference, terms.match and Subst.apply:
+# generating a function costs about 0.35 ms for a small shape and grows
+# with the unit, by 10 µs a register on a flat unit and 50-65 µs on a
+# deeply nested one (Python 3.11), so a unit of thousands of registers is
+# not worth it.  No benchmark workload compiles a unit over the cap.
 
 # The largest unit of either conversion of the bundled fixtures has 28
 # registers.
@@ -360,12 +337,12 @@ _GENERATED_GLOBALS = {
 }
 
 
-def _shape(head, tail, build, out, n_open, n_loaded, gathered=()):
-    # The last two sections of a compiled unit: its shape id, or None when
-    # it is over the cap, and its lifted constants.
+def _shape(t_in, t_out, head, tail, build, out, n_open, n_loaded, gathered=()):
+    # The last two sections of a compiled unit: its shape id and its lifted
+    # constants, or, over the cap, None and the clause (t_in, t_out) itself.
     loads, _, consts, grounds, sames = head
     if n_loaded + len(tail) + len(build) > _MAX_REGISTERS:
-        return None, ()
+        return None, (t_in, t_out)
     key = (
         tuple([(r, n) for r, _, n in loads]),
         tuple([r for r, _ in consts]),
@@ -407,21 +384,21 @@ def _generate(sid, key, x, code):
     # The stand-in for shape sid: make its function, put it in the table
     # in the stand-in's place, and run it.
     with _SHAPE_LOCK:
-        match = _MATCHERS[sid]
-        if type(match) is partial:
+        fn = _MATCHERS[sid]
+        if type(fn) is partial:
             namespace = {}
             exec(
                 compile(_source(key), "<unit shape %d>" % sid, "exec"),
                 _GENERATED_GLOBALS,
                 namespace,
             )
-            match = _MATCHERS[sid] = namespace["match"]
-    return match(x, code)
+            fn = _MATCHERS[sid] = namespace["match"]
+    return fn(x, code)
 
 
 def _source(key):
-    """The Python source of the match function of a shape: run_unit's
-    register loop unrolled for that shape, each register a local."""
+    """The Python source of the match function of a shape: the unit's
+    program unrolled for that shape, each register a local."""
     loads, consts, grounds, sames, gathered, out, n_open, n_loaded, n_tail = key
     k = itertools.count()  # the next lifted constant's index
     lines = ["def match(r0, code):", " k = code[12]"]
@@ -597,15 +574,16 @@ def unify_unit(code, x, bind, trail):
     holds a variable: a compound is checked and its arguments loaded (read
     mode); an unbound variable is bound to the functor over fresh
     variables, which become the argument registers (write mode).  Constants
-    and ground subterms bind an unbound variable too.  At a variable's first occurrence an unbound subject
-    variable is bound to a fresh variable named after the unit's; a repeated
-    variable is unified, occurs check included, with the subject side on the
-    left.  The variables of the output absent from the input are made fresh
-    once, into their registers, and the output is built from the registers
-    by the same build as run_unit's, not resolved: it means what it says
-    only under the store.  An identity unit's output is register 0, the
-    subject as read.  On failure every binding this call made is undone.
-    Up to renaming, resolved(output, bind) equals the reference:
+    and ground subterms bind an unbound variable too.  At a variable's
+    first occurrence an unbound subject variable is bound to a fresh
+    variable named after the unit's; a repeated variable is unified, occurs
+    check included, with the subject side on the left.  The variables of
+    the output absent from the input are made fresh once, into their
+    registers, and the output is built from the registers by _build, as
+    match mode builds it off the usual case, not resolved: it means what
+    it says only under the store.  An identity unit's output is register
+    0, the subject as read.  On failure every binding this call made is
+    undone.  Up to renaming, resolved(output, bind) equals the reference:
     rename_many, unify, then Subst.apply.
     """
     (

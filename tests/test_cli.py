@@ -385,6 +385,23 @@ class TestResources:
         assert proc.returncode == 0, proc.stderr[-300:]
         assert proc.stdout == "Y = %sX%s\n" % ("s(" * n, ")" * n)
 
+    @pytest.mark.parametrize("engine", ["abcde", "continuation", "stream", "bounded"])
+    def test_unit_over_the_cap(
+        self, tmp_path, capsys, engine, default_recursion_limit
+    ):
+        # A moded unit of over 20 000 registers, far over the cap of
+        # units._MAX_REGISTERS, so match mode runs it through terms.match
+        # and Subst.apply.
+        n = 20000
+        path = tmp_path / "p.pl"
+        path.write_text(
+            ":- mode(p,[in,out]).\np(%sX%s, X).\n" % ("s(" * n, ")" * n),
+            encoding="utf-8",
+        )
+        goal = "p(%s0%s,Y)" % ("s(" * n, ")" * n)
+        assert main(["solve", str(path), "-g", goal, "--engine", engine]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "Y = 0"
+
     def test_recursion_error_exit_4(self, split_file, capsys, monkeypatch):
         def exhausted(args):
             raise RecursionError("maximum recursion depth exceeded")

@@ -216,6 +216,26 @@ def test_moded_name_at_two_arities():
     assert_engines_match_oracle(reference, goal, exhaustive, ordered=True)
 
 
+def test_moded_unit_over_the_cap():
+    """A match-mode unit too large for a generated match function runs the
+    reference, terms.match and Subst.apply, in every engine."""
+    n = 100
+    program = parse_program(
+        ":- mode(p,[in,out]).\np(%sX%s, X).\n" % ("s(" * n, ")" * n)
+    )
+    chain = transform_moded(program)
+    registry = compile_to_registry(chain)
+    assert any(
+        compile_unit(*pair)[11] is None for pair in registry.unit.values()
+    )
+    goal = parse_goal("p(%s0%s,Y)" % ("s(" * n, ")" * n))
+    plan = compile_goal(goal, chain, "moded")
+    exhaustive = five_engine_answers(plan, registry, 10_000, uni="match")
+    reference = sld_solve(program, goal, 100)
+    assert len(reference.answers) == 1
+    assert_engines_match_oracle(reference, goal, exhaustive, ordered=True)
+
+
 # The generated programs of the differential tests: generator, goal
 # generator, conversion, plan mode and evaluation mode.
 RANDOM_KINDS = {

@@ -3,10 +3,9 @@
 import ast
 import gc
 import sys
-from contextlib import contextmanager
+from pathlib import Path
 from types import FunctionType
 
-import pytest
 from conftest import (
     DEFINITE_FIXTURES,
     MODED_FIXTURES,
@@ -396,15 +395,6 @@ def _match_examples(test):
     return test
 
 
-@contextmanager
-def _interpreted():
-    # Every unit compiled inside is over the cap, so run_unit interprets
-    # its program instead of calling a generated match function.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(units, "_MAX_REGISTERS", 0)
-        yield
-
-
 def _check_match_then_apply(t_in, t_out, x):
     want = _match_then_apply(t_in, t_out, x)
     got = run_unit(compile_unit(t_in, t_out), x)
@@ -419,15 +409,6 @@ class TestCompiledUnit:
     @_match_examples
     def test_compiled_equals_match_then_apply(self, case):
         _check_match_then_apply(*case)
-
-    @given(units_and_subjects())
-    @settings(max_examples=300)
-    @_match_examples
-    def test_interpreted_equals_match_then_apply(self, case):
-        with _interpreted():
-            code = compile_unit(*case[:2])
-            assert code[11] is None
-            _check_match_then_apply(*case)
 
     def test_output_only_variable_is_shared(self):
         # Match mode renames nothing: the unit's own variable is the output.
@@ -630,9 +611,23 @@ class TestGeneratedShapes:
             code = compile_unit(t_in, t_out)
             assert (code[11] is not None) == generated
             assert len(code[10]) + len(code[5]) + len(code[6]) == k + 2
-            x = Compound("f", [Constant(i) for i in range(k)])
+            ground = [Constant(i) for i in range(k)]
+            x = Compound("f", ground)
             assert run_unit(code, x) == _match_then_apply(t_in, t_out, x)
             assert run_unit(code, Compound("f", x.args[1:])) is None
+        # Over the cap, compiling and running a unit generate no function:
+        # run_unit runs the reference, here also on an open unit and on a
+        # subject that holds a variable.
+        size = len(units._MATCHERS)
+        open_out = Compound("g", (*xs, P_))
+        for t_out, x in (
+            (t_out, x),
+            (open_out, x),
+            (t_out, Compound("f", (U_, *ground[1:]))),
+        ):
+            assert compile_unit(t_in, t_out)[11] is None
+            _check_match_then_apply(t_in, t_out, x)
+        assert len(units._MATCHERS) == size
 
     def test_generated_at_the_first_match_mode_run(self):
         # A shape no other test makes: unify mode leaves its table entry a
@@ -648,8 +643,14 @@ class TestGeneratedShapes:
         assert isinstance(units._MATCHERS[code[11]], FunctionType)
 
     def test_sources_parse_as_python_3_10(self):
-        # pyproject.toml's requires-python floor: every shape of both
-        # conversions of the bundled fixtures is Python 3.10 source.
+        # pyproject.toml's requires-python floor: every module of the
+        # package, and every shape of both conversions of the bundled
+        # fixtures, is Python 3.10 source.
+        package = Path(units.__file__).parent
+        modules = sorted(package.rglob("*.py"))
+        assert package / "units.py" in modules
+        for path in modules:
+            ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
         pipelines = [
             build_pipeline(name, mode)
             for name in MODED_FIXTURES
@@ -721,13 +722,6 @@ class TestInPlaceBuild:
     @_match_examples
     def test_match_mode(self, case):
         _check_well_built(*case)
-
-    @given(units_and_subjects())
-    @settings(max_examples=300)
-    @_match_examples
-    def test_match_mode_interpreted(self, case):
-        with _interpreted():
-            _check_well_built(*case)
 
     @given(units_subjects_stores())
     @settings(max_examples=300)
