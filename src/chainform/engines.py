@@ -55,7 +55,10 @@ match-mode attempt of a unit of that shape and shared by every unit of
 that shape, in every registry.  In unify mode units.unify_unit, bound
 here as unify, unifies the query term with the unit input over the run's
 binding store and trail, as if the unit were renamed apart, so query
-variables stay stable for the goal decoder.  Each choice point records
+variables stay stable for the goal decoder; it calls the straight-line
+unify function generated for the unit's shape, made at the first
+unify-mode attempt of a unit of that shape, or, over the cap, its own
+register loop, which that function unrolls.  Each choice point records
 the trail's length at its predicate's selection, and resuming it undoes
 the trail to that mark; an answer is resolved through the store when it
 is yielded, so every engine hands out plain terms.

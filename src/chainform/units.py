@@ -39,34 +39,37 @@ register 0, the subject itself once the checks pass.  Only a match-mode
 unit over the cap returns an equal term that the reference builds.
 
 In match mode run_unit equals terms.match followed by Subst.apply on every
-unit and term.  Match mode is where chain form does all of its
-unification, so there the program is not interpreted: compile_unit also
-gives a unit its shape, the program with every functor, symbol, symbol
-type and term lifted out into the unit's own constants tuple, and each
-distinct shape one match function, generated as straight-line Python with
-each register a local and made by compile() once, at the first match-mode
-run of a unit of that shape.  The function runs without a substitution.
-The program's last two sections are that function's id in a shared table
-and the lifted constants, so a compiled unit still holds no function
-object, which the collector would track, and renamed copies of a program
-share every function.  The generated source refers to registers and to
-positions in the constants tuple only: no text of a clause reaches it, and
-it exists only in memory.  A unit of more than _MAX_REGISTERS registers
-gets no function, since compile()'s cost grows with the unit: its last two
-sections are None and the clause (t_in, t_out), and run_unit runs it
-through that reference, terms.match and Subst.apply.  Unify mode always
-runs the program as it is.
+unit and term.  Unit clauses are where chain form does all of its
+unification, so within the cap below neither mode interprets the program:
+compile_unit also gives a unit its shape, the program with every functor,
+symbol, symbol type and term lifted out into the unit's own constants
+tuple, and each distinct shape two functions, one per mode, each generated
+as straight-line Python with each register a local and made by compile()
+once, at the first run of a unit of that shape in that mode.  The match
+function runs without a substitution.  The program's last two sections
+are the shape's id in two shared tables and the lifted constants, so a
+compiled unit still holds no function object, which the collector would
+track, and renamed copies of a program share every function.  The
+generated source refers to registers and to positions in the constants
+tuple only: no text of a clause reaches it, and it exists only in memory.
+A unit of more than _MAX_REGISTERS registers gets no function, since
+compile()'s cost grows with the unit: its last two sections are None and
+the clause (t_in, t_out), run_unit runs it through the reference,
+terms.match and Subst.apply, and unify_unit through its register loop.
 
-In unify mode unify_unit executes the same program against a binding store
-(variable serial -> term) with a trail, in the manner of the WAM: it reads
-the subject through the store, binds unbound variables where the pattern
-has structure, unifies repeated variables with occurs check, replaces the
-variables of t_out absent from t_in by fresh copies, and builds the output
-without resolving it.  It reads a register through the store only where the
-register holds a variable.  The store's bindings are undone to a trail mark
-on failure, when the call made any, and on backtracking (untrail), and
-resolved turns a term read under the store into a plain one.  Up to
-renaming it equals terms.rename_many, terms.unify and Subst.apply.
+In unify mode the program runs against a binding store (variable serial ->
+term) with a trail, in the manner of the WAM: it reads the subject through
+the store, binds unbound variables where the pattern has structure,
+unifies repeated variables with occurs check, replaces the variables of
+t_out absent from t_in by fresh copies, and builds the output without
+resolving it.  As in the WAM's get instructions, each load takes read mode
+or write mode at run time, on what the subject holds there.  It reads a
+register through the store only where the register holds a variable.  The
+store's bindings are undone to a trail mark on failure, when the call made
+any, and on backtracking (untrail), and resolved turns a term read under
+the store into a plain one.  unify_unit runs the shape's generated unify
+function, or over the cap its register loop, which the function unrolls;
+up to renaming both equal terms.rename_many, terms.unify and Subst.apply.
 
 Every walk runs over an explicit stack, so terms of any depth are handled at
 the interpreter's default recursion limit.
@@ -101,7 +104,8 @@ def _gather_id(indices):
 
 def compile_unit(t_in, t_out):
     """The unit clause t_in -> t_out as a flat program, the one that
-    unify_unit executes and each generated match function unrolls.
+    unify_unit's register loop executes and the generated functions of the
+    unit's shape unroll.
 
     The program is a tuple of thirteen sections.  Register 0 holds the
     subject; each load appends a compound's arguments as the next
@@ -132,15 +136,15 @@ def compile_unit(t_in, t_out):
                                     occurrence
       names:   one name per loaded register: the pattern variable's there,
                else _
-      shape:   the id of the unit's generated match function in the
-               shape table, or None for a unit of more than
-               _MAX_REGISTERS registers (loaded, tail and built)
-      lifted:  the constants that function reads, in the order _source
-               numbers them: each load's functor, each constant check's
-               symbol and its type, each ground check's term, the tail,
-               and each build record's functor; for a unit over the cap,
-               the clause (t_in, t_out), which run_unit hands to the
-               reference
+      shape:   the id of the unit's generated functions in the shape
+               tables, or None for a unit of more than _MAX_REGISTERS
+               registers (loaded, tail and built)
+      lifted:  the constants those functions read, in the order _source
+               and _unify_source number them: each load's functor, each
+               constant check's symbol and its type, each ground check's
+               term, the tail, and each build record's functor; for a unit
+               over the cap, the clause (t_in, t_out), which run_unit
+               hands to the reference
     A variable of t_in is bound at its first occurrence by being that
     register, so matching within the cap allocates no substitution.
     Functors come from the clause's own compounds, so they are interned
@@ -173,7 +177,7 @@ def compile_unit(t_in, t_out):
         # An identity unit: the subject, once checked, is the output.
         return (
             *head, (), (), 0, 0, tuple(firsts), tuple(names),
-            *_shape(t_in, t_out, head, (), (), 0, 0, len(names)),
+            *_shape(t_in, t_out, head, firsts, (), (), 0, 0, len(names)),
         )
     # The leaves of t_out no load provides, each once: ground subterms,
     # then variables absent from t_in, as dicts used for ordered sets.
@@ -214,7 +218,7 @@ def compile_unit(t_in, t_out):
         *head, tail, build, done_regs[0], len(free), tuple(firsts),
         tuple(names),
         *_shape(
-            t_in, t_out, head, tail, build, done_regs[0], len(free),
+            t_in, t_out, head, firsts, tail, build, done_regs[0], len(free),
             len(names), gathered,
         ),
     )
@@ -286,58 +290,54 @@ def _build(build, regs):
 #
 # A unit's shape is its program with every functor, symbol, symbol type and
 # term lifted out: register numbers, arities, and the kinds of its checks
-# and build.  Each shape gets one function, generated as straight-line
-# Python source and made by compile() when a unit of that shape first runs
-# in match mode; until then its table entry is a stand-in that does this,
-# so a shape only unify mode meets is never generated.  Its signature is
-# (subject, compiled unit) -> output or None, the same as run_unit's with
-# the arguments swapped.  The source names registers r0, r1, ... and reads
-# every lifted constant as k[i], k being the unit's lifted section, so
-# nothing of the clause, and nothing a user wrote, ever reaches its text.
-# The text lives only in memory and is dropped once compiled: the
-# repository holds no generated code.  Units that differ only in their
-# functors and constants, such as a program's renamed copies, share one
-# function.
+# and build.  Each shape gets one match function, generated as
+# straight-line Python source and made by compile() when a unit of that
+# shape first runs in match mode; until then its table entry is a stand-in
+# that does this, so a shape only unify mode meets never generates one.
+# Its signature is (subject, compiled unit) -> output or None, the same as
+# run_unit's with the arguments swapped.  The source names registers r0,
+# r1, ... and reads every lifted constant as k[i], k being the unit's
+# lifted section, so nothing of the clause, and nothing a user wrote, ever
+# reaches its text.  The text lives only in memory and is dropped once
+# compiled: the repository holds no generated code.  Units that differ
+# only in their functors and constants, such as a program's renamed
+# copies, share one function.  The unify functions, further down, are made
+# the same way, into a second table.
 #
-# The function covers the usual case, a ground subject and a unit that is
-# not open, where every compound built is ground.  Otherwise, once the
-# checks pass, it hands its loaded registers to _finish, which computes the
-# ground flags as Compound does.
+# The match function covers the usual case, a ground subject and a unit
+# that is not open, where every compound built is ground.  Otherwise, once
+# the checks pass, it hands its loaded registers to _finish, which computes
+# the ground flags as Compound does.
 #
-# The functions live in one table here, append-only and locked as the
+# The functions live in two tables here, append-only and locked as the
 # gather table is, so a compiled unit holds only a shape id and its lifted
 # tuple, and the collector stops tracking it as before.  A function object
 # per unit would be a tracked object per unit, which every collection
-# walks.  A unit of more than _MAX_REGISTERS registers gets no function,
-# and run_unit runs it through the reference, terms.match and Subst.apply:
-# generating a function costs about 0.35 ms for a small shape and grows
-# with the unit, by 10 µs a register on a flat unit and 50-65 µs on a
-# deeply nested one (Python 3.11), so a unit of thousands of registers is
-# not worth it.  No benchmark workload compiles a unit over the cap.
+# walks.  A unit of more than _MAX_REGISTERS registers gets no function:
+# run_unit runs it through the reference, terms.match and Subst.apply, and
+# unify_unit through its register loop.  Generating a match function costs
+# about 0.35 ms for a small shape and grows with the unit, by 10 µs a
+# register on a flat unit and 50-65 µs on a deeply nested one (Python
+# 3.11), so a unit of thousands of registers is not worth it.  No benchmark
+# workload compiles a unit over the cap.
 
 # The largest unit of either conversion of the bundled fixtures has 28
 # registers.
 _MAX_REGISTERS = 64
 
 # Shape id -> match function, or its stand-in until the shape's first
-# match-mode run, and the shape key -> its id.  A key is a tuple of ints,
-# never source text.
+# match-mode run; shape id -> unify function, or its stand-in until the
+# shape's first unify-mode run; and the shape key -> its id.  A key is a
+# tuple of ints, never source text.
 _MATCHERS = []
+_UNIFIERS = []
 _SHAPE_IDS = {}
 _SHAPE_LOCK = threading.Lock()
 
-# The globals of every generated function.
-_GENERATED_GLOBALS = {
-    "Compound": Compound,
-    "Constant": Constant,
-    "Variable": Variable,
-    "_new": _new_object,
-    "_struct_eq": _struct_eq,
-    "_finish": _finish,
-}
 
-
-def _shape(t_in, t_out, head, tail, build, out, n_open, n_loaded, gathered=()):
+def _shape(
+    t_in, t_out, head, firsts, tail, build, out, n_open, n_loaded, gathered=(),
+):
     # The last two sections of a compiled unit: its shape id and its lifted
     # constants, or, over the cap, None and the clause (t_in, t_out) itself.
     loads, _, consts, grounds, sames = head
@@ -348,6 +348,7 @@ def _shape(t_in, t_out, head, tail, build, out, n_open, n_loaded, gathered=()):
         tuple([r for r, _ in consts]),
         tuple([r for r, _ in grounds]),
         sames,
+        tuple(firsts),
         tuple(gathered),
         out,
         n_open,
@@ -364,10 +365,11 @@ def _shape(t_in, t_out, head, tail, build, out, n_open, n_loaded, gathered=()):
 
 
 def _shape_id(key):
-    # A shape is in _SHAPE_IDS only once its entry is in _MATCHERS, so a
-    # hit needs no lock.  The entry is a stand-in until the shape's first
-    # match-mode run, which generates the function: a unit only ever run in
-    # unify mode costs no compile().
+    # A shape is in _SHAPE_IDS only once its entries are in _MATCHERS and
+    # _UNIFIERS, so a hit needs no lock.  Each entry is a stand-in until the
+    # shape's first run in that table's mode, which generates the function:
+    # a unit only ever run in one mode costs one compile(), and a unit never
+    # run costs none.
     sid = _SHAPE_IDS.get(key)
     if sid is not None:
         return sid
@@ -375,31 +377,39 @@ def _shape_id(key):
         sid = _SHAPE_IDS.get(key)
         if sid is None:
             sid = len(_MATCHERS)
-            _MATCHERS.append(partial(_generate, sid, key))
+            _MATCHERS.append(partial(_generate, _MATCHERS, _source, sid, key))
+            _UNIFIERS.append(
+                partial(_generate, _UNIFIERS, _unify_source, sid, key)
+            )
             _SHAPE_IDS[key] = sid
     return sid
 
 
-def _generate(sid, key, x, code):
-    # The stand-in for shape sid: make its function, put it in the table
-    # in the stand-in's place, and run it.
+def _generate(table, source, sid, key, *args):
+    # The stand-in for shape sid in table: make its function from the
+    # source that source(key) gives, put it in the table in the stand-in's
+    # place, and run it.
     with _SHAPE_LOCK:
-        fn = _MATCHERS[sid]
+        fn = table[sid]
         if type(fn) is partial:
             namespace = {}
             exec(
-                compile(_source(key), "<unit shape %d>" % sid, "exec"),
+                compile(source(key), "<unit shape %d>" % sid, "exec"),
                 _GENERATED_GLOBALS,
                 namespace,
             )
-            fn = _MATCHERS[sid] = namespace["match"]
-    return fn(x, code)
+            (fn,) = namespace.values()
+            table[sid] = fn
+    return fn(*args)
 
 
 def _source(key):
     """The Python source of the match function of a shape: the unit's
     program unrolled for that shape, each register a local."""
-    loads, consts, grounds, sames, gathered, out, n_open, n_loaded, n_tail = key
+    (
+        loads, consts, grounds, sames, _, gathered, out, n_open, n_loaded,
+        n_tail,
+    ) = key
     k = itertools.count()  # the next lifted constant's index
     lines = ["def match(r0, code):", " k = code[12]"]
     fail = "return None"
@@ -565,6 +575,166 @@ def _unify_bound(a, b, bind, trail):
     return True
 
 
+# ---------------------------------------------------------------------------
+# Unify functions, one per shape.
+#
+# Each shape also gets a unify function, made as its match function is, into
+# _UNIFIERS, at the shape's first unify-mode run: (subject, compiled unit,
+# store, trail) -> output or None, unify_unit's program unrolled for the
+# shape.  Each load takes read or write mode at run time, on what its
+# register holds once dereferenced.  Which failures must undo bindings is
+# decided here: a load all of whose earlier loads are its ancestors fails
+# only if they all took read mode, so before any binding, and returns None;
+# a later failure undoes the trail to the call's mark.  So is each built
+# compound's ground flag where it can be: an output-only variable makes it
+# False, a ground leaf adds nothing, a built register is read by its flag,
+# and a loaded one, which holds what the subject put at a variable's first
+# occurrence, is tested by type.  Dereferencing and write mode are inlined:
+# calling _deref, or a shared helper for write mode, made definite-unify's
+# kernel 1-4% slower for a shorter source.
+
+
+# The globals of every generated function, match and unify.
+_GENERATED_GLOBALS = {
+    "Compound": Compound,
+    "Constant": Constant,
+    "Variable": Variable,
+    "_new": _new_object,
+    "_struct_eq": _struct_eq,
+    "_finish": _finish,
+    "_unify_bound": _unify_bound,
+    "untrail": untrail,
+}
+
+
+def _unify_source(key):
+    """The Python source of the unify function of a shape: the program
+    unrolled as unify_unit's register loop runs it, each register a local."""
+    (
+        loads, consts, grounds, sames, firsts, gathered, out, n_open,
+        n_loaded, n_tail,
+    ) = key
+    k = itertools.count()  # the next lifted constant's index
+    # untrail returns None: this undoes the call's bindings and fails.
+    undo = "return untrail(bind, trail, mark)"
+    # s dereferenced through the store, in place, and ts its type.
+    deref = [
+        " ts = type(s)",
+        " while ts is Variable:",
+        "  v = get(s.serial)",
+        "  if v is None: break",
+        "  s = v",
+        "  ts = type(s)",
+    ]
+    lines = [" made = None"] if loads else []  # as in unify_unit
+    depth = [0]  # register -> the number of loads that are its ancestors
+    for j, (r, n) in enumerate(loads):
+        fail = "return None" if depth[r] == j else undo
+        args = ["r%d" % i for i in range(len(depth), len(depth) + n)]
+        depth += [depth[r] + 1] * n
+        i = next(k)
+        lines += [" s = r%d" % r, *deref]
+        lines += [
+            " if ts is Compound:",
+            "  if s.functor != k[%d]: %s" % (i, fail),
+            "  a = s.args",
+            "  if len(a) != %d: %s" % (n, fail),
+            "  %s, = a" % ", ".join(args),
+            " elif ts is Variable:",
+        ]
+        lines += ["  %s = Variable(names[%s])" % (v, v[1:]) for v in args]
+        # Only the first load's write mode always finds made unset.
+        once = "if made is None: " if j else ""
+        lines += [
+            "  %smade = %s.serial" % (once, args[0]),
+            "  c = _new(Compound)",
+            "  c.functor = k[%d]" % i,
+            "  c.args = (%s,)" % ", ".join(args),
+            "  c.ground = False",
+            "  bind[s.serial] = c",
+            "  trail.append(s.serial)",
+            " else: " + fail,
+        ]
+    fresh = "ts is Variable"
+    if loads:
+        fresh += " and (made is None or s.serial < made)"
+    for r in firsts:
+        lines += [" if type(r%d) is Variable:" % r, "  s = r%d" % r]
+        lines += [" " + line for line in deref]
+        lines += [
+            "  if %s:" % fresh,
+            "   r%d = Variable(names[%d])" % (r, r),
+            "   bind[s.serial] = r%d" % r,
+            "   trail.append(s.serial)",
+            "  else: r%d = s" % r,
+        ]
+    bound = bool(loads or firsts)  # whether a binding may have been made
+    for r in consts:
+        i = next(k)
+        lines += [" s = r%d" % r, *deref]
+        lines += [
+            " if ts is Variable:",
+            "  bind[s.serial] = Constant(k[%d])" % i,
+            "  trail.append(s.serial)",
+            " elif ts is not Constant or s.symbol != k[%d]"
+            " or type(s.symbol) is not k[%d]: %s"
+            % (i, next(k), undo if bound else "return None"),
+        ]
+        bound = True
+    for r in grounds:
+        lines.append(
+            " if not _unify_bound(r%d, k[%d], bind, trail): %s"
+            % (r, next(k), undo)
+        )
+    for r, r2 in sames:
+        lines.append(
+            " if not _unify_bound(r%d, r%d, bind, trail): %s" % (r2, r, undo)
+        )
+    # Each register as an expression, with how its groundness is decided:
+    # a loaded register by a test, a built one by its flag; None for a
+    # ground leaf of the tail, False for an output-only variable.
+    expr = ["r%d" % r for r in range(n_loaded)]
+    ground = [
+        "(type(%s) is Constant or type(%s) is Compound and %s.ground)"
+        % (v, v, v)
+        for v in expr
+    ]
+    for i in range(n_tail):
+        if i < n_tail - n_open:
+            expr.append("k[%d]" % next(k))
+            ground.append(None)
+        else:
+            v = "r%d" % len(expr)
+            lines.append(" %s = Variable(k[%d].name)" % (v, next(k)))
+            expr.append(v)
+            ground.append(False)
+    for args in gathered:
+        # A compound built is not ground in the clause, so some argument's
+        # flag is not None.
+        v = "r%d" % len(expr)
+        flags = dict.fromkeys(ground[a] for a in args if ground[a] is not None)
+        lines += [
+            " %s = _new(Compound)" % v,
+            " %s.functor = k[%d]" % (v, next(k)),
+            " %s.args = (%s,)" % (v, ", ".join(expr[a] for a in args)),
+            " %s.ground = %s"
+            % (v, "False" if False in flags else " and ".join(flags)),
+        ]
+        expr.append(v)
+        ground.append("%s.ground" % v)
+    lines.append(" return %s" % expr[out])
+    body = "\n".join(lines)
+    head = ["def unify(r0, code, bind, trail):", " k = code[12]"]
+    for local, value, use in (
+        ("names", "code[10]", "names["),
+        ("get", "bind.get", "get("),
+        ("mark", "len(trail)", "mark)"),
+    ):
+        if use in body:
+            head.append(" %s = %s" % (local, value))
+    return "\n".join(head) + "\n" + body + "\n"
+
+
 def unify_unit(code, x, bind, trail):
     """The compiled unit clause resolved against x under the store: the
     output term, or None when x does not unify with the input.
@@ -585,7 +755,20 @@ def unify_unit(code, x, bind, trail):
     0, the subject as read.  On failure every binding this call made is
     undone.  Up to renaming, resolved(output, bind) equals the reference:
     rename_many, unify, then Subst.apply.
+
+    A unit of at most _MAX_REGISTERS registers runs its shape's generated
+    unify function, this register loop unrolled: the same bindings in the
+    same order, and the same variables, made in the same order under the
+    same names.  A larger unit runs the loop.  The reference would give
+    the same answers there but binds every variable of the renamed clause
+    in the store, where the loop binds only subject variables: on the
+    generated definite goal p0(f(G0), g(g(a,G0), g(G0,a)), G0) it made 800
+    bindings in 200 unit calls against the loop's 1, and its 400-step
+    budget took 2.1 s against 2.5 ms.
     """
+    shape = code[11]
+    if shape is not None:
+        return _UNIFIERS[shape](x, code, bind, trail)
     (
         loads, checked, consts, grounds, sames, tail, build, out, n_open,
         firsts, names, _, _,

@@ -19,6 +19,9 @@ from chainform.fixtures import fixture_text
 from chainform.forms import check_gchain
 from chainform.syntax import parse_goal
 
+# The choices of solve --engine.
+SOLVE_ENGINES = ("abcde", "continuation", "stream", "bounded")
+
 
 @pytest.fixture
 def split_file(tmp_path):
@@ -385,13 +388,18 @@ class TestResources:
         assert proc.returncode == 0, proc.stderr[-300:]
         assert proc.stdout == "Y = %sX%s\n" % ("s(" * n, ")" * n)
 
-    @pytest.mark.parametrize("engine", ["abcde", "continuation", "stream", "bounded"])
+    @pytest.mark.parametrize(
+        "engine,mode",
+        [(e, m) for m in ((), ("--mode", "definite")) for e in SOLVE_ENGINES],
+        ids=[*SOLVE_ENGINES, *(e + "-definite" for e in SOLVE_ENGINES)],
+    )
     def test_unit_over_the_cap(
-        self, tmp_path, capsys, engine, default_recursion_limit
+        self, tmp_path, capsys, engine, mode, default_recursion_limit
     ):
-        # A moded unit of over 20 000 registers, far over the cap of
-        # units._MAX_REGISTERS, so match mode runs it through terms.match
-        # and Subst.apply.
+        # A unit of over 20 000 registers, far over the cap of
+        # units._MAX_REGISTERS, so match mode (the moded conversion) runs
+        # it through terms.match and Subst.apply, and unify mode (the
+        # definite conversion) through unify_unit's register loop.
         n = 20000
         path = tmp_path / "p.pl"
         path.write_text(
@@ -399,7 +407,8 @@ class TestResources:
             encoding="utf-8",
         )
         goal = "p(%s0%s,Y)" % ("s(" * n, ")" * n)
-        assert main(["solve", str(path), "-g", goal, "--engine", engine]) == 0
+        argv = ["solve", str(path), "-g", goal, "--engine", engine, *mode]
+        assert main(argv) == 0
         assert capsys.readouterr().out.splitlines()[0] == "Y = 0"
 
     def test_recursion_error_exit_4(self, split_file, capsys, monkeypatch):
@@ -628,7 +637,7 @@ FUZZ_COMMANDS = [
         "solve", path, "-g", goal, "--engine", engine, "--mode", mode,
         "--budget", "2000",
     ])(engine, mode)
-    for engine in ("abcde", "continuation", "stream", "bounded")
+    for engine in SOLVE_ENGINES
     for mode in ("moded", "definite", "auto")
 ]
 

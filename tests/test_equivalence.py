@@ -216,24 +216,44 @@ def test_moded_name_at_two_arities():
     assert_engines_match_oracle(reference, goal, exhaustive, ordered=True)
 
 
-def test_moded_unit_over_the_cap():
-    """A match-mode unit too large for a generated match function runs the
-    reference, terms.match and Subst.apply, in every engine."""
+@pytest.mark.parametrize(
+    "mode,depth,inner,second",
+    [
+        ("moded", 100, "0", "Y"),
+        ("definite", 100, "0", "0"),
+        ("definite", 2, "Z", "Y"),
+    ],
+    ids=["moded", "definite-ground", "definite-open"],
+)
+def test_moded_unit_over_the_cap(mode, depth, inner, second):
+    """A unit too large for generated functions runs, in every engine, the
+    reference terms.match and Subst.apply in match mode (the moded
+    conversion), and unify_unit's register loop in unify mode (the definite
+    conversion).  There the goal is ground, or its subject holds variables:
+    the loop's loads meet Z two levels down and take write mode below it."""
     n = 100
     program = parse_program(
         ":- mode(p,[in,out]).\np(%sX%s, X).\n" % ("s(" * n, ")" * n)
     )
-    chain = transform_moded(program)
+    convert, uni = (
+        (transform_moded, "match") if mode == "moded"
+        else (transform_definite, "unify")
+    )
+    chain = convert(program)
     registry = compile_to_registry(chain)
     assert any(
         compile_unit(*pair)[11] is None for pair in registry.unit.values()
     )
-    goal = parse_goal("p(%s0%s,Y)" % ("s(" * n, ")" * n))
-    plan = compile_goal(goal, chain, "moded")
-    exhaustive = five_engine_answers(plan, registry, 10_000, uni="match")
+    goal = parse_goal(
+        "p(%s%s%s,%s)" % ("s(" * depth, inner, ")" * depth, second)
+    )
+    plan = compile_goal(goal, chain, mode)
+    exhaustive = five_engine_answers(plan, registry, 10_000, uni=uni)
     reference = sld_solve(program, goal, 100)
     assert len(reference.answers) == 1
-    assert_engines_match_oracle(reference, goal, exhaustive, ordered=True)
+    assert_engines_match_oracle(
+        reference, goal, exhaustive, ordered=mode == "moded"
+    )
 
 
 # The generated programs of the differential tests: generator, goal

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 from types import FunctionType
 
+import pytest
 from conftest import (
     DEFINITE_FIXTURES,
     MODED_FIXTURES,
@@ -517,11 +518,16 @@ def _gathered(build):
     )
 
 
-def _source_of(code):
+def _source_of(code, source=units._source):
     # The generated source of a compiled unit's shape, made again from its
-    # key: the table keeps only the compiled function.
+    # key by source (units._source for the match function, _unify_source
+    # for the unify function): the tables keep only the compiled functions.
     key = next(k for k, sid in units._SHAPE_IDS.items() if sid == code[11])
-    return units._source(key)
+    return source(key)
+
+
+def _tables():
+    return len(units._MATCHERS), len(units._UNIFIERS)
 
 
 def _renamed(t, tag):
@@ -575,23 +581,25 @@ class TestGeneratedShapes:
     def test_no_clause_text_in_the_source(self):
         t_in, t_out, x = _hostile_unit(HOSTILE)
         code = compile_unit(t_in, t_out)
-        source = _source_of(code)
-        assert source.isascii()
-        for text in (*HOSTILE, *map(repr, code[12])):
-            assert text not in source
+        for source in (units._source, units._unify_source):
+            text_of_shape = _source_of(code, source)
+            assert text_of_shape.isascii()
+            for text in (*HOSTILE, *map(repr, code[12])):
+                assert text not in text_of_shape
         assert run_unit(code, x) == _match_then_apply(t_in, t_out, x)
+        _check_rename_unify_apply(code, t_in, t_out, x, {})
 
     def test_renamed_copies_share_shapes(self):
         # The six moded fixtures' units under 40 renamings of every functor
-        # and symbol: the copies add no shape beyond the first's, and a
-        # unit compiled again adds none either.
+        # and symbol: the copies add no shape beyond the first's, to either
+        # table, and a unit compiled again adds none either.
         pairs = [
             pair
             for name in MODED_FIXTURES
             for pair in build_pipeline(name, "moded").registry.unit.values()
         ]
         codes = [compile_unit(*pair) for pair in pairs]
-        size = len(units._MATCHERS)
+        size = _tables()
         for i in range(40):
             tag = "_%d" % i
             for (t_in, t_out), code in zip(pairs, codes):
@@ -599,7 +607,7 @@ class TestGeneratedShapes:
                 assert copy[11] == code[11]
         for (t_in, t_out), code in zip(pairs, codes):
             assert compile_unit(t_in, t_out) == code
-        assert len(units._MATCHERS) == size
+        assert _tables() == size
 
     def test_the_cap(self):
         # f(X1..Xk) -> g(Xk..X1) takes 1 + k + 1 registers: the subject, its
@@ -615,37 +623,55 @@ class TestGeneratedShapes:
             x = Compound("f", ground)
             assert run_unit(code, x) == _match_then_apply(t_in, t_out, x)
             assert run_unit(code, Compound("f", x.args[1:])) is None
-        # Over the cap, compiling and running a unit generate no function:
-        # run_unit runs the reference, here also on an open unit and on a
-        # subject that holds a variable.
-        size = len(units._MATCHERS)
+        # Over the cap, compiling and running a unit generate no function
+        # in either table: run_unit runs the reference and unify_unit its
+        # register loop, here also on an open unit and on a subject that
+        # holds a variable.
+        size = _tables()
         open_out = Compound("g", (*xs, P_))
         for t_out, x in (
             (t_out, x),
             (open_out, x),
             (t_out, Compound("f", (U_, *ground[1:]))),
         ):
-            assert compile_unit(t_in, t_out)[11] is None
+            code = compile_unit(t_in, t_out)
+            assert code[11] is None
             _check_match_then_apply(t_in, t_out, x)
-        assert len(units._MATCHERS) == size
+            _check_rename_unify_apply(code, t_in, t_out, x, {})
+        assert _tables() == size
 
     def test_generated_at_the_first_match_mode_run(self):
-        # A shape no other test makes: unify mode leaves its table entry a
-        # stand-in, and its first match-mode run generates its function.
-        xs = [Variable("X%d" % i) for i in range(17)]
-        t_in = Compound("f", xs)
-        t_out = Compound("g", (Compound("h", xs[:2]), *xs[2:]))
-        code = compile_unit(t_in, t_out)
-        x = Compound("f", [Constant(i) for i in range(17)])
-        assert unify_unit(code, x, {}, []) is not None
-        assert not isinstance(units._MATCHERS[code[11]], FunctionType)
-        assert run_unit(code, x) == _match_then_apply(t_in, t_out, x)
-        assert isinstance(units._MATCHERS[code[11]], FunctionType)
+        # Two shapes no other test makes.  Each table's entry is a stand-in
+        # until the shape's first run in that table's mode, which generates
+        # that mode's function and leaves the other table's entry alone.
+        for k, unify_first in ((17, True), (18, False)):
+            xs = [Variable("X%d" % i) for i in range(k)]
+            t_in = Compound("f", xs)
+            t_out = Compound("g", (Compound("h", xs[:2]), *xs[2:]))
+            code = compile_unit(t_in, t_out)
+            sid = code[11]
+            x = Compound("f", [Constant(i) for i in range(k)])
+            first, second = units._UNIFIERS, units._MATCHERS
+            if not unify_first:
+                first, second = second, first
+            assert not isinstance(first[sid], FunctionType)
+            assert not isinstance(second[sid], FunctionType)
+            if unify_first:
+                _check_rename_unify_apply(code, t_in, t_out, x, {})
+            else:
+                _check_match_then_apply(t_in, t_out, x)
+            assert isinstance(first[sid], FunctionType)
+            assert not isinstance(second[sid], FunctionType)
+            if unify_first:
+                _check_match_then_apply(t_in, t_out, x)
+            else:
+                _check_rename_unify_apply(code, t_in, t_out, x, {})
+            assert isinstance(second[sid], FunctionType)
 
     def test_sources_parse_as_python_3_10(self):
         # pyproject.toml's requires-python floor: every module of the
-        # package, and every shape of both conversions of the bundled
-        # fixtures, is Python 3.10 source.
+        # package, and both functions of every shape of both conversions of
+        # the bundled fixtures, are Python 3.10 source.
         package = Path(units.__file__).parent
         modules = sorted(package.rglob("*.py"))
         assert package / "units.py" in modules
@@ -667,6 +693,7 @@ class TestGeneratedShapes:
         assert len(keys) == len(shapes) > 40
         for key in keys:
             ast.parse(units._source(key), feature_version=(3, 10))
+            ast.parse(units._unify_source(key), feature_version=(3, 10))
 
 
 @st.composite
@@ -713,6 +740,56 @@ def _check_well_built(t_in, t_out, x):
         _assert_well_built(got)
 
 
+def _runners(t_in, t_out):
+    # The unit compiled twice, once for each unify-mode runner: within the
+    # cap, for its shape's generated unify function, and with the cap
+    # patched to 0, for unify_unit's register loop.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(units, "_MAX_REGISTERS", 0)
+        interpreted = compile_unit(t_in, t_out)
+    generated = compile_unit(t_in, t_out)
+    assert interpreted[11] is None and generated[11] is not None
+    return generated, interpreted
+
+
+def _check_rename_unify_apply(code, t_in, t_out, x, pre):
+    # One runner against the reference, from a store holding pre.
+    bind, trail = _store(pre)
+    before = (dict(bind), list(trail))
+    s_pre = Subst(pre)
+    # U's value may hold V: two passes resolve the store's chains.
+    x_pre = s_pre.apply(s_pre.apply(x))
+    want = _rename_unify_apply(t_in, t_out, x_pre)
+    got = unify_unit(code, x, bind, trail)
+    if got is None:
+        assert want is None
+        assert (bind, trail) == before
+        return
+    assert want is not None
+    pair = resolved(mk_tuple((x, got)), bind)
+    assert canonical(pair) == canonical(want)
+    _assert_ground_flags(pair)
+    assert trail[: len(before[1])] == before[1]
+    assert set(bind) == set(trail)
+    # Every variable the call made is new: none of the unit's own, and
+    # none shared with a second call from the same store.
+    bind2, trail2 = _store(pre)
+    again = resolved(unify_unit(code, x, bind2, trail2), bind2)
+    made = set(term_vars(resolved(got, bind))) - set(term_vars(x_pre))
+    made_again = set(term_vars(again)) - set(term_vars(x_pre))
+    assert not made & made_again
+    assert not made & set(term_vars(mk_tuple((t_in, t_out))))
+
+
+def _as_made(t):
+    # t up to its variables' serials: its variables numbered by first
+    # occurrence, their names in that order, and the order in which they
+    # were made.
+    vs = term_vars(t)
+    order = sorted(range(len(vs)), key=lambda i: vs[i].serial)
+    return canonical(t), [v.name for v in vs], order
+
+
 class TestInPlaceBuild:
     """The runners build output compounds without Compound.__init__, so
     they hold its invariants themselves."""
@@ -730,11 +807,12 @@ class TestInPlaceBuild:
     @example((f(X_), g(P_, a, X_), f(U_), {}))
     def test_unify_mode(self, case):
         t_in, t_out, x, pre = case
-        bind, trail = _store(pre)
-        got = unify_unit(compile_unit(t_in, t_out), x, bind, trail)
-        if got is not None:
-            _assert_well_built(got)
-            _assert_well_built(resolved(got, bind))
+        for code in _runners(t_in, t_out):
+            bind, trail = _store(pre)
+            got = unify_unit(code, x, bind, trail)
+            if got is not None:
+                _assert_well_built(got)
+                _assert_well_built(resolved(got, bind))
 
 
 class TestStoreRunner:
@@ -762,46 +840,52 @@ class TestStoreRunner:
     @example((X_, X_, U_, {U_: g(V_)}))
     def test_equals_rename_unify_apply(self, case):
         t_in, t_out, x, pre = case
-        bind, trail = _store(pre)
-        before = (dict(bind), list(trail))
-        s_pre = Subst(pre)
-        # U's value may hold V: two passes resolve the store's chains.
-        x_pre = s_pre.apply(s_pre.apply(x))
-        want = _rename_unify_apply(t_in, t_out, x_pre)
-        code = compile_unit(t_in, t_out)
-        got = unify_unit(code, x, bind, trail)
-        if got is None:
-            assert want is None
-            assert (bind, trail) == before
-            return
-        assert want is not None
-        pair = resolved(mk_tuple((x, got)), bind)
-        assert canonical(pair) == canonical(want)
-        _assert_ground_flags(pair)
-        assert trail[: len(before[1])] == before[1]
-        assert set(bind) == set(trail)
-        # Every variable the call made is new: none of the unit's own, and
-        # none shared with a second call from the same store.
-        bind2, trail2 = _store(pre)
-        again = resolved(unify_unit(code, x, bind2, trail2), bind2)
-        made = set(term_vars(resolved(got, bind))) - set(term_vars(x_pre))
-        made_again = set(term_vars(again)) - set(term_vars(x_pre))
-        assert not made & made_again
-        assert not made & set(term_vars(mk_tuple((t_in, t_out))))
+        for code in _runners(t_in, t_out):
+            _check_rename_unify_apply(code, t_in, t_out, x, pre)
+
+    @given(units_subjects_stores())
+    @settings(max_examples=300)
+    # A nested load in write mode (U is unbound when g(h(X)) meets it)
+    # followed by a first occurrence (Y meets U, bound by then): Y's
+    # variable is one the call made, so it is not bound again.
+    @example((f(g(Compound("h", (X_,))), Y_), g(X_, Y_), f(U_, U_), {}))
+    @example((f(X_, g(Y_, Y_)), g(X_, Y_), f(U_, U_), {}))
+    @example((f(X_, g(a, b)), g(X_, P_, P_), f(g(U_), V_), {}))
+    def test_generated_equals_interpreted(self, case):
+        # The two runners make the same variables, with the same names, in
+        # the same order, and bind the same number of them.
+        t_in, t_out, x, pre = case
+        results = []
+        for code in _runners(t_in, t_out):
+            bind, trail = _store(pre)
+            got = unify_unit(code, x, bind, trail)
+            if got is None:
+                assert (bind, trail) == _store(pre)
+                results.append(None)
+            else:
+                pair = resolved(mk_tuple((x, got)), bind)
+                results.append((_as_made(pair), len(trail)))
+        assert results[0] == results[1]
 
     def test_occurs_check(self):
         Y = fresh_var("Y")
-        bind, trail = {}, []
-        code = compile_unit(mk_tuple((X_, f(X_))), X_)
-        assert unify_unit(code, mk_tuple((Y, Y)), bind, trail) is None
-        assert bind == {} and trail == []
+        for code in _runners(mk_tuple((X_, f(X_))), X_):
+            bind, trail = {}, []
+            assert unify_unit(code, mk_tuple((Y, Y)), bind, trail) is None
+            assert bind == {} and trail == []
 
     def test_failure_restores_store(self):
-        # The first argument binds U before the constant check fails.
-        bind, trail = _store({V_: b})
-        code = compile_unit(f(X_, a), X_)
-        assert unify_unit(code, f(U_, V_), bind, trail) is None
-        assert (bind, trail) == _store({V_: b})
+        # The first argument binds U before the constant check fails; then
+        # a load's write mode binds U (h(Y) meets it first) before a later
+        # load fails (g(X) meets k(a)).
+        for t_in, x in (
+            (f(X_, a), f(U_, V_)),
+            (f(g(X_), Compound("h", (Y_,))), f(Compound("k", (a,)), U_)),
+        ):
+            for code in _runners(t_in, X_):
+                bind, trail = _store({V_: b})
+                assert unify_unit(code, x, bind, trail) is None
+                assert (bind, trail) == _store({V_: b})
 
     def test_binding_direction(self):
         # A subject variable at a first occurrence is bound to a fresh
