@@ -305,9 +305,9 @@ class _Session:
 
 
 def _answer(goal: Goal, subst):
-    """The goal's variables, their values under subst, and display names
-    for every variable shown, goal variables first."""
-    goal_vars = term_vars(goal.atom)
+    """The goal's variables but those written _, their values under subst,
+    and display names for every variable shown, goal variables first."""
+    goal_vars = [v for v in term_vars(goal.atom) if v.name != "_"]
     values = [subst.get(v, v) for v in goal_vars]
     names = _display_names(term_vars(mk_tuple((*goal_vars, *values))))
     return goal_vars, values, names

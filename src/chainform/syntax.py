@@ -17,7 +17,9 @@ comment.  Lists desugar to cons/nil; tuples to the reserved 'tuple' functor.
 One regular expression splits the text into tokens, each a plain string,
 and the parser reads them by index, taking a token's kind from its first
 character.  Lines and columns are computed from a token's index only when
-an error is raised.
+an error is raised.  Within one read (a program or a goal), every
+occurrence of a name or an integer is the same Constant; terms are
+immutable, so sharing it is safe, and the table goes with the read.
 """
 
 from __future__ import annotations
@@ -181,6 +183,8 @@ class _Parser:
         self.tokens = _TOKEN.findall(text)
         self.pos = 0
         self.clause_vars = {}
+        # token -> its Constant: one per distinct symbol in this read.
+        self.constants = {}
 
     def error(self, message, at=None):
         raise ParseError(message, *_position(self.text, self.pos if at is None else at))
@@ -224,6 +228,7 @@ class _Parser:
         # items.  The opener is the functor name, "[", "|" (the tail of a
         # list, which ends its items) or TUPLE_OPEN.
         tokens = self.tokens
+        constants = self.constants
         pos = self.pos
         frames = []
         opener = items = None
@@ -240,12 +245,16 @@ class _Parser:
                     opener, items = tok, []
                     continue
                 else:
-                    t = Constant(tok)
+                    t = constants.get(tok)
+                    if t is None:
+                        t = constants[tok] = Constant(tok)
             elif c.isdecimal():
-                try:
-                    t = Constant(int(tok))
-                except ValueError:  # past the digit limit: see _check_tokens
-                    self.error("integer too long", pos - 1)
+                t = constants.get(tok)
+                if t is None:
+                    try:
+                        t = constants[tok] = Constant(int(tok))
+                    except ValueError:  # past the digit limit: see _check_tokens
+                        self.error("integer too long", pos - 1)
             elif tok == "[" or tok == TUPLE_OPEN:
                 if tokens[pos] != _CLOSE[tok]:
                     frames.append((opener, items))

@@ -8,13 +8,15 @@ Terms are immutable.  Every compound term records at construction whether it
 is ground, and each walk below (occurs check, resolution, substitution,
 renaming, variable collection) stops at a ground compound instead of
 descending into it.  Compound computes the flag from its arguments' flags.
-The unit runners of the units module, the one other place compounds are
-made, build their outputs in place (object.__new__, then the three slots)
-and hold the invariant themselves: the match-mode runner sets the flag
-when its registers hold only subterms of a ground subject and the clause's
-own ground subterms, and otherwise computes it from the arguments as
-Compound does.  Their functors come from the clause's compounds, so they
-are interned already, and their args are tuples.
+The two other places compounds are made, mk_list here and the unit runners
+of the units module, build them in place (object.__new__, then the three
+slots) and hold the invariant themselves.  mk_list carries the flag outward
+from the list's tail, since a cell is ground iff its item and the cells
+inside it are; its functor is the interned "cons".  The match-mode runner
+sets the flag when its registers hold only subterms of a ground subject and
+the clause's own ground subterms, and otherwise computes it from the
+arguments as Compound does; the runners' functors come from the clause's
+compounds, so they are interned already.  Every args is a tuple.
 
 match is the reference one-way matcher: it reads the pattern generically and
 returns a Subst, which apply then substitutes into an output term.  unify,
@@ -22,7 +24,8 @@ rename_many and apply are the reference for unification at a unit clause.
 The engines run unit clauses compiled by the units module instead, and the
 tests hold those to the references here.  A unit too large for the units
 module to generate a match function runs match and apply themselves.  Goal
-plans decode ground answers with match and the others with unify.
+plans decode most ground answers by reading them at fixed positions, and
+match or unify the rest.
 
 Every walk runs over an explicit stack, so terms of any depth are handled at
 the interpreter's default recursion limit; Compound.__hash__ and
@@ -34,6 +37,8 @@ from __future__ import annotations
 import itertools
 from operator import is_
 from sys import intern
+
+_new_object = object.__new__
 
 # Name of the term kernel, kept so benchmark results record which one ran.
 BACKEND = "python"
@@ -90,8 +95,8 @@ class Compound:
 
     Invariant: ``ground`` is True iff no Variable occurs anywhere inside the
     term.  It is computed once, here, from the arguments' own flags (or by
-    the unit runners, which build compounds in place: see the module
-    docstring); since terms are never mutated it cannot go stale.
+    mk_list and the unit runners, which build compounds in place: see the
+    module docstring); since terms are never mutated it cannot go stale.
     """
 
     __slots__ = ("functor", "args", "ground")
@@ -477,10 +482,19 @@ def is_nil(t) -> bool:
 
 
 def mk_list(items, tail=NIL):
-    """Build a cons list from items, onto tail."""
+    """Build a cons list from the sequence items, onto tail, each cell in
+    place (see the module docstring)."""
     out = tail
-    for item in reversed(tuple(items)):
-        out = cons(item, out)
+    ground = type(tail) is not Variable and (type(tail) is not Compound or tail.ground)
+    for item in reversed(items):
+        if ground:
+            ti = type(item)
+            ground = ti is not Variable and (ti is not Compound or item.ground)
+        cell = _new_object(Compound)
+        cell.functor = CONS_FUNCTOR
+        cell.args = (item, out)
+        cell.ground = ground
+        out = cell
     return out
 
 

@@ -26,9 +26,13 @@ output (a partial identity).  One pass-on set serves every inner seam: all
 clause variables except those occurring in every atom.
 
 A goal plan decodes an answer ⟨σ, outs…⟩ against the goal's output
-arguments: a ground answer (every match-mode answer, and many in unify
-mode) by one-way matching, terms.match; any other by unification,
-restricted to the goal's variables.
+arguments.  A ground answer (every match-mode answer, and many in unify
+mode) is read by position: the plan sorts the outputs once, so a variable's
+first occurrence is read off the answer and a ground output is compared
+with it; when an output repeats a variable or is a compound that is not
+ground, it is matched instead, by terms.match.  Any other answer is
+unified with the outputs, restricted to the goal's variables.  Either way
+the result is that of unification then restriction.
 """
 
 from __future__ import annotations
@@ -40,9 +44,12 @@ from .chainir import ChainProgram, NonUnit, Unit
 from .forms import MODED, FormReport, ModedClause, analyse_moded, split_args
 from .syntax import Goal, SourceClause, SourceProgram
 from .terms import (
+    EMPTY_SUBST,
     NIL,
+    Compound,
     Subst,
     Variable,
+    _struct_eq,
     fresh_var,
     is_tuple,
     match,
@@ -223,7 +230,9 @@ def transform_definite(p: SourceProgram) -> ChainProgram:
 class GoalPlan:
     """How to run a goal against a chain program: the seed term (stack
     seeded with the empty list), the predicates to compose, and a decoder
-    from answer terms back to bindings of the goal's own variables."""
+    from answer terms back to bindings of the goal's own variables, which
+    reads a ground answer by position where the goal's outputs allow (see
+    the module docstring)."""
 
     initial: object
     continuations: tuple
@@ -237,6 +246,31 @@ class GoalPlan:
             if s is not None:
                 out.append(s)
         return out
+
+
+def _positions(outs):
+    """How a ground answer is read at the goal's output positions, the
+    answer's arguments 1…: the (position, variable) reads of each
+    variable's first occurrence and the (position, term) checks of each
+    ground output, last position first, as match binds them.  (None, None)
+    when a variable occurs twice or inside a compound that is not ground:
+    such outputs are matched by terms.match."""
+    reads = []
+    checks = []
+    i = len(outs)
+    for p in reversed(outs):
+        tp = type(p)
+        if tp is Variable:
+            for _, v in reads:
+                if v == p:
+                    return None, None
+            reads.append((i, p))
+        elif tp is not Compound or p.ground:
+            checks.append((i, p))
+        else:
+            return None, None
+        i -= 1
+    return tuple(reads), tuple(checks)
 
 
 def compile_goal(goal: Goal, t: ChainProgram, mode: str) -> GoalPlan:
@@ -273,16 +307,24 @@ def compile_goal(goal: Goal, t: ChainProgram, mode: str) -> GoalPlan:
     # restriction.
     expected = mk_tuple((NIL, *outs))
     width = len(expected.args)
+    reads, checks = _positions(outs)
 
     def decode(answer):
         if not is_tuple(answer) or len(answer.args) != width:
             raise ValueError("malformed answer term %r" % (answer,))
-        if answer.args[0] != NIL:
+        args = answer.args
+        if args[0] is not NIL and args[0] != NIL:
             raise ValueError(
-                "answer stack is %r, expected the empty list" % (answer.args[0],)
+                "answer stack is %r, expected the empty list" % (args[0],)
             )
         if answer.ground:
-            return match(expected, answer)
+            if reads is None:
+                return match(expected, answer)
+            for i, p in checks:
+                a = args[i]
+                if a is not p and not _struct_eq(p, a):
+                    return None
+            return Subst({v: args[i] for i, v in reads}) if reads else EMPTY_SUBST
         s = unify(expected, answer)
         if s is None:
             return None

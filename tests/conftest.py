@@ -1,5 +1,5 @@
-"""Shared test infrastructure: the evaluation corpus and an independent
-first-answer step counter."""
+"""Shared test infrastructure: the evaluation corpus's pipelines (its goals
+are in corpus.py) and an independent first-answer step counter."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
+from corpus import CORPUS_GOALS, CORPUS_RUNS, DEFINITE_FIXTURES, MODED_FIXTURES
 
 from chainform.chainir import compile_to_registry
 from chainform.fixtures import load_fixture
@@ -73,66 +74,6 @@ def same_answer_sequence(xs, ys):
     variables, so compare canonical forms (identity on ground answers)."""
     return [canonical(x) for x in xs] == [canonical(y) for y in ys]
 
-# Terminating goals per bundled fixture; the pipeline is the one the
-# fixture's declarations call for.
-CORPUS_GOALS = {
-    "split": [
-        "s([],Y,Z)",
-        "s([a],Y,Z)",
-        "s([a,b],Y,Z)",
-        "s([a,b,c],Y,Z)",
-        "s([a,b,c,d],Y,Z)",
-    ],
-    "append": [
-        "ap(X,Y,[])",
-        "ap(X,Y,[a])",
-        "ap(X,Y,[a,b])",
-        "ap([a],[b,c],Z)",
-        "ap([a,b],Y,[a,b,c])",
-        "ap(X,[b],[a,b])",
-    ],
-    "nrev": [
-        "rev([],R)",
-        "rev([a],R)",
-        "rev([a,b],R)",
-        "rev([a,b,c],R)",
-        "rev([a,b,c,d],R)",
-        "app([a],[b],R)",
-    ],
-    "quicksort": [
-        "qs([],S)",
-        "qs([0],S)",
-        "qs([s(0),0],S)",
-        "qs([s(s(0)),0,s(0)],S)",
-        "qs([s(0),s(0),0],S)",
-        "le(0,s(0))",
-    ],
-    "member": [
-        "member(X,[])",
-        "member(X,[a])",
-        "member(X,[a,b,c])",
-        "member(a,[a,b,a])",
-        "member(X,[a,a])",
-    ],
-    "reverse": [
-        "rv([],R)",
-        "rv([a],R)",
-        "rv([a,b],R)",
-        "rv([a,b,c],R)",
-        "rv([a,b,c,d],R)",
-    ],
-    "length": [
-        "len([],N)",
-        "len([a],N)",
-        "len([a,b],N)",
-        "len([a,b,c],N)",
-        "len([a,b,c,d],N)",
-    ],
-}
-
-MODED_FIXTURES = ("split", "nrev", "quicksort", "member", "reverse", "length")
-DEFINITE_FIXTURES = ("append",)
-
 
 @dataclass
 class Pipeline:
@@ -165,14 +106,8 @@ def build_pipeline(name, mode):
 
 
 def corpus_pipelines():
-    """Every fixture through its natural pipeline, plus the moded fixtures
-    through the definite pipeline (which applies to any program)."""
-    out = [build_pipeline(n, "moded") for n in MODED_FIXTURES]
-    out.extend(build_pipeline(n, "definite") for n in DEFINITE_FIXTURES)
-    out.extend(
-        build_pipeline(n, "definite") for n in ("split", "member", "length")
-    )
-    return out
+    """A pipeline for each of corpus.CORPUS_RUNS."""
+    return [build_pipeline(name, mode) for name, mode in CORPUS_RUNS]
 
 
 @pytest.fixture(scope="session")

@@ -248,6 +248,55 @@ class TestSolve:
         assert main(["solve", split_file, "-g", "s([a],[a],[])"]) == 0
         assert capsys.readouterr().out.strip() == "true"
 
+    @pytest.mark.parametrize(
+        "fixture, argv, answers",
+        [
+            (
+                "split",
+                ["-g", "s([a,b],_,Z)"],
+                [{"Z": "[a,b]"}, {"Z": "[b]"}, {"Z": "[]"}],
+            ),
+            ("split", ["-g", "s([a,b],_,_)"], [{}, {}, {}]),
+            (
+                "append",
+                ["-g", "ap(X,_,[a,b])", "--mode", "definite"],
+                [{"X": "[]"}, {"X": "[a]"}, {"X": "[a,b]"}],
+            ),
+            ("append", ["-g", "ap(_,_,[a,b])", "--mode", "definite"], [{}, {}, {}]),
+        ],
+    )
+    @pytest.mark.parametrize("engine", ["abcde", "bounded"])
+    def test_anonymous_variables_hidden(
+        self, fixture, argv, answers, engine, request, capsys
+    ):
+        # A variable written _ is never shown: a goal whose variables are
+        # all anonymous prints true, as a ground goal does.
+        path = request.getfixturevalue(fixture + "_file")
+        argv = ["solve", path, *argv, "--engine", engine]
+        if engine == "bounded":
+            answers = answers[:1]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        text = [
+            ", ".join("%s = %s" % kv for kv in a.items()) or "true" for a in answers
+        ]
+        assert lines == text + (["resource=1"] if engine == "bounded" else [])
+        assert main(argv + ["--format", "jsonl"]) == 0
+        payloads = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [p["answer"] for p in payloads] == answers
+        if engine == "bounded":
+            assert payloads[0]["resource"] == 1
+
+    def test_anonymous_variable_in_an_open_answer(self, append_file, capsys):
+        # _ is bound to [], and the answer's own variable L still shows.
+        assert main(
+            ["solve", append_file, "-g", "ap(_,Y,Z)", "--mode", "definite",
+             "--engine", "bounded"]
+        ) == 0
+        assert capsys.readouterr().out.strip().splitlines() == [
+            "Y = L, Z = L", "resource=1"
+        ]
+
     def test_budget_exit_3(self, looping_file, capsys):
         assert main(
             ["solve", looping_file, "-g", "p(a)", "--budget", "50"]
@@ -451,6 +500,14 @@ class TestRepl:
         assert code == 0
         assert out.count("Y = ") == 1
         assert "no more answers" not in out
+
+    def test_anonymous_variables_hidden(self, split_file, monkeypatch, capsys):
+        code, out = self.run_repl(
+            monkeypatch, capsys, split_file, "s([a,b],_,Z)\ny\nn\n"
+        )
+        assert code == 0
+        assert "Z = [a,b]" in out and "Z = [b]" in out
+        assert "_" not in out
 
     def test_zero_answers(self, split_file, monkeypatch, capsys):
         code, out = self.run_repl(

@@ -3,11 +3,16 @@ variables shared between the head and inner atoms, variables shared among
 inner atoms only, repeated variables within an atom, 0-ary predicates,
 duplicate clauses and goals that only the occurs check refutes; then the
 definite pipeline on long lists and on random programs, and the moded
-pipeline on random programs, through all five engines."""
+pipeline on random programs, through all five engines; and the corpus
+through tests/pyversions.py, the standard-library-only run of the same
+comparison."""
 
 import functools
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -179,6 +184,18 @@ def assert_engines_match_oracle(reference, goal, exhaustive, ordered=False):
             assert got == want, name
         else:
             assert Counter(got) == Counter(want), name
+
+
+def test_pyversions_script():
+    # The script runs under this interpreter as it runs under any other.
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pyversions.py")
+    proc = subprocess.run(
+        [sys.executable, script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].endswith(
+        ": 265 runs, 0 disagree with the oracle"
+    )
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from chainform.terms import (
     NIL,
     Variable,
     cons,
+    list_parts,
     mk_list,
     mk_tuple,
     term_vars,
@@ -179,6 +180,20 @@ class TestParseGoal:
 
     def test_trailing_period_ok(self):
         assert parse_goal("p(X).").atom.functor == "p"
+
+    def test_one_constant_per_symbol_per_read(self):
+        # Within a read every occurrence of a token is one Constant (01
+        # and 1 are two equal ones); another read makes its own.
+        a, items, f, one = parse_goal("p(a, [a,1,b,01], f(a,1), 1)").atom.args
+        (a2, one2, b, one3), _ = list_parts(items)
+        assert a2 is a and f.args[0] is a
+        assert one2 is one and f.args[1] is one and one3 == one
+        assert b == Constant("b") and one == Constant(1) != Constant("1")
+        again = parse_goal("p(a)").atom.args[0]
+        assert again == a and again is not a
+        clauses = parse_program("p(a, 1).\nq(a) :- p(a, 1).").clauses
+        assert clauses[1].head.args[0] is clauses[0].head.args[0]
+        assert clauses[1].body[0].args[1] is clauses[0].head.args[1]
 
 
 class TestPrint:

@@ -16,6 +16,7 @@ from conftest import (
 from hypothesis import example, given, settings, strategies as st
 
 from chainform import units
+from chainform.syntax import parse_goal
 from chainform.terms import (
     Compound,
     Constant,
@@ -813,6 +814,57 @@ class TestInPlaceBuild:
             if got is not None:
                 _assert_well_built(got)
                 _assert_well_built(resolved(got, bind))
+
+
+    @given(
+        st.lists(
+            st.one_of(
+                _terms(_ANY_VARS),
+                st.builds(mk_list, st.lists(_terms(_ANY_VARS), max_size=3)),
+            ),
+            max_size=6,
+        ),
+        st.one_of(
+            st.just(NIL),
+            st.sampled_from(_ANY_VARS),
+            _terms(_ANY_VARS).filter(lambda t: type(t) is Compound),
+            st.builds(mk_list, st.lists(_terms(_ANY_VARS), min_size=1, max_size=3),
+                      st.sampled_from(_ANY_VARS)),
+        ),
+    )
+    @settings(max_examples=300)
+    @example([a, X_, f(a), g(X_)], NIL)
+    @example([a, b], f(U_))
+    @example([], X_)
+    def test_mk_list(self, items, tail):
+        # Cell by cell, the list equals the chain Compound("cons", ...)
+        # builds, with the same ground flag, the interned functor and
+        # tuple args, and it holds the items and the tail themselves.
+        got = mk_list(items, tail)
+        want = tail
+        for item in reversed(items):
+            want = Compound("cons", (item, want))
+        assert got == want
+        for item in items:
+            assert type(got) is Compound and got.ground == want.ground
+            assert got.functor is sys.intern("cons")
+            assert type(got.args) is tuple and got.args[0] is item
+            got, want = got.args[1], want.args[1]
+        assert got is tail
+
+    def test_long_list_read(self, default_recursion_limit):
+        # 200 000 elements, the one variable halfway: a cell is ground iff
+        # it lies inside the variable's cell.
+        n = 200_000
+        items = ["e%d" % (k % 7) for k in range(n)]
+        items[n // 2] = "X"
+        lst = parse_goal("p([%s])" % ",".join(items)).atom.args[0]
+        for k in range(n):
+            assert lst.functor is sys.intern("cons")
+            assert type(lst.args) is tuple
+            assert lst.ground == (k > n // 2)
+            lst = lst.args[1]
+        assert lst is NIL
 
 
 class TestStoreRunner:

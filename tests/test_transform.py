@@ -40,6 +40,7 @@ from chainform.terms import (
 from chainform.transform import (
     GoalError,
     TransformError,
+    _positions,
     compile_goal,
     pass_on_set_definite,
     transform_definite,
@@ -463,13 +464,69 @@ def _reference_decode(plan, expected, tail):
     return None if s is None else s.restrict(term_vars(plan.goal.atom))
 
 
+def _repeated_output_case(mode):
+    # Outputs ⟨X, X⟩ against a ground answer that differs at the two.
+    X = GOAL_VARS[0]
+    atom = Compound("s" if mode == "moded" else "a", (NIL, X, X))
+    plan = compile_goal(Goal(atom), DECODE_CHAINS[mode], mode)
+    outs = atom.args[1:] if mode == "moded" else atom.args
+    values = (NIL, Constant("a"), Constant("b"))[-len(outs):]
+    return plan, mk_tuple(outs), mk_tuple(values)
+
+
 class TestDecode:
     @settings(max_examples=300)
     @given(plans_and_answers())
+    @example(_repeated_output_case("moded"))
+    @example(_repeated_output_case("definite"))
     def test_equals_unify_then_restrict(self, case):
         plan, expected, tail = case
         got = plan.decode(mk_tuple((NIL, *tail.args)))
         assert got == _reference_decode(plan, expected, tail)
+
+    @pytest.mark.parametrize(
+        "program, mode, goal, branch",
+        [
+            # Distinct output variables: each read off the answer.
+            ("split", "moded", "s([a,b],Y,Z)", "read"),
+            ("split", "definite", "s([a,b],Y,Z)", "read"),
+            ("append", "definite", "a(X,Y,[a,b])", "read"),
+            # A ground output, compared: it filters the answers.
+            ("split", "moded", "s([a,b],[b],Z)", "read"),
+            ("append", "definite", "a(X,[b],[a,b])", "read"),
+            # A repeated variable, or a partial output: terms.match.
+            ("split", "moded", "s([a,a],X,X)", "match"),
+            ("split", "definite", "s([a,a],X,X)", "match"),
+            ("split", "moded", "s([a,b],[H|T],Z)", "match"),
+            ("split", "definite", "s([a,b],[H|T],Z)", "match"),
+            # A non-ground answer: unify, then restrict.
+            ("append", "definite", "a([a],Y,Z)", "unify"),
+            ("append", "definite", "a([A,b],Y,Z)", "unify"),
+        ],
+    )
+    def test_engine_answers(self, program, mode, goal, branch):
+        # Every raw answer eval_abcde gives, decoded by the branch named,
+        # as the reference decodes it.
+        source = parse_program(SPLIT if program == "split" else APPEND)
+        chain = CONVERSIONS[mode](source)
+        plan = compile_goal(parse_goal(goal), chain, mode)
+        uni = "match" if mode == "moded" else "unify"
+        raw = eval_abcde(
+            plan.initial, plan.continuations, compile_to_registry(chain), uni
+        )
+        assert raw
+        atom = plan.goal.atom
+        outs = atom.args[1:] if mode == "moded" else atom.args
+        for answer in raw:
+            if branch == "unify":
+                assert not answer.ground
+            else:
+                assert answer.ground
+                assert (_positions(outs)[0] is None) == (branch == "match")
+            tail = mk_tuple(answer.args[1:])
+            assert plan.decode(answer) == _reference_decode(
+                plan, mk_tuple(outs), tail
+            )
 
     @pytest.mark.parametrize(
         "goal,answers",
