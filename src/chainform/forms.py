@@ -54,17 +54,6 @@ class FormReport:
         return "\n".join(lines)
 
 
-def split_args(args, modes):
-    """The 'in' arguments and the 'out' arguments, each in argument order."""
-    ins, outs = [], []
-    for a, m in zip(args, modes):
-        if m == "in":
-            ins.append(a)
-        elif m == "out":
-            outs.append(a)
-    return tuple(ins), tuple(outs)
-
-
 class ModedClause(NamedTuple):
     """One clause's moded analysis.  Variable sets hold serials."""
 

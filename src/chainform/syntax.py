@@ -14,12 +14,15 @@ Lowercase-initial identifiers are atoms/functors, uppercase-initial (or '_')
 are variables, '_' alone is an anonymous fresh variable.  '%' starts a line
 comment.  Lists desugar to cons/nil; tuples to the reserved 'tuple' functor.
 
-One regular expression splits the text into tokens, each a plain string,
-and the parser reads them by index, taking a token's kind from its first
-character.  Lines and columns are computed from a token's index only when
-an error is raised.  Within one read (a program or a goal), every
-occurrence of a name or an integer is the same Constant; terms are
-immutable, so sharing it is safe, and the table goes with the read.
+Each match of one regular expression, _TOKEN, is a token, a plain string;
+the search skips whitespace between them, '%' comments match as tokens and
+are dropped only when the text holds a '%', and one empty string ends the
+list.  The parser reads the list by index, taking a token's kind from its
+first character, and builds compounds in place, as terms.mk_list builds
+lists.  Lines and columns are computed from a token's index only when an
+error is raised.  Within one read (a program or a goal), every occurrence
+of a name or an integer is the same Constant; terms are immutable, so
+sharing it is safe, and the table goes with the read.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import islice
+from sys import intern
 
 from .terms import (
     NIL,
@@ -34,7 +38,7 @@ from .terms import (
     Compound,
     Constant,
     Variable,
-    fresh_var,
+    _new_object,
     is_cons,
     is_nil,
     is_tuple,
@@ -114,12 +118,11 @@ class SourceProgram:
 # ---------------------------------------------------------------------------
 # Lexer
 
-# Each match skips whitespace and '%' line comments, then captures one token:
-# ':-', a run of decimal digits, a word, any other character, or the empty
-# string at the end of the text, the end-of-input token (twice when the text
-# ends in whitespace or a comment).  \s, \w and \d agree with str.isspace,
-# str.isalnum or '_', and str.isdecimal on every character.
-_TOKEN = re.compile(r"(?:\s+|%.*)*(:-|\d+|[^\W\d]\w*|.|\Z)")
+# Each match is one token: ':-', a run of decimal digits, a word, any other
+# character but whitespace and '%', or a '%' line comment, which _tokens
+# drops.  Whitespace is skipped between matches.  \s, \w and \d agree with
+# str.isspace, str.isalnum or '_', and str.isdecimal on every character.
+_TOKEN = re.compile(r":-|\d+|[^\W\d]\w*|[^\s%]|%.*")
 
 _PUNCT = {"(", ")", "[", "]", ",", "|", ".", TUPLE_OPEN, TUPLE_CLOSE}
 
@@ -138,11 +141,22 @@ def _shown(tok):
     return repr(tok)
 
 
+def _tokens(text):
+    """The tokens of text without its comments, then the end-of-input
+    token, the empty string."""
+    tokens = _TOKEN.findall(text)
+    if "%" in text:
+        tokens = [tok for tok in tokens if tok[0] != "%"]
+    tokens.append("")
+    return tokens
+
+
 def _position(text, index):
-    """Line and column of the token at index.  A column counts every
-    character before the token on its line, but none of a comment there,
-    which can only run to the end of input."""
-    at = next(islice(_TOKEN.finditer(text), index, None)).start(1)
+    """Line and column of the token at index in _tokens(text).  A column
+    counts every character before the token on its line, but none of a
+    comment there, which can only run to the end of input."""
+    starts = (m.start() for m in _TOKEN.finditer(text) if text[m.start()] != "%")
+    at = next(islice(starts, index, None), len(text))
     line_start = text.rfind("\n", 0, at) + 1
     comment = text.find("%", line_start, at)
     if comment >= 0:
@@ -180,7 +194,7 @@ class _Parser:
 
     def __init__(self, text):
         self.text = text
-        self.tokens = _TOKEN.findall(text)
+        self.tokens = _tokens(text)
         self.pos = 0
         self.clause_vars = {}
         # token -> its Constant: one per distinct symbol in this read.
@@ -212,37 +226,36 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def variable(self, name):
-        if name == "_":
-            return fresh_var("_")
-        v = self.clause_vars.get(name)
-        if v is None:
-            v = fresh_var(name)
-            self.clause_vars[name] = v
-        return v
-
     def term(self):
         # Open compounds, lists, list tails and tuples wait on an explicit
-        # stack of (opener, items) frames, so terms of any depth parse
-        # without recursion; the innermost frame is kept in opener and
-        # items.  The opener is the functor name, "[", "|" (the tail of a
-        # list, which ends its items) or TUPLE_OPEN.
+        # stack of (opener, items, start) frames, so terms of any depth
+        # parse without recursion; the innermost frame is kept in opener,
+        # items and start.  The opener is the interned functor name, "[",
+        # "|" (the tail of a list, which ends its items) or TUPLE_OPEN; start
+        # counts the variables read before it opened (seen counts them all).
         tokens = self.tokens
         constants = self.constants
+        clause_vars = self.clause_vars
         pos = self.pos
         frames = []
         opener = items = None
+        seen = start = 0
         while True:
             tok = tokens[pos]
             pos += 1
             c = tok[:1]
             if c.isalpha() or c == "_":
                 if c == "_" or c.isupper():
-                    t = self.variable(tok)
+                    seen += 1
+                    t = clause_vars.get(tok)  # never "_": each is fresh
+                    if t is None:
+                        t = Variable(tok)
+                        if tok != "_":
+                            clause_vars[tok] = t
                 elif tokens[pos] == "(":
                     pos += 1
-                    frames.append((opener, items))
-                    opener, items = tok, []
+                    frames.append((opener, items, start))
+                    opener, items, start = intern(tok), [], seen
                     continue
                 else:
                     t = constants.get(tok)
@@ -257,8 +270,8 @@ class _Parser:
                         self.error("integer too long", pos - 1)
             elif tok == "[" or tok == TUPLE_OPEN:
                 if tokens[pos] != _CLOSE[tok]:
-                    frames.append((opener, items))
-                    opener, items = tok, []
+                    frames.append((opener, items, start))
+                    opener, items, start = tok, [], seen
                     continue
                 pos += 1
                 t = NIL if tok == "[" else Compound(TUPLE_FUNCTOR, ())
@@ -282,11 +295,12 @@ class _Parser:
                     t = mk_list(items)
                 elif opener == "|":
                     t = mk_list(items[:-1], items[-1])
-                elif opener == TUPLE_OPEN:
-                    t = Compound(TUPLE_FUNCTOR, tuple(items))
                 else:
-                    t = Compound(opener, tuple(items))
-                opener, items = frames.pop()
+                    t = _new_object(Compound)
+                    t.functor = TUPLE_FUNCTOR if opener == TUPLE_OPEN else opener
+                    t.args = tuple(items)
+                    t.ground = seen == start
+                opener, items, start = frames.pop()
             else:
                 self.pos = pos
                 return t

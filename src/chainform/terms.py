@@ -8,11 +8,13 @@ Terms are immutable.  Every compound term records at construction whether it
 is ground, and each walk below (occurs check, resolution, substitution,
 renaming, variable collection) stops at a ground compound instead of
 descending into it.  Compound computes the flag from its arguments' flags.
-The two other places compounds are made, mk_list here and the unit runners
-of the units module, build them in place (object.__new__, then the three
-slots) and hold the invariant themselves.  mk_list carries the flag outward
-from the list's tail, since a cell is ground iff its item and the cells
-inside it are; its functor is the interned "cons".  The match-mode runner
+The other places compounds are made, mk_list here, the unit runners of the
+units module, the parser and a goal plan's seed, build them in place
+(object.__new__, then the three slots) and hold the invariant themselves.
+The parser's compound is ground iff no variable was read inside it, and its
+functor is interned.  mk_list carries the flag outward from the list's
+tail, since a cell is ground iff its item and the cells inside it are; its
+functor is the interned "cons".  The match-mode runner
 sets the flag when its registers hold only subterms of a ground subject and
 the clause's own ground subterms, and otherwise computes it from the
 arguments as Compound does; the runners' functors come from the clause's
@@ -29,7 +31,10 @@ match or unify the rest.
 
 Every walk runs over an explicit stack, so terms of any depth are handled at
 the interpreter's default recursion limit; Compound.__hash__ and
-Compound.__repr__ included.
+Compound.__repr__ included.  _struct_eq, the one structural equality (of
+Compound.__eq__, the ground and repeated-variable checks of generated code,
+match, and units._unify_bound), walks each compound's last argument in
+place, so a list spine pushes nothing onto its stack.
 """
 
 from __future__ import annotations
@@ -414,26 +419,35 @@ def match(pattern, subject):
     return Subst(bind) if bind else EMPTY_SUBST
 
 
-def _struct_eq(a, b):
-    stack = [(a, b)]
-    while stack:
+def _struct_eq(x, y):
+    # See the module docstring; a pair is pushed only when not one object.
+    stack = []
+    while True:
+        if x is not y:
+            tx = type(x)
+            if tx is not type(y):
+                return False
+            if tx is Compound:
+                xs, ys = x.args, y.args
+                n = len(xs) - 1
+                if x.functor != y.functor or n != len(ys) - 1:
+                    return False
+                if n >= 0:
+                    i = 0
+                    while i < n:
+                        if xs[i] is not ys[i]:
+                            stack.append((xs[i], ys[i]))
+                        i += 1
+                    x, y = xs[n], ys[n]
+                    continue
+            elif tx is Variable:
+                if x.serial != y.serial:
+                    return False
+            elif type(x.symbol) is not type(y.symbol) or x.symbol != y.symbol:
+                return False
+        if not stack:
+            return True
         x, y = stack.pop()
-        if x is y:
-            continue
-        tx = type(x)
-        if tx is not type(y):
-            return False
-        if tx is Variable:
-            if x.serial != y.serial:
-                return False
-        elif tx is Constant:
-            if type(x.symbol) is not type(y.symbol) or x.symbol != y.symbol:
-                return False
-        else:
-            if x.functor != y.functor or len(x.args) != len(y.args):
-                return False
-            stack.extend(zip(x.args, y.args))
-    return True
 
 
 def rename_many(terms):

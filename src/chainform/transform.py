@@ -27,28 +27,33 @@ clause variables except those occurring in every atom.
 
 A goal plan decodes an answer ⟨σ, outs…⟩ against the goal's output
 arguments.  A ground answer (every match-mode answer, and many in unify
-mode) is read by position: the plan sorts the outputs once, so a variable's
-first occurrence is read off the answer and a ground output is compared
-with it; when an output repeats a variable or is a compound that is not
-ground, it is matched instead, by terms.match.  Any other answer is
-unified with the outputs, restricted to the goal's variables.  Either way
-the result is that of unification then restriction.
+mode) is read by position: one pass over the goal's arguments splits them
+by mode, builds the seed ⟨[], ins…⟩ with its ground flag, and sorts the
+outputs, so a variable's first occurrence is read off the answer and a
+ground output is compared with it; when an output repeats a variable or is
+a compound that is not ground, the answer is matched instead, by
+terms.match.  Any other answer is unified with the outputs, restricted to
+the goal's variables.  Either way the result is that of unification then
+restriction, and ⟨[], outs…⟩ is built only for match or unify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 from .chainir import ChainProgram, NonUnit, Unit
-from .forms import MODED, FormReport, ModedClause, analyse_moded, split_args
+from .forms import MODED, FormReport, ModedClause, analyse_moded
 from .syntax import Goal, SourceClause, SourceProgram
 from .terms import (
     EMPTY_SUBST,
     NIL,
+    TUPLE_FUNCTOR,
     Compound,
     Subst,
     Variable,
+    _new_object,
     _struct_eq,
     fresh_var,
     is_tuple,
@@ -231,8 +236,9 @@ class GoalPlan:
     """How to run a goal against a chain program: the seed term (stack
     seeded with the empty list), the predicates to compose, and a decoder
     from answer terms back to bindings of the goal's own variables, which
-    reads a ground answer by position where the goal's outputs allow (see
-    the module docstring)."""
+    reads a ground answer by position where the goal's outputs allow.  One
+    pass over the goal's arguments makes the seed and the decoder's reads
+    and checks (see the module docstring)."""
 
     initial: object
     continuations: tuple
@@ -248,41 +254,18 @@ class GoalPlan:
         return out
 
 
-def _positions(outs):
-    """How a ground answer is read at the goal's output positions, the
-    answer's arguments 1…: the (position, variable) reads of each
-    variable's first occurrence and the (position, term) checks of each
-    ground output, last position first, as match binds them.  (None, None)
-    when a variable occurs twice or inside a compound that is not ground:
-    such outputs are matched by terms.match."""
-    reads = []
-    checks = []
-    i = len(outs)
-    for p in reversed(outs):
-        tp = type(p)
-        if tp is Variable:
-            for _, v in reads:
-                if v == p:
-                    return None, None
-            reads.append((i, p))
-        elif tp is not Compound or p.ground:
-            checks.append((i, p))
-        else:
-            return None, None
-        i -= 1
-    return tuple(reads), tuple(checks)
-
-
 def compile_goal(goal: Goal, t: ChainProgram, mode: str) -> GoalPlan:
     """Compile a single-atom goal for evaluation against t.
 
     Moded mode seeds the stack-extended input tuple (which must be ground)
     and decodes answers onto the goal's output positions.  Definite mode
     seeds the full argument tuple, variables allowed, and decodes onto the
-    goal's arguments.
+    goal's arguments.  One pass over the arguments builds the seed in
+    place and sorts the outputs (see the module docstring).
     """
     atom = goal.atom
-    key = (atom.functor, len(atom.args))
+    args = atom.args
+    key = (atom.functor, len(args))
     hat = t.entry.get(key)
     if hat is None:
         raise GoalError("unknown predicate %s/%d" % key)
@@ -292,22 +275,39 @@ def compile_goal(goal: Goal, t: ChainProgram, mode: str) -> GoalPlan:
             raise GoalError(
                 "no modes recorded for %s/%d; use definite mode" % key
             )
-        ins, outs = split_args(atom.args, modes)
     elif mode == "definite":
-        ins = outs = atom.args
+        modes = repeat(None)  # every argument is an input and an output
     else:
         raise ValueError("mode must be 'moded' or 'definite'")
-    initial = mk_tuple((NIL, *ins))
-    if mode == "moded" and not initial.ground:
+    # An answer is ⟨σ, outs…⟩ with σ the empty list, the first of outs.
+    ins = [NIL]
+    outs = [NIL]
+    ground = True
+    reads = []
+    checks = []
+    for a, m in zip(args, modes):
+        ta = type(a)
+        a_ground = ta is not Variable and (ta is not Compound or a.ground)
+        if m != "out":
+            ins.append(a)
+            ground = ground and a_ground
+        if m != "in":
+            if a_ground:
+                checks.append((len(outs), a))
+            elif ta is Variable and reads is not None and a not in outs:
+                reads.insert(0, (len(outs), a))  # last first, as match binds
+            else:
+                reads = None
+            outs.append(a)
+    if mode == "moded" and not ground:
         raise GoalError(
             "moded evaluation needs ground input arguments in %s" % atom.functor
         )
-    # An answer is ⟨σ, outs…⟩ with σ the empty list.  Every variable of
-    # expected is a goal variable, so matching a ground answer needs no
-    # restriction.
-    expected = mk_tuple((NIL, *outs))
-    width = len(expected.args)
-    reads, checks = _positions(outs)
+    initial = _new_object(Compound)
+    initial.functor = TUPLE_FUNCTOR
+    initial.args = tuple(ins)
+    initial.ground = ground
+    width = len(outs)
 
     def decode(answer):
         if not is_tuple(answer) or len(answer.args) != width:
@@ -317,15 +317,17 @@ def compile_goal(goal: Goal, t: ChainProgram, mode: str) -> GoalPlan:
             raise ValueError(
                 "answer stack is %r, expected the empty list" % (args[0],)
             )
+        # Every variable of mk_tuple(outs) is a goal variable, so matching a
+        # ground answer needs no restriction.
         if answer.ground:
             if reads is None:
-                return match(expected, answer)
+                return match(mk_tuple(outs), answer)
             for i, p in checks:
                 a = args[i]
                 if a is not p and not _struct_eq(p, a):
                     return None
             return Subst({v: args[i] for i, v in reads}) if reads else EMPTY_SUBST
-        s = unify(expected, answer)
+        s = unify(mk_tuple(outs), answer)
         if s is None:
             return None
         return s.restrict(term_vars(atom))

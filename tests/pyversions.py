@@ -1,4 +1,5 @@
-"""Every corpus goal through the five engines, against the SLD oracle.
+"""Every corpus goal through the five engines, against the SLD oracle, and
+the pinned digest of the parse corpus.
 
 Standard library only, so that any interpreter can run it, one without
 pytest included:
@@ -11,8 +12,11 @@ yields that the goal accepts, and by eval_bounded's answer when the goal
 accepts it.  The answers are compared with oracle.sld_solve's on the source
 program: in order under the moded conversion, as multisets under the
 definite one, where a first answer need only be one of the oracle's.  It
-prints one line per disagreement and a summary line, and exits 1 when any
-run disagrees.
+then hashes the parse outcomes of corpus.parse_corpus(11, 2000), as
+test_syntax's TestPinnedParse does, and compares the digest with
+corpus.CORPUS_DIGEST.  It prints one line per disagreement, a line on the
+digest and a summary line, and exits 1 when any run disagrees or the digest
+differs.
 """
 
 import os
@@ -22,7 +26,13 @@ from collections import Counter
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
 
-from corpus import CORPUS_GOALS, CORPUS_RUNS  # noqa: E402
+from corpus import (  # noqa: E402
+    CORPUS_DIGEST,
+    CORPUS_GOALS,
+    CORPUS_RUNS,
+    corpus_digest,
+    parse_corpus,
+)
 
 from chainform.chainir import compile_to_registry  # noqa: E402
 from chainform.engines import (  # noqa: E402
@@ -110,10 +120,16 @@ def main():
     for line in wrong:
         print(line)
     version = ".".join(map(str, sys.version_info[:3]))
+    digest = corpus_digest(parse_corpus(11, 2000))
+    if digest == CORPUS_DIGEST:
+        print("Python %s: the parse corpus digest is the pinned one" % version)
+    else:
+        print("Python %s: parse corpus digest %s, pinned %s"
+              % (version, digest, CORPUS_DIGEST))
     print(
         "Python %s: %d runs, %d disagree with the oracle" % (version, runs, len(wrong))
     )
-    return 1 if wrong else 0
+    return 1 if wrong or digest != CORPUS_DIGEST else 0
 
 
 if __name__ == "__main__":

@@ -1,21 +1,21 @@
 """Parser and printer tests, including round-trip laws."""
 
-import hashlib
-import random
 import re
 import sys
+from itertools import islice
 
 import pytest
 from conftest import alpha_equivalent
-from genprog import (
-    random_definite_program,
-    random_ground_goal,
-    random_moded_program,
-    random_open_goal,
+from corpus import (
+    CORPUS_DIGEST,
+    EDIT_CHARS,
+    corpus_digest,
+    parse_corpus,
+    parse_outcomes,
 )
+from hypothesis import example, given, settings, strategies as st
 
-from chainform.fixtures import FIXTURE_NAMES, fixture_text
-
+from chainform import syntax
 from chainform.syntax import (
     ModeDirective,
     ParseError,
@@ -288,77 +288,8 @@ class TestPrint:
 
 
 # ---------------------------------------------------------------------------
-# Pinned parse behaviour: every outcome over a seeded corpus, hashed.
-
-# Edit characters: the syntax's own, and characters on which regex classes
-# and str predicates could part: '²' and 'Ⅰ' are numerics that are not
-# decimal (and 'Ⅰ' is upper case); U+00A0, U+2028 and '\x1c' are
-# whitespace that the parser does not count as a line break.
-EDIT_CHARS = "aXq_Z019()[],|.:-%⟨⟩ \t\n\r²Ⅰé١\u00a0\u2028\x1c$'"
-
-HAND_TEXTS = [
-    "u(⟨St,[A|N]⟩, ⟨[A|St],N⟩).",
-    "u(⟨⟩, ⟨St⟩).",
-    "p.\nq :- p.",
-    ":- mode(p, [in,out]).\np(a, b).\n",
-    "p(X) % trailing comment",
-    "p(X, 007, 42).",
-    "% only a comment",
-    ":- mode(p, [in]).\n:- mode(p, [out]).\np(a).",
-    "p(a).\n\n  :- mode(p,[in,out]).",
-    "",
-]
-
-
-def parse_corpus(seed, count):
-    """count texts: the fixtures, some fixed texts, and generated programs
-    and goals, each as it is and then in eight copies with up to 10 random
-    character edits."""
-    rng = random.Random(seed)
-    bases = [fixture_text(name) for name in FIXTURE_NAMES] + HAND_TEXTS
-    while len(bases) * 9 < count:
-        moded = random_moded_program(rng)
-        definite = random_definite_program(rng)
-        bases += [
-            print_program(moded),
-            print_program(definite),
-            goal_to_str(random_ground_goal(rng, moded)),
-            goal_to_str(random_open_goal(rng, definite)),
-        ]
-    texts = []
-    while len(texts) < count:
-        text = bases[len(texts) // 9 % len(bases)]
-        for _ in range(rng.randint(0, 10) if len(texts) % 9 else 0):
-            at = rng.randrange(len(text) + 1)
-            cut = at + rng.randint(0, 1)
-            text = text[:at] + rng.choice(["", rng.choice(EDIT_CHARS)]) + text[cut:]
-        texts.append(text)
-    return texts
-
-
-def parse_outcomes(text):
-    """The printed program and goal parsed from text, or each error with
-    its position."""
-    out = []
-    for parse, show in ((parse_program, print_program), (parse_goal, goal_to_str)):
-        try:
-            out.append(show(parse(text)))
-        except ParseError as err:
-            out.append("error: %s @ %d:%d" % (err, err.line, err.col))
-    return out
-
-
-def corpus_digest(texts):
-    digest = hashlib.sha256()
-    for text in texts:
-        for outcome in parse_outcomes(text):
-            digest.update(outcome.encode("utf-8") + b"\x00")
-    return digest.hexdigest()
-
-
-# sha256 of parse_outcomes over parse_corpus(11, 2000), taken from the
-# character-by-character tokenizer that preceded the regular expression.
-CORPUS_DIGEST = "5fced652ea1cfbc4449d8a19f1126a88b9e5f83ab390bc624279a84f9019c29e"
+# Pinned parse behaviour: every outcome over a seeded corpus, hashed (the
+# corpus and its digest are in corpus.py).
 
 LONG = "9" * 5000
 
@@ -434,3 +365,59 @@ class TestPinnedParse:
                 expected = "error: %s @ %s:%s" % (expected, *at.groups())
             want.append(expected)
         assert parse_outcomes(text) == want
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer against the one it replaced, which skipped whitespace and
+# comments before each token inside the regular expression, and returned
+# the end of input as one or two empty strings.
+
+REFERENCE_TOKEN = re.compile(r"(?:\s+|%.*)*(:-|\d+|[^\W\d]\w*|.|\Z)")
+
+
+def reference_position(text, index):
+    at = next(islice(REFERENCE_TOKEN.finditer(text), index, None)).start(1)
+    line_start = text.rfind("\n", 0, at) + 1
+    comment = text.find("%", line_start, at)
+    if comment >= 0:
+        at = comment
+    return text.count("\n", 0, at) + 1, at - line_start + 1
+
+
+TOKEN_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(EDIT_CHARS),
+        st.from_regex(r"[a-zA-Z_é][a-zA-Z0-9_é²Ⅰ]{0,4}", fullmatch=True),
+        st.from_regex(r"[0-9١]{1,4}", fullmatch=True),
+        st.just(":-"),
+        st.text(EDIT_CHARS, max_size=6).map(lambda c: "%" + c),
+        st.just("\r\n"),
+    ),
+    max_size=30,
+).map("".join).flatmap(
+    lambda text: st.sampled_from(["", " ", "\n", "\t\r\n", "\u2028"]).map(
+        lambda end: text + end
+    )
+)
+
+
+class TestTokens:
+    @settings(max_examples=400)
+    @given(TOKEN_TEXTS)
+    @example("p(X) % c")
+    @example("p(X).\r\n  q( % c\r\n")
+    @example("%")
+    @example("")
+    def test_equals_reference(self, text):
+        tokens = syntax._tokens(text)
+        reference = REFERENCE_TOKEN.findall(text)
+        # The same tokens, then one end token where the reference has one
+        # or two.
+        assert tokens[-1] == ""
+        assert tokens[:-1] == [tok for tok in reference if tok]
+        assert reference[len(tokens) - 1:] in ([""], ["", ""])
+        outcomes = parse_outcomes(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(syntax, "_tokens", REFERENCE_TOKEN.findall)
+            patch.setattr(syntax, "_position", reference_position)
+            assert parse_outcomes(text) == outcomes

@@ -22,6 +22,7 @@ from chainform.terms import (
     Constant,
     Subst,
     Variable,
+    _struct_eq,
     canonical,
     cons,
     fresh_var,
@@ -1151,3 +1152,110 @@ class TestDeepTerms:
         X = fresh_var("X")
         assert self.numeral(self.N, X) == self.numeral(self.N, X)
         assert self.numeral(self.N, X) != self.numeral(self.N, fresh_var("Y"))
+
+
+# ---------------------------------------------------------------------------
+# _struct_eq, the one structural equality, against a plain recursive
+# reference.
+
+
+def _ref_struct_eq(x, y):
+    if type(x) is not type(y):
+        return False
+    if type(x) is Variable:
+        return x.serial == y.serial
+    if type(x) is Constant:
+        return type(x.symbol) is type(y.symbol) and x.symbol == y.symbol
+    return (
+        x.functor == y.functor
+        and len(x.args) == len(y.args)
+        and all(map(_ref_struct_eq, x.args, y.args))
+    )
+
+
+# Leaves that are equal, or nearly so, to one another: 1 and "1", two
+# variables named X with different serials, and a 0-ary compound.
+_EQ_LEAVES = (
+    Constant(1),
+    Constant("1"),
+    a,
+    NIL,
+    Variable("X", -401),
+    Variable("X", -402),
+    Compound("f", ()),
+)
+
+
+def _eq_terms():
+    def extend(children):
+        return st.one_of(
+            # Closed and open lists.
+            st.builds(mk_list, st.lists(children, max_size=3)),
+            st.builds(mk_list, st.lists(children, max_size=3), children),
+            # f/1 and f/3, so arities part as well as functors.
+            st.builds(lambda x: Compound("f", (x,)), children),
+            st.builds(lambda *xs: Compound("f", xs), children, children, children),
+            st.builds(lambda *xs: Compound("g", xs), children, children, children),
+        )
+
+    return st.recursive(st.sampled_from(_EQ_LEAVES), extend, max_leaves=12)
+
+
+def _copy(t, edit, leaf, share):
+    """t rebuilt from new compounds, with its leaf number edit (in reading
+    order) replaced by leaf; with share, a proper subterm holding no edit is
+    t's own object."""
+    count = [0]
+
+    def walk(t, root=False):
+        start = count[0]
+        if type(t) is not Compound or not t.args:
+            count[0] += 1
+            return leaf if start == edit else t
+        args = tuple(walk(x) for x in t.args)
+        if share and not root and not start <= edit < count[0]:
+            return t
+        return Compound(t.functor, args)
+
+    return walk(t, root=True)
+
+
+@st.composite
+def eq_pairs(draw):
+    x = draw(_eq_terms())
+    how = draw(st.sampled_from(["same", "copy", "edit", "other"]))
+    if how == "same":
+        return x, x
+    if how == "other":
+        return x, draw(_eq_terms())
+    edit = draw(st.integers(0, 15)) if how == "edit" else -1
+    return x, _copy(x, edit, draw(st.sampled_from(_EQ_LEAVES)), draw(st.booleans()))
+
+
+class TestStructEq:
+    @settings(max_examples=300)
+    @given(eq_pairs())
+    def test_equals_reference(self, pair):
+        x, y = pair
+        want = _ref_struct_eq(x, y)
+        assert _struct_eq(x, y) == want
+        assert _struct_eq(y, x) == want
+        if type(x) is Compound:
+            assert (x == y) == want
+
+    N = 10**5
+
+    def test_long_lists(self, default_recursion_limit):
+        items = [Constant(i) for i in range(self.N)]
+        twin = [Constant(i) for i in range(self.N)]
+        X, Y = fresh_var("X"), fresh_var("Y")
+        # Equal, with every item shared or every item a distinct object.
+        assert _struct_eq(mk_list(items), mk_list(items))
+        assert _struct_eq(mk_list(items), mk_list(twin))
+        # Only the last item differs.
+        assert not _struct_eq(mk_list(items), mk_list(twin[:-1] + [Constant("x")]))
+        assert not _struct_eq(mk_list(items), mk_list(items[:-1] + [X]))
+        # Only the tail differs.
+        assert not _struct_eq(mk_list(items, X), mk_list(items, Y))
+        assert not _struct_eq(mk_list(items), mk_list(twin, Constant("[]")))
+        assert _struct_eq(mk_list(items, X), mk_list(twin, X))

@@ -37,10 +37,10 @@ from chainform.terms import (
     term_vars,
     unify,
 )
+from chainform import transform
 from chainform.transform import (
     GoalError,
     TransformError,
-    _positions,
     compile_goal,
     pass_on_set_definite,
     transform_definite,
@@ -504,9 +504,18 @@ class TestDecode:
             ("append", "definite", "a([A,b],Y,Z)", "unify"),
         ],
     )
-    def test_engine_answers(self, program, mode, goal, branch):
+    def test_engine_answers(self, program, mode, goal, branch, monkeypatch):
         # Every raw answer eval_abcde gives, decoded by the branch named,
-        # as the reference decodes it.
+        # as the reference decodes it.  The plan's calls of terms.match and
+        # terms.unify are recorded, so a read calls neither.
+        called = []
+        for name in ("match", "unify"):
+            real = getattr(transform, name)
+            monkeypatch.setattr(
+                transform,
+                name,
+                lambda *a, name=name, real=real: called.append(name) or real(*a),
+            )
         source = parse_program(SPLIT if program == "split" else APPEND)
         chain = CONVERSIONS[mode](source)
         plan = compile_goal(parse_goal(goal), chain, mode)
@@ -518,15 +527,32 @@ class TestDecode:
         atom = plan.goal.atom
         outs = atom.args[1:] if mode == "moded" else atom.args
         for answer in raw:
-            if branch == "unify":
-                assert not answer.ground
-            else:
-                assert answer.ground
-                assert (_positions(outs)[0] is None) == (branch == "match")
+            assert answer.ground == (branch != "unify")
             tail = mk_tuple(answer.args[1:])
+            del called[:]
             assert plan.decode(answer) == _reference_decode(
                 plan, mk_tuple(outs), tail
             )
+            assert called == ([] if branch == "read" else [branch])
+
+    def test_long_ground_output(self):
+        # ap(X,Y,L) in the definite conversion: the answers carry rebuilt
+        # copies of the 200-element L, each compared with the goal's L.
+        items = ",".join("e%d" % (i % 7) for i in range(200))
+        chain = transform_definite(load_fixture("append"))
+        plan = compile_goal(parse_goal("ap(X,Y,[%s])" % items), chain, "definite")
+        raw = eval_abcde(
+            plan.initial, plan.continuations, compile_to_registry(chain), "unify"
+        )
+        assert len(raw) == 201
+        expected = mk_tuple(plan.goal.atom.args)
+        rebuilt = [answer.args[3] is not expected.args[2] for answer in raw]
+        assert sum(rebuilt) >= 200
+        for answer in raw:
+            assert answer.ground
+            got = plan.decode(answer)
+            assert got is not None
+            assert got == _reference_decode(plan, expected, mk_tuple(answer.args[1:]))
 
     @pytest.mark.parametrize(
         "goal,answers",
