@@ -92,10 +92,14 @@ class Registry:
     # evaluation mode, one (label, body reversed, None), (label, None, the
     # unit compiled once) or (label, rest of the body reversed, the unit
     # that alone defines the body's first predicate, compiled) per clause,
-    # filled by the engines on a predicate's first selection, so a
-    # registry is not changed once evaluated.  The alternatives hold
-    # strings and compiled units, whose builds name registers, or gathers
-    # in units' shared table, rather than holding getters, and whose match
+    # filled by the engines when a predicate is first selected by name, so
+    # a registry is not changed once evaluated.  Each body holds, per
+    # predicate, the unit compiled when one unit clause alone defines it,
+    # the engines' shared empty marker at a pass-through seam, and the
+    # name otherwise (see engines._Run.resolve); a predicate only bodies
+    # push resolved gets no entry.  The alternatives hold strings and
+    # compiled units, whose builds name registers, or gathers in units'
+    # shared table, rather than holding getters, and whose match
     # functions, generated one per shape, are named by an id in another
     # shared table of units rather than held, so the garbage collector
     # stops tracking them.  Filling an entry compiles its units; a shape's
@@ -107,9 +111,9 @@ class Registry:
     # The entry predicates, ChainProgram.entry's values, of a registry that
     # compile_to_registry built from a conversion; None in one built by
     # hand.  Every other predicate a conversion defines is a restructuring
-    # unit h_j, and the engines take the pure identities among those as
-    # empty bodies (see engines._Run.alternatives), which changes no
-    # answer, step or budget.  So it is not part of the registry's value
+    # unit h_j, and the engines skip the pure identities among those where
+    # a clause body reaches them (see engines._Run.resolve), which changes
+    # no answer, step or budget.  So it is not part of the registry's value
     # either: never compared or printed, and dump_registry does not print
     # it.  The entry predicates are kept rather than the h_j, which
     # outnumber them: in perfbench's large-program a set of its 480 entry

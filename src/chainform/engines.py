@@ -36,14 +36,20 @@ both conversions starts with its h_0, carries that unit compiled and the
 rest of its body: taking the clause applies the unit at once, as the
 selection of its first predicate would, and spends that selection's
 budget step, so the counts and the budget's exhaustion point are those of
-the unfolded search.  A pass-through seam, a restructuring unit h_j of a
-conversion that is a pure identity such as nrev's ⟨St,R⟩ -> ⟨St,R⟩, is
-taken as an empty body: its selection spends its step and the unit is
-never run (see _Run.alternatives).  As in the WAM's try/retry/trust, a
-choice point holds an index into that tuple and is pushed only while an
-alternative after the one taken remains: a predicate's only or last
-alternative leaves none, so deterministic recursion runs in constant
-choice-stack space.
+the unfolded search.  As in the WAM, where a predicate of one clause is
+compiled with no try/retry/trust, the body is resolved when the entry is
+filled (see _Run.resolve): a body predicate that one unit clause alone
+defines, such as each later h_j of both conversions, is pushed as that
+unit compiled, and its step applies the unit with no table lookup,
+alternatives or trail mark.  A pass-through seam, a restructuring unit
+h_j of a conversion that is a pure identity such as nrev's
+⟨St,R⟩ -> ⟨St,R⟩, is pushed as SEAM: its step is spent and the unit is
+never run.  A predicate selected by name, as the first of a goal's
+continuation is, always runs its clauses, so such h_j get no entry.  A
+choice point holds an index into a predicate's alternatives and is
+pushed only while an alternative after the one taken remains: a
+predicate's only or last alternative leaves none, so deterministic
+recursion runs in constant choice-stack space.
 
 Unit resolution runs that one compiled form in one of two ways.  In match
 mode (for ground evaluation over G-chain programs) the query term is matched
@@ -79,13 +85,18 @@ from .units import compile_unit, is_pass_through, resolved, untrail
 
 # A compiled unit applied to a term, or None.  The engines call these by
 # their module-level names once per unit attempt, match in match mode and
-# unify in unify mode, so that one wrapper on chainform.engines.match or
-# chainform.engines.unify sees every attempt (perfbench counts them so);
-# a pass-through seam is no attempt, as it runs no unit.
+# unify in unify mode, resolved body entries included, so that one wrapper
+# on chainform.engines.match or chainform.engines.unify sees every attempt
+# (perfbench counts them so); a pass-through seam is no attempt, as it
+# runs no unit.
 from .units import run_unit as match
 from .units import unify_unit as unify
 
 DEFAULT_BUDGET = 10**6
+
+# What a clause body pushes for a pass-through seam (see _Run.resolve): its
+# step is spent and nothing is run.
+SEAM = ()
 
 MATCH = "match"
 UNIFY = "unify"
@@ -137,28 +148,11 @@ class _Run:
         Every h_0 of both conversions is such a predicate, so each clause's
         first restructuring unit is applied as part of taking the clause.
 
-        A pass-through seam is a restructuring predicate h_j of a
-        conversion (in a registry that records its entry predicates, one
-        that is not among them) whose one clause is a unit compiled to a
-        pure identity (units.is_pass_through), such as nrev's
-        ⟨St,R⟩ -> ⟨St,R⟩.  Its one alternative is (label, (), None), an
-        empty body: its selection spends its step, leaves no choice point
-        and runs no unit.  This is safe because in both conversions the
-        subject at a seam h_j past h_0 is an answer of the body predicate
-        before it, so the output of a unit: a tuple that unit built,
-        ⟨stack, that predicate's output group⟩, or one an identity passed
-        on unchanged.  The seam unit's t_in is ⟨σ_j, the same group⟩, of
-        the same width, so an identity over distinct variables always
-        succeeds on it and returns it: in match mode the subject itself,
-        in unify mode the subject with its unbound variables bound to fresh
-        ones, the same answer up to renaming.  Skipping the unit changes no
-        answer, step, budget exhaustion point or eval_bounded resource;
-        only the kernel sees fewer attempts.  The argument covers the
-        seams a search reaches through clause bodies, as every goal plan's
-        search does, not a continuation that itself starts at an h_j.  A
-        registry built by hand records no entry predicates, so each of its
-        units still runs.  The decision costs a set lookup and a look at
-        the compiled unit, once, at q's first selection.
+        The pushed body is resolved here, once (see resolve): a body
+        predicate that one unit clause alone defines is pushed as that unit
+        compiled, and a pass-through seam as SEAM, so the search takes
+        neither by name.  A predicate selected by name, as the first of a
+        goal's continuation is, always runs its clauses.
 
         The search never reads the label; it names the clause a choice
         point will resume.  Made on q's first selection and kept in the
@@ -168,29 +162,55 @@ class _Run:
             labels = reg.defn[q]
         except KeyError:
             raise LookupError("no definition for predicate %r" % q) from None
-        # A restructuring predicate of a conversion: neither an entry
-        # predicate nor in a registry built by hand.
-        seam = len(labels) == 1 and reg.entry is not None and q not in reg.entry
         alts = []
         for label in labels:
             if label in reg.isunit:
-                unit = compile_unit(*reg.unit[label])
-                if seam and is_pass_through(unit):
-                    alts.append((label, (), None))
-                else:
-                    alts.append((label, None, unit))
+                alts.append((label, None, compile_unit(*reg.unit[label])))
                 continue
             body = reg.nonunit[label]
+            rest = tuple(map(self.resolve, body[:0:-1]))
             # Read from defn and isunit, not from the first predicate's own
             # alternatives, so a left-recursive clause cannot recurse here.
             first = reg.defn.get(body[0], ())
             if len(first) == 1 and first[0] in reg.isunit:
-                unit = compile_unit(*reg.unit[first[0]])
-                alts.append((label, body[:0:-1], unit))
+                alts.append((label, rest, compile_unit(*reg.unit[first[0]])))
             else:
-                alts.append((label, body[::-1], None))
+                alts.append((label, rest + (body[0],), None))
         alts = self.table[q] = tuple(alts)
         return alts
+
+    def resolve(self, p):
+        """Body predicate p as a clause body pushes it: SEAM at a
+        pass-through seam, else the unit compiled when one unit clause
+        alone defines p, else p's name, which the search looks up when it
+        selects it.  Undefined and declared-empty predicates stay names, so
+        they raise or fail at their selection, as they would unresolved.
+
+        A pass-through seam is a restructuring predicate h_j of a
+        conversion (in a registry that records its entry predicates, one
+        that is not among them) whose one clause is a unit compiled to a
+        pure identity (units.is_pass_through), such as nrev's
+        ⟨St,R⟩ -> ⟨St,R⟩.  Its step is spent and no unit is run.  This is
+        safe in a clause body, and only there: in both conversions the
+        subject at a seam h_j past h_0 of a body is an answer of the body
+        predicate before it, so the output of a unit: a tuple that unit
+        built, ⟨stack, that predicate's output group⟩, or one an identity
+        passed on unchanged.  The seam unit's t_in is ⟨σ_j, the same
+        group⟩, of the same width, so an identity over distinct variables
+        always succeeds on it and returns it: in match mode the subject
+        itself, in unify mode the subject with its unbound variables bound
+        to fresh ones, the same answer up to renaming.  Skipping the unit
+        changes no answer, step, budget exhaustion point or eval_bounded
+        resource; only the kernel sees fewer attempts.  A registry built by
+        hand records no entry predicates, so each of its units runs."""
+        reg = self.reg
+        labels = reg.defn.get(p, ())
+        if len(labels) != 1 or labels[0] not in reg.isunit:
+            return p
+        unit = compile_unit(*reg.unit[labels[0]])
+        if reg.entry is not None and p not in reg.entry and is_pass_through(unit):
+            return SEAM
+        return unit
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +222,25 @@ def _search(run, x, qs):
 
     The continuation is a cons list of (predicate, rest) pairs ending in
     None, so a clause body is prepended in O(|body|).  Each composition step
-    spends one unit of the run's budget and selects the first predicate of
-    the continuation; its alternatives come from the run's dispatch table
-    as (label, body reversed or None, compiled unit or None) triples.  They
-    are taken in order: a unit clause is applied to the term by one call of
-    the module-level match or unify, a non-unit clause prepends its body to
-    rest, and a clause with its first unit folded in spends one more step,
-    applies the unit the same way and prepends the rest of its body.  A
-    unit that fails moves on to the next alternative, just as the unfolded
-    search, its first predicate failing, would resume the choice point that
-    taking the clause pushed.  When an alternative is taken and another
-    follows it, a choice point (term, rest, alternatives, index of that
-    next one, trail length at the selection) is pushed; the only or last
-    alternative is taken with none, so deterministic recursion keeps the
-    choice stack flat.  Resuming a choice point first undoes the trail to
-    its mark.  An answer is yielded as the term itself in match mode and
+    spends one unit of the run's budget and takes the first entry of the
+    continuation.  A predicate's name selects its alternatives from the
+    run's dispatch table, as (label, body reversed or None, compiled unit
+    or None) triples.  They are taken in order: a unit clause is applied to
+    the term by one call of the module-level match or unify, a non-unit
+    clause prepends its body to rest, and a clause with its first unit
+    folded in spends one more step, applies the unit the same way and
+    prepends the rest of its body.  A unit that fails moves on to the next
+    alternative, just as the unfolded search, its first predicate failing,
+    would resume the choice point that taking the clause pushed.  When an
+    alternative is taken and another follows it, a choice point (term,
+    rest, alternatives, index of that next one, trail length at the
+    selection) is pushed; the only or last alternative is taken with none,
+    so deterministic recursion keeps the choice stack flat.  An entry that
+    a body resolved (_Run.resolve) is taken with no lookup, alternatives or
+    trail mark: a compiled unit is applied the same way and the search goes
+    on with rest, or, when it fails, resumes the newest choice point; SEAM
+    only spends the step.  Resuming a choice point first undoes the trail
+    to its mark.  An answer is yielded as the term itself in match mode and
     resolved through the binding store in unify mode.
     """
     table = run.table
@@ -243,16 +267,30 @@ def _search(run, x, qs):
                     raise BudgetExceededError(run.budget)
                 remaining -= 1
                 q, rest = ks
-                try:
-                    alts = table[q]
-                except KeyError:
-                    alts = run.alternatives(q)
-                y = x
-                i = 0
-                n = len(alts)
-                # The trail stays empty in match mode, which then never asks
-                # for its length.
-                mark = len(trail) if trail else 0
+                if type(q) is not str:
+                    # Resolved by a body: a unit clause's only alternative.
+                    ks = rest
+                    if q is SEAM:
+                        continue
+                    if matching:
+                        y = match(q, x)
+                    else:
+                        y = unify(q, x, bind, trail)
+                    if y is not None:
+                        x = y
+                        continue
+                    n = 0
+                else:
+                    try:
+                        alts = table[q]
+                    except KeyError:
+                        alts = run.alternatives(q)
+                    y = x
+                    i = 0
+                    n = len(alts)
+                    # The trail stays empty in match mode, which then never
+                    # asks for its length.
+                    mark = len(trail) if trail else 0
             # Take alternative i of n, or the first after it that applies,
             # else resume the newest choice point; the search ends when none
             # is left.

@@ -199,8 +199,9 @@ def counted_search(
     answer the number of selections on that answer's derivation that took
     an alternative other than their predicate's last.  Given a list as
     passes, it appends (label, term) for each attempt at a pass-through
-    seam (pass_through_predicates), which the engines make without running
-    the unit.  Given a list as depths, it appends for each answer the number
+    seam (pass_through_predicates) that a clause body pushed, which the
+    engines make without running the unit; a seam that qs itself holds
+    runs.  Given a list as depths, it appends for each answer the number
     of selections of the registry's entry predicates on that answer's
     derivation, its depth in source clauses.  Given a budget, it raises
     BudgetCut at the selection that would make one step more.  Kept free of
@@ -224,10 +225,11 @@ def counted_search(
         succeeded += y is not None
         return y
 
-    def search(t, k, open_, depth):
+    def search(t, k, open_, depth, goal):
         # True when the search is to stop.  open_ counts the selections on
         # this branch that have alternatives left, depth its selections of
-        # entry predicates.
+        # entry predicates, and goal the entries at the end of k that come
+        # from qs rather than from a clause body.
         nonlocal steps
         if not k:
             answers.append(t)
@@ -240,20 +242,21 @@ def counted_search(
             raise BudgetCut(answers)
         steps += 1
         labels = registry.defn[k[0]]
-        if k[0] in seams:
+        if k[0] in seams and len(k) > goal:
             passes.append((labels[0], t))
         depth += k[0] in entry
+        goal = min(goal, len(k) - 1)
         for j, label in enumerate(labels):
             more = open_ + (j < len(labels) - 1)
             if label in registry.isunit:
                 y = resolve(label, t)
-                if y is not None and search(y, k[1:], more, depth):
+                if y is not None and search(y, k[1:], more, depth, goal):
                     return True
-            elif search(t, registry.nonunit[label] + k[1:], more, depth):
+            elif search(t, registry.nonunit[label] + k[1:], more, depth, goal):
                 return True
         return False
 
-    search(x, tuple(qs), 0, 0)
+    search(x, tuple(qs), 0, 0, len(qs))
     return answers, steps, (attempted, succeeded)
 
 

@@ -39,13 +39,18 @@ def _signature(rng, k):
     return preds
 
 
-def random_moded_program(rng: random.Random) -> SourceProgram:
-    preds = _signature(rng, rng.randint(1, 3))
+def random_moded_program(
+    rng: random.Random, max_preds: int = 3, max_body: int = 2
+) -> SourceProgram:
+    """1 to max_preds moded predicates of one or two clauses each, with 0
+    to max_body body atoms per clause.  The defaults draw as the
+    differential tests' pinned programs were drawn."""
+    preds = _signature(rng, rng.randint(1, max_preds))
     directives = tuple(ModeDirective(name, modes) for name, modes in preds)
     clauses = []
     for name, modes in preds:
         for _ in range(rng.randint(1, 2)):
-            clauses.append(_random_moded_clause(rng, name, modes, preds))
+            clauses.append(_random_moded_clause(rng, name, modes, preds, max_body))
     return SourceProgram(tuple(clauses), directives, "random-moded")
 
 
@@ -72,10 +77,10 @@ def _occurring(terms):
     return out
 
 
-def _random_moded_clause(rng, name, modes, preds):
+def _random_moded_clause(rng, name, modes, preds, max_body=2):
     n_in = modes.count("in")
     n_out = modes.count("out")
-    body_sig = [rng.choice(preds) for _ in range(rng.randint(0, 2))]
+    body_sig = [rng.choice(preds) for _ in range(rng.randint(0, max_body))]
 
     head_in = _group_terms(rng, n_in, _fresh_pool(rng, "X"))
     # Only variables that actually occur in a source group may feed a sink.
@@ -100,8 +105,15 @@ def _weave(modes, ins, outs):
     return [next(ins) if m == "in" else next(outs) for m in modes]
 
 
-def random_definite_program(rng: random.Random) -> SourceProgram:
-    preds = [("p%d" % i, rng.randint(1, 3)) for i in range(rng.randint(1, 3))]
+def random_definite_program(
+    rng: random.Random, max_preds: int = 3, max_body: int = 2
+) -> SourceProgram:
+    """1 to max_preds predicates of arity 1 to 3 and one or two clauses
+    each, with 0 to max_body body atoms per clause.  The defaults draw as
+    the differential tests' pinned programs were drawn."""
+    preds = [
+        ("p%d" % i, rng.randint(1, 3)) for i in range(rng.randint(1, max_preds))
+    ]
     clauses = []
     for name, arity in preds:
         for _ in range(rng.randint(1, 2)):
@@ -110,7 +122,7 @@ def random_definite_program(rng: random.Random) -> SourceProgram:
                 name, tuple(_random_term(rng, pool) for _ in range(arity))
             )
             body = []
-            for _ in range(rng.randint(0, 2)):
+            for _ in range(rng.randint(0, max_body)):
                 bname, barity = rng.choice(preds)
                 body.append(
                     Compound(

@@ -3,8 +3,10 @@ engines, enumeration control, bounded resource counts, budgets, exhaustive
 step counts, the choice points held, and depth."""
 
 import ast
+import importlib.util
 import random
 import signal
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -31,6 +33,7 @@ from genprog import (
 from chainform import engines
 from chainform.chainir import Registry, compile_to_registry
 from chainform.engines import (
+    SEAM,
     BudgetExceededError,
     enumerate_prolog,
     eval_abcde,
@@ -54,6 +57,7 @@ from chainform.terms import (
     term_vars,
 )
 from chainform.transform import compile_goal, transform_definite, transform_moded
+from chainform.units import compile_unit
 
 a, b = Constant("a"), Constant("b")
 
@@ -320,6 +324,73 @@ class TestUnifyKernelHook:
             assert calls["all"] > 0
 
 
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: it imports the standard
+    library only, so loading it runs nothing of perfbench."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks a class's module up while it processes the class.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+# perfbench's counters at seed 7, per workload: the steps of every goal's
+# enumeration run to exhaustion (its engines.steps), the kernel name its
+# evaluation mode calls, and that name's calls in one eval_abcde pass over
+# the goals.
+PERFBENCH_SEED_7 = {
+    "definite-unify": (2083, "unify", 2083),
+    "moded-deep": (30412, "match", 22459),
+    "large-program": (29447, "match", 26096),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERFBENCH_SEED_7))
+def test_perfbench_seed_7_counters(name, monkeypatch):
+    """perfbench's workloads at seed 7, run through the public pipeline,
+    spend the steps and kernel attempts its traced runs report, so a change
+    to the search that moves them shows in tier-1."""
+    steps_pinned, kernel, calls_pinned = PERFBENCH_SEED_7[name]
+    w = perfbench_workloads().WORKLOADS[name](7)
+    convert = transform_moded if w.mode == "moded" else transform_definite
+    chains = {
+        stem: convert(parse_program(text, name=stem))
+        for stem, text in w.programs.items()
+    }
+    registries = {stem: compile_to_registry(chain) for stem, chain in chains.items()}
+    runs = [
+        (
+            compile_goal(parse_goal(goal.text), chains[goal.program], w.mode),
+            registries[goal.program],
+        )
+        for goal in w.goals
+    ]
+    steps = 0
+    for plan, registry in runs:
+        enum = enumerate_prolog(plan.initial, plan.continuations, registry, w.uni)
+        for _ in enum:
+            pass
+        steps += enum.steps
+    assert steps == steps_pinned
+    calls = 0
+    original = getattr(engines, kernel)
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(engines, kernel, counted)
+    for plan, registry in runs:
+        eval_abcde(plan.initial, plan.continuations, registry, w.uni)
+    assert calls == calls_pinned
+
+
 class TestKernelNameAtEachAttempt:
     """The engines look the kernel name up at every unit attempt, so a
     wrapper installed halfway through an enumeration sees every attempt
@@ -509,32 +580,78 @@ class TestDefinitions:
             enum = enumerate_prolog(a, ["q"], registry, uni)
             assert list(enum) == answers == [Compound("f", (Compound("f", (a,)),))]
             assert enum.steps == steps == 3
-        assert [body for _, body, _ in registry.dispatch["q"]] == [("u",)]
-        assert [unit for _, _, unit in registry.dispatch["p"]] == [None]
+        # q_1's second u is resolved to u's unit, compiled, so u is never
+        # selected by name and gets no entry; p stays a name in p_1 and r_1.
+        u = compile_unit(*registry.unit["u_1"])
+        assert [(body, unit) for _, body, unit in registry.dispatch["q"]] == [
+            ((u,), u)
+        ]
+        assert "u" not in registry.dispatch
+        assert [(body, unit) for _, body, unit in registry.dispatch["p"]] == [
+            (("p",), None)
+        ]
+        assert [body for _, body, _ in registry.dispatch["r"]] == [("p",)]
+
+
+def pushed_entries(registry):
+    """(predicate, entry) for each body position past the first of every
+    non-unit alternative in the registry's dispatch table: the body's
+    predicate and what taking the clause pushes for it."""
+    for q, alts in registry.dispatch.items():
+        for label, (_, body, unit) in zip(registry.defn[q], alts, strict=True):
+            if body is None:
+                continue
+            source = registry.nonunit[label]
+            # A clause with its first unit folded pushes the rest of its
+            # body; any other pushes all of it, its first predicate by name.
+            pushed = source[1:] if unit is not None else source
+            assert len(body) == len(pushed), label
+            yield from zip(pushed, reversed(body))
+
+
+def single_unit(registry, p):
+    """The compiled unit of p's one clause when that clause is a unit, else
+    None."""
+    labels = registry.defn.get(p, ())
+    if len(labels) == 1 and labels[0] in registry.isunit:
+        return compile_unit(*registry.unit[labels[0]])
+    return None
 
 
 class TestPassThroughSeams:
     def test_table_empties_exactly_the_pass_through_predicates(self, pipelines):
-        """After every corpus goal has run, a predicate's alternatives in
-        the dispatch table are one empty body exactly when counted_search
-        takes it for a pass-through seam, and no other alternative is an
-        empty body."""
-        seams = 0
+        """After every corpus goal has run, the clause bodies in the
+        dispatch table push SEAM exactly at the positions of the predicates
+        counted_search takes for pass-through seams, the unit compiled at
+        every other position of a predicate one unit alone defines, and the
+        name everywhere else; no seam is selected by name, so none has an
+        entry of its own."""
+        seams, every_seam = set(), set()
+        resolved_units = 0
         for pipe in pipelines:
             registry = compile_to_registry(pipe.chain)
             for goal_text in pipe.goals():
                 plan = pipe.plan(goal_text)
                 eval_abcde(plan.initial, plan.continuations, registry, pipe.uni)
             passing = pass_through_predicates(registry)
-            for q, alts in registry.dispatch.items():
-                if q in passing:
-                    assert alts == ((registry.defn[q][0], (), None),), q
-                    seams += 1
+            every_seam.update((pipe.fixture, pipe.mode, p) for p in passing)
+            assert not passing & set(registry.dispatch)
+            for p, entry in pushed_entries(registry):
+                unit = single_unit(registry, p)
+                if p in passing:
+                    assert entry is SEAM, p
+                    seams.add((pipe.fixture, pipe.mode, p))
+                elif unit is not None:
+                    assert entry is not SEAM and entry == unit, p
+                    resolved_units += 1
                 else:
-                    assert all(body != () for _, body, _ in alts), q
-        # The moded corpus has seven pass-through seams; no corpus goal
-        # takes gt's recursive clause in quicksort, whose h_1 is one.
-        assert seams == 6
+                    assert entry == p, p
+        # The moded corpus has seven pass-through seams.  Filling an entry
+        # resolves every clause of the predicate, so the body of gt's
+        # recursive clause, which no corpus goal takes, pushes its h_1 as
+        # SEAM too.
+        assert seams == every_seam and len(seams) == 7
+        assert resolved_units > 0
 
     @pytest.mark.parametrize(
         "mode,text,goals",
@@ -556,8 +673,9 @@ class TestPassThroughSeams:
     def test_identity_with_a_check_still_runs(self, mode, text, goals):
         """An identity h_j whose input holds a constant, such as
         ⟨St,a⟩ -> ⟨St,a⟩ or ⟨St,X,a⟩ -> ⟨St,X,a⟩ here, checks its subject
-        and is no pass-through seam: it still runs, and rejects the moded
-        q's answer b."""
+        and is no pass-through seam: its clause body pushes its unit,
+        compiled, not SEAM, and it runs and rejects the moded q's answer
+        b."""
         program = parse_program(text)
         convert = transform_moded if mode == "moded" else transform_definite
         chain = convert(program)
@@ -574,29 +692,139 @@ class TestPassThroughSeams:
             and q not in pass_through_predicates(registry)
         ]
         assert checked
+        pushed = dict(pushed_entries(registry))
         for q in checked:
-            ((_, body, unit),) = registry.dispatch[q]
-            assert body is None and unit is not None, q
+            assert q not in registry.dispatch, q
+            assert pushed[q] is not SEAM and pushed[q] == single_unit(registry, q), q
 
     @pytest.mark.parametrize("uni", ["match", "unify"])
     def test_hand_built_registry_runs_its_identity_units(self, uni):
         """The subject of an identity unit is a tuple of its width only at
-        the seams of a conversion.  A registry built by hand records no
-        entry predicates, so its identity unit still runs, and fails on a
-        subject that is no tuple; recording an entry set would skip it."""
+        the seams of a conversion's clause bodies.  A registry built by hand
+        records no entry predicates, so its identity unit u runs, and fails
+        on a subject that is no tuple, whether a clause body reaches it (p
+        :- c, u, with c the identity on any term) or it is selected by
+        name.  A predicate selected by name, as the first of a goal's
+        continuation is, runs whatever entry set the registry records."""
         X, Y = Variable("X"), Variable("Y")
+        identity = (mk_tuple([X, Y]), mk_tuple([X, Y]))
         parts = dict(
-            defn={"u": ("u_1",)},
-            nonunit={},
-            unit={"u_1": (mk_tuple([X, Y]), mk_tuple([X, Y]))},
-            isunit=frozenset({"u_1"}),
+            defn={"u": ("u_1",), "p": ("p_1",), "c": ("c_1",)},
+            nonunit={"p_1": ("c", "u")},
+            unit={"u_1": identity, "c_1": (X, X)},
+            isunit=frozenset({"u_1", "c_1"}),
         )
         registry = Registry(**parts)
         assert registry.entry is None
         assert eval_abcde(a, ["u"], registry, uni) == []
         ((_, body, unit),) = registry.dispatch["u"]
         assert body is None and unit is not None
-        assert eval_abcde(a, ["u"], Registry(**parts, entry=frozenset()), uni) == [a]
+        assert eval_abcde(a, ["p"], registry, uni) == []
+        ((_, body, _),) = registry.dispatch["p"]
+        assert body == (compile_unit(*identity),)
+        assert eval_abcde(a, ["u"], Registry(**parts, entry=frozenset()), uni) == []
+
+    @pytest.mark.parametrize("uni", ["match", "unify"])
+    def test_continuation_starting_at_a_seam_runs_its_unit(self, uni):
+        """nrev's h_2_2, ⟨St,R⟩ -> ⟨St,R⟩, is a pass-through seam in the
+        body of rev's recursive clause.  A continuation that starts at it
+        selects it by name, so its unit runs and fails on a, which is no
+        tuple, after one step."""
+        nrev = build_pipeline("nrev", "moded")
+        assert "h_2_2" in pass_through_predicates(nrev.registry)
+        assert eval_abcde(a, ["h_2_2"], nrev.registry, uni) == []
+        result = eval_bounded(a, ["h_2_2"], nrev.registry, uni)
+        assert result.answer is None and result.resource == 1
+        passes = []
+        assert counted_search(
+            nrev.registry, a, ["h_2_2"], uni, passes=passes
+        ) == ([], 1, (1, 0))
+        assert passes == []
+
+
+def resolved_step_registry():
+    """A registry built by hand whose clause p_1 is p :- c, v, w.  c has two
+    unit clauses, so it stays a name and its selection leaves a choice
+    point; v and w are each defined by one unit, so the body pushes both
+    compiled.  From ⟨St,Z⟩, c_1 gives ⟨St,Z,b,Z⟩: v binds Z to b in unify
+    mode (and fails in match mode, where Z is the constant a), then w
+    fails.  c_2 gives ⟨St,a,a,Z⟩, which both pass, w answering ⟨St,Z⟩."""
+    S, W, V, X, Q = (Variable(n) for n in ("S", "W", "V", "X", "Q"))
+    return Registry(
+        defn={"p": ("p_1",), "c": ("c_1", "c_2"), "v": ("v_1",), "w": ("w_1",)},
+        nonunit={"p_1": ("c", "v", "w")},
+        unit={
+            "c_1": (mk_tuple([S, X]), mk_tuple([S, X, b, X])),
+            "c_2": (mk_tuple([S, X]), mk_tuple([S, a, a, X])),
+            "v_1": (mk_tuple([S, W, W, V]), mk_tuple([S, W, W, V])),
+            "w_1": (mk_tuple([S, Q, a, V]), mk_tuple([S, V])),
+        },
+        isunit=frozenset({"c_1", "c_2", "v_1", "w_1"}),
+    )
+
+
+class TestResolvedSteps:
+    """Steps at body entries resolved to compiled units, on a registry
+    built by hand, in both modes: match mode from ⟨[],a⟩, unify mode from
+    ⟨[],Z⟩ with Z a variable."""
+
+    @staticmethod
+    def subject(uni):
+        return mk_tuple([NIL, a if uni == "match" else Variable("Z")])
+
+    @pytest.mark.parametrize("uni", ["match", "unify"])
+    def test_failure_resumes_the_pending_choice_point(self, uni):
+        registry = resolved_step_registry()
+        x = self.subject(uni)
+        answers, _, (attempted, succeeded) = counted_search(registry, x, ["p"], uni)
+        (answer,) = eval_abcde(x, ["p"], registry, uni)
+        assert same_answer_sequence([answer], answers)
+        # v and w ran from the body, not by name.
+        assert set(registry.dispatch) == {"p", "c"}
+        assert succeeded < attempted
+        if uni == "match":
+            assert answer == x
+        else:
+            # v's binding of Z to b on the failed branch was undone: the
+            # answer holds Z, or the fresh variable v bound it to, unbound.
+            (_, z) = answer.args
+            assert type(z) is Variable
+
+    @pytest.mark.parametrize("uni", ["match", "unify"])
+    def test_budget_of_the_counted_steps(self, uni, monkeypatch):
+        """A budget of counted_search's steps suffices, and one step less
+        raises at the last step, w's on the branch through c_2, a resolved
+        entry."""
+        registry = resolved_step_registry()
+        x = self.subject(uni)
+        check_exhaustive_steps(registry, x, ["p"], uni)
+        _, steps, _ = counted_search(registry, x, ["p"], uni)
+        calls = []
+        original = getattr(engines, uni)
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(engines, uni, counted)
+        enum = enumerate_prolog(x, ["p"], registry, uni, budget=steps - 1)
+        with pytest.raises(BudgetExceededError):
+            list(enum)
+        assert enum.steps == steps - 1
+        # The last attempts were c_2's and v's; w, whose step was refused,
+        # was never selected by name.
+        c_2, v = (compile_unit(*registry.unit[l]) for l in ("c_2", "v_1"))
+        assert calls[-2:] == [c_2, v]
+        assert "w" not in registry.dispatch
+
+    @pytest.mark.parametrize("uni", ["match", "unify"])
+    def test_bounded_resource_is_the_counted_steps(self, uni):
+        registry = resolved_step_registry()
+        x = self.subject(uni)
+        answer, steps = first_answer_steps(registry, x, ["p"], uni)
+        result = eval_bounded(x, ["p"], registry, uni)
+        assert same_answer_sequence([result.answer], [answer])
+        assert result.resource == steps
 
 
 class TestOpenListScale:

@@ -3,7 +3,8 @@ variables shared between the head and inner atoms, variables shared among
 inner atoms only, repeated variables within an atom, 0-ary predicates,
 duplicate clauses and goals that only the occurs check refutes; then the
 definite pipeline on long lists and on random programs, and the moded
-pipeline on random programs, through all five engines; and the corpus
+pipeline on random programs, through all five engines, with a band of
+random programs whose bodies have up to six atoms; and the corpus
 through tests/pyversions.py, the standard-library-only run of the same
 comparison."""
 
@@ -283,19 +284,60 @@ RANDOM_KINDS = {
 }
 
 
-@functools.cache
-def random_cases(kind):
-    """300 generated programs of one kind from random.Random(7), each with
-    its conversion, registry and goal, shared by the differential tests and
-    the pinned digest."""
+# The oracle's depth budget and the engines' step budget on the generated
+# programs.
+RANDOM_DEPTH = 12
+RANDOM_STEPS = 5_000
+# counted_search's budget on a run that the oracle truncates or the engines
+# do not finish: it applies every unifier eagerly, so the terms of some
+# such runs grow at every step.
+CUT_STEPS = 100
+
+
+def generated_cases(kind, seed, count, **sizes):
+    """count generated programs of one kind from random.Random(seed), drawn
+    with the generator's size parameters sizes, each with its conversion,
+    registry and goal."""
     program_of, goal_of, convert, _, _ = RANDOM_KINDS[kind]
-    rng = random.Random(7)
+    rng = random.Random(seed)
     cases = []
-    for _ in range(300):
-        program = program_of(rng)
+    for _ in range(count):
+        program = program_of(rng, **sizes)
         chain = convert(program)
         cases.append((program, chain, compile_to_registry(chain), goal_of(rng, program)))
     return tuple(cases)
+
+
+@functools.cache
+def random_cases(kind):
+    """300 generated programs of one kind from random.Random(7), shared by
+    the differential tests and the pinned digest."""
+    return generated_cases(kind, 7, 300)
+
+
+def compare_with_oracle(kind, cases):
+    """Each case's goal through the five engines under RANDOM_STEPS and
+    through SLD resolution under RANDOM_DEPTH.  Runs where either side was
+    cut off are skipped; the rest must give the oracle's answer list, in
+    order in match mode and as a multiset in unify mode.  Returns the
+    programs compared and how many of their goals have an answer."""
+    _, _, _, mode, uni = RANDOM_KINDS[kind]
+    compared, answered = [], 0
+    for program, chain, registry, goal in cases:
+        reference = sld_solve(program, goal, RANDOM_DEPTH)
+        if reference.truncated:
+            continue
+        plan = compile_goal(goal, chain, mode)
+        try:
+            exhaustive = five_engine_answers(plan, registry, RANDOM_STEPS, uni=uni)
+        except BudgetExceededError:
+            continue
+        assert_engines_match_oracle(
+            reference, goal, exhaustive, ordered=uni == "match"
+        )
+        compared.append(program)
+        answered += bool(reference.answers)
+    return compared, answered
 
 
 def test_random_definite_programs_match_oracle():
@@ -303,21 +345,9 @@ def test_random_definite_programs_match_oracle():
     variables, every engine in unify mode under a step budget, against SLD
     resolution under a depth budget.  Runs where either side was cut off are
     skipped; the rest must agree as multisets."""
-    compared = answered = 0
-    for program, chain, registry, goal in random_cases("definite"):
-        reference = sld_solve(program, goal, 12)
-        if reference.truncated:
-            continue
-        plan = compile_goal(goal, chain, "definite")
-        try:
-            exhaustive = five_engine_answers(plan, registry, 5_000)
-        except BudgetExceededError:
-            continue
-        assert_engines_match_oracle(reference, goal, exhaustive)
-        compared += 1
-        answered += bool(reference.answers)
+    compared, answered = compare_with_oracle("definite", random_cases("definite"))
     # Guard against a generator change that makes the comparison vacuous.
-    assert compared >= 150 and answered >= 40
+    assert len(compared) >= 150 and answered >= 40
 
 
 def test_random_moded_programs_match_oracle():
@@ -329,31 +359,31 @@ def test_random_moded_programs_match_oracle():
     The skipped engine runs loop however large the budget: SLD prunes a
     call by the pattern of its output arguments, moded evaluation computes
     every output first and matches it afterwards."""
-    compared = answered = 0
-    for program, chain, registry, goal in random_cases("moded"):
-        reference = sld_solve(program, goal, 12)
-        if reference.truncated:
-            continue
-        plan = compile_goal(goal, chain, "moded")
-        try:
-            exhaustive = five_engine_answers(plan, registry, 5_000, uni="match")
-        except BudgetExceededError:
-            continue
-        assert_engines_match_oracle(reference, goal, exhaustive, ordered=True)
-        compared += 1
-        answered += bool(reference.answers)
+    compared, answered = compare_with_oracle("moded", random_cases("moded"))
     # Guard against a generator change that makes the comparison vacuous.
-    assert compared >= 180 and answered >= 30
+    assert len(compared) >= 180 and answered >= 30
 
 
-# The oracle's depth budget and the engines' step budget on the generated
-# programs, as in the differential tests above.
-RANDOM_DEPTH = 12
-RANDOM_STEPS = 5_000
-# counted_search's budget on a run that the oracle truncates or the engines
-# do not finish: it applies every unifier eagerly, so the terms of some
-# such runs grow at every step.
-CUT_STEPS = 100
+# The long-body band: programs of up to 4 predicates whose clause bodies
+# have up to LONG_BODY atoms, from a seed of their own, so that the pinned
+# programs above stay as they are.
+LONG_BODY = 6
+LONG_BODY_SEED = 22
+LONG_BODY_CASES = 200
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM_KINDS))
+def test_long_body_programs_match_oracle(kind):
+    """The differential tests' comparison, on the long-body band."""
+    cases = generated_cases(
+        kind, LONG_BODY_SEED, LONG_BODY_CASES, max_preds=4, max_body=LONG_BODY
+    )
+    compared, answered = compare_with_oracle(kind, cases)
+    longest = Counter(max(len(c.body) for c in p.clauses) for p in compared)
+    # Guard against a vacuous comparison: enough goals, some answered, and
+    # a third of the programs compared with a body of 5 or 6 atoms.
+    assert len(compared) >= 100 and answered >= 10
+    assert longest[LONG_BODY - 1] + longest[LONG_BODY] >= 50
 
 
 def searched_cases():
