@@ -55,7 +55,7 @@ class FormReport:
 
 
 class ModedClause(NamedTuple):
-    """One clause's moded analysis.  Variable sets hold serials."""
+    """A clause's groups, moded or identity.  Sets hold serials."""
 
     sources: tuple  # argument tuples: the head input, each body output
     sinks: tuple  # argument tuples: each body input, the head output

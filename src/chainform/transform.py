@@ -13,17 +13,19 @@ groups are each body atom's input and then the head output.  A unit source
 clause collapses to a single stack-preserving unit ⟨σ_0, head input⟩ to
 ⟨σ_1, head output⟩ for its stack-extended predicate (σ_0 = σ_1 is the bare
 stack variable), which keeps the clause counts minimal.
-The conversions differ only in their groups and stack terms.
+The conversions differ only in their groups: one rule (_pass_on) gives
+seam j's pass-on set, and σ_j conses it onto the clause's stack variable.
 
-Moded conversion: the groups come from the mode directives.  Seam j's
-pass-on set holds the variables bound by a source group before it and used
-by a sink group at or after it, and σ_j conses them onto one fresh stack
-variable shared by the whole clause; the outermost two sets are empty.
+Moded conversion: the groups come from the mode directives.
 
 Definite conversion: argument places have no declared roles, so the grouping
 is the identity: an atom's full argument tuple is both its input and its
-output (a partial identity).  One pass-on set serves every inner seam: all
-clause variables except those occurring in every atom.
+output (a partial identity).  The paper pushes one set at every inner seam:
+all clause variables except those occurring in every atom.  Per seam, a
+variable is pushed only across the atoms that lack it, between its first
+and last use, so one local to a stretch of the body stays off the other
+seams, and a chain of n two-variable atoms converts to Θ(n) cells, not
+Θ(n²).
 
 A goal plan decodes an answer ⟨σ, outs…⟩ against the goal's output
 arguments.  A ground answer (every match-mode answer, and many in unify
@@ -45,7 +47,7 @@ from typing import Callable, Optional
 
 from .chainir import ChainProgram, NonUnit, Unit
 from .forms import MODED, FormReport, ModedClause, analyse_moded
-from .syntax import Goal, SourceClause, SourceProgram
+from .syntax import Goal, SourceProgram
 from .terms import (
     EMPTY_SUBST,
     NIL,
@@ -75,21 +77,13 @@ class GoalError(ValueError):
 
 @dataclass
 class PassOnProfile:
-    """Seam-indexed pass-on variable sets and their stack terms.
-
-    Moded clauses have one entry per seam (n + 2 of them, the outermost two
-    always empty); definite clauses have a single entry used at every inner
-    seam.
-    Variables are listed in first-occurrence order over the clause text.
-    """
+    """A clause's pass-on sets and stack terms at seams 0 to k, for k groups
+    (n + 2 seams for n body atoms); seams 0 and k are empty.  Each set lists
+    its variables in their first-occurrence order over the clause text."""
 
     sets: tuple  # of tuples of Variable
     sigmas: tuple  # of stack terms over stack_var
     stack_var: Variable
-
-
-def _sigma(vs, stack_var):
-    return mk_list(vs, stack_var) if vs else stack_var
 
 
 def _attach(stack_term, args):
@@ -98,43 +92,34 @@ def _attach(stack_term, args):
 
 
 def _pass_on(analysis: ModedClause) -> PassOnProfile:
-    """Per-seam pass-on sets of a clause, from the variable sets of its
-    source and sink groups.
+    """Per-seam pass-on sets of a clause with k source and sink groups.
 
-    Seam j separates the source groups strictly before it from the sink
-    groups at or after it; its pass-on set is the intersection of their
-    variable sets, so seam 0 and seam n+1 are always empty.  A variable is
-    passed on at every seam after the source group it occurs in (the
-    source groups of a moded clause are disjoint), up to the last sink
-    group it occurs in; one pass over each side finds those groups."""
-    n = len(analysis.sources)
-    first = {s: i for i, vs in enumerate(analysis.source_vars) for s in vs}
-    last = {s: k for k, vs in enumerate(analysis.sink_vars) for s in vs}
-    sets = [[] for _ in range(n + 1)]
+    Seam j, for 0 <= j <= k, lies between sink group j - 1 and source group
+    j: h_{j-1} writes σ_j, and h_j reads it with source group j.  v is
+    pushed at seam j when it occurs in a source group before j and in a sink
+    group at or after j, and is not in source group j.  By induction on j,
+    whatever h_j or a later unit needs from before seam j reaches h_j on σ_j
+    or in source group j, so the stacks are sound.  A moded clause's source
+    groups are disjoint, so the last condition never holds there; under the
+    identity grouping, source group j is atom j's tuple, which q̂_j carries
+    across.  Each step over a variable's seams pushes it or meets one of its
+    occurrences: the cost is linear in the clause and the sets."""
+    sources = analysis.source_vars
+    first = {}  # the earliest source group of each variable
+    for i, vs in enumerate(sources):
+        for s in vs:
+            first.setdefault(s, i)
+    last = {s: i for i, vs in enumerate(analysis.sink_vars) for s in vs}
+    sets = [[] for _ in range(len(sources) + 1)]
     for s, v in analysis.order.items():
         if s in first and s in last:
             for j in range(first[s] + 1, last[s] + 1):
-                sets[j].append(v)
+                if s not in sources[j]:
+                    sets[j].append(v)
     stack_var = fresh_var("St")
     sets = tuple(map(tuple, sets))
-    sigmas = tuple(_sigma(vs, stack_var) for vs in sets)
+    sigmas = tuple([mk_list(vs, stack_var) if vs else stack_var for vs in sets])
     return PassOnProfile(sets, sigmas, stack_var)
-
-
-def pass_on_set_definite(clause: SourceClause) -> PassOnProfile:
-    """The single pass-on set of a definite clause: variables of the clause
-    minus those occurring in every atom."""
-    order = {}
-    groups = []
-    for atom in (clause.head, *clause.body):
-        vs = term_vars(atom)
-        groups.append({v.serial for v in vs})
-        for v in vs:
-            order.setdefault(v.serial, v)
-    common = groups[0].intersection(*groups[1:])
-    vs = tuple(v for s, v in order.items() if s not in common)
-    stack_var = fresh_var("St")
-    return PassOnProfile((vs,), (_sigma(vs, stack_var),), stack_var)
 
 
 class _Names:
@@ -195,6 +180,11 @@ def _convert(p: SourceProgram, kind, seams, source_modes) -> ChainProgram:
     )
 
 
+def _seams(analysis):
+    """What _convert keeps of a clause: its groups and its stack terms."""
+    return analysis.sources, analysis.sinks, _pass_on(analysis).sigmas
+
+
 def transform_moded(p: SourceProgram) -> ChainProgram:
     """Convert a moded program to chain form (the result is G-chain)."""
     # Only the groups and the stack terms outlive a clause's analysis:
@@ -207,9 +197,7 @@ def transform_moded(p: SourceProgram) -> ChainProgram:
         analysis = analyse_moded(idx, clause, p)
         violations += analysis.violations
         if not violations:
-            seams.append(
-                (analysis.sources, analysis.sinks, _pass_on(analysis).sigmas)
-            )
+            seams.append(_seams(analysis))
     if violations:
         raise TransformError(
             "program is not moded:\n%s" % FormReport(MODED, violations)
@@ -218,12 +206,23 @@ def transform_moded(p: SourceProgram) -> ChainProgram:
     return _convert(p, "moded", seams, modes)
 
 
+def _identity_grouping(clause) -> ModedClause:
+    """A clause's analysis under the identity grouping: each atom's argument
+    tuple is both its input and its output.  It has no violations."""
+    atoms = (clause.head, *clause.body)
+    groups = tuple(a.args for a in atoms)
+    atom_vars = [term_vars(a) for a in atoms]
+    var_sets = tuple({v.serial for v in vs} for vs in atom_vars)
+    order = {v.serial: v for vs in atom_vars for v in vs}
+    sinks, sink_vars = groups[1:] + groups[:1], var_sets[1:] + var_sets[:1]
+    return ModedClause(groups, sinks, var_sets, sink_vars, order, [])
+
+
 def _identity_seams(clause):
-    groups = [a.args for a in (clause.head, *clause.body)]
-    profile = pass_on_set_definite(clause)
-    st = profile.stack_var
-    sigmas = (st, *profile.sigmas * len(clause.body), st)
-    return groups, groups[1:] + groups[:1], sigmas
+    if clause.is_unit:  # no inner seam, so no variable to pass on
+        st = fresh_var("St")
+        return (clause.head.args,), (clause.head.args,), (st, st)
+    return _seams(_identity_grouping(clause))
 
 
 def transform_definite(p: SourceProgram) -> ChainProgram:

@@ -25,6 +25,7 @@ from chainform.terms import (
     unify,
 )
 from chainform.transform import (
+    _identity_grouping,
     _pass_on,
     compile_goal,
     transform_definite,
@@ -67,6 +68,19 @@ def pass_on_sets_moded(clause, program):
     """Per-seam pass-on sets of a moded clause, as the moded conversion
     computes them from the clause's source and sink groups."""
     return _pass_on(analyse_moded(0, clause, program))
+
+
+def pass_on_sets_definite(clause):
+    """Per-seam pass-on sets of a clause, as the definite conversion
+    computes them over the identity grouping."""
+    return _pass_on(_identity_grouping(clause))
+
+
+def long_body_text(n):
+    """q(a,a) and one clause p(X0,Xn) :- q(X0,X1), ..., q(Xn-1,Xn): a body
+    of n atoms, each sharing a variable with the next."""
+    body = ", ".join("q(X%d,X%d)" % (i, i + 1) for i in range(n))
+    return "q(a,a).\np(X0,X%d) :- %s.\n" % (n, body)
 
 
 def same_answer_sequence(xs, ys):

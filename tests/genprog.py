@@ -40,17 +40,20 @@ def _signature(rng, k):
 
 
 def random_moded_program(
-    rng: random.Random, max_preds: int = 3, max_body: int = 2
+    rng: random.Random, max_preds: int = 3, max_body: int = 2, depth: int = 2
 ) -> SourceProgram:
     """1 to max_preds moded predicates of one or two clauses each, with 0
-    to max_body body atoms per clause.  The defaults draw as the
-    differential tests' pinned programs were drawn."""
+    to max_body body atoms per clause and argument terms at most depth
+    levels deep.  The defaults draw as the differential tests' pinned
+    programs were drawn."""
     preds = _signature(rng, rng.randint(1, max_preds))
     directives = tuple(ModeDirective(name, modes) for name, modes in preds)
     clauses = []
     for name, modes in preds:
         for _ in range(rng.randint(1, 2)):
-            clauses.append(_random_moded_clause(rng, name, modes, preds, max_body))
+            clauses.append(
+                _random_moded_clause(rng, name, modes, preds, max_body, depth)
+            )
     return SourceProgram(tuple(clauses), directives, "random-moded")
 
 
@@ -58,8 +61,8 @@ def _fresh_pool(rng, hint):
     return [fresh_var("%s%d" % (hint, i)) for i in range(rng.randint(0, 3))]
 
 
-def _group_terms(rng, places, pool):
-    return [_random_term(rng, pool) for _ in range(places)]
+def _group_terms(rng, places, pool, depth):
+    return [_random_term(rng, pool, depth) for _ in range(places)]
 
 
 def random_moded_clause(rng, preds=None):
@@ -77,24 +80,26 @@ def _occurring(terms):
     return out
 
 
-def _random_moded_clause(rng, name, modes, preds, max_body=2):
+def _random_moded_clause(rng, name, modes, preds, max_body=2, depth=2):
     n_in = modes.count("in")
     n_out = modes.count("out")
     body_sig = [rng.choice(preds) for _ in range(rng.randint(0, max_body))]
 
-    head_in = _group_terms(rng, n_in, _fresh_pool(rng, "X"))
+    head_in = _group_terms(rng, n_in, _fresh_pool(rng, "X"), depth)
     # Only variables that actually occur in a source group may feed a sink.
     available = _occurring(head_in)
 
     body_atoms = []
     for bname, bmodes in body_sig:
-        sink_terms = _group_terms(rng, bmodes.count("in"), available)
-        out_terms = _group_terms(rng, bmodes.count("out"), _fresh_pool(rng, "Y"))
+        sink_terms = _group_terms(rng, bmodes.count("in"), available, depth)
+        out_terms = _group_terms(
+            rng, bmodes.count("out"), _fresh_pool(rng, "Y"), depth
+        )
         available = available + _occurring(out_terms)
         args = _weave(bmodes, sink_terms, out_terms)
         body_atoms.append(Compound(bname, tuple(args)))
 
-    head_out = _group_terms(rng, n_out, available)
+    head_out = _group_terms(rng, n_out, available, depth)
     head = Compound(name, tuple(_weave(modes, head_in, head_out)))
     return SourceClause(head, tuple(body_atoms))
 
@@ -106,11 +111,12 @@ def _weave(modes, ins, outs):
 
 
 def random_definite_program(
-    rng: random.Random, max_preds: int = 3, max_body: int = 2
+    rng: random.Random, max_preds: int = 3, max_body: int = 2, depth: int = 2
 ) -> SourceProgram:
     """1 to max_preds predicates of arity 1 to 3 and one or two clauses
-    each, with 0 to max_body body atoms per clause.  The defaults draw as
-    the differential tests' pinned programs were drawn."""
+    each, with 0 to max_body body atoms per clause and argument terms at
+    most depth levels deep.  The defaults draw as the differential tests'
+    pinned programs were drawn."""
     preds = [
         ("p%d" % i, rng.randint(1, 3)) for i in range(rng.randint(1, max_preds))
     ]
@@ -119,7 +125,8 @@ def random_definite_program(
         for _ in range(rng.randint(1, 2)):
             pool = _fresh_pool(rng, "V") + _fresh_pool(rng, "W")
             head = Compound(
-                name, tuple(_random_term(rng, pool) for _ in range(arity))
+                name,
+                tuple(_random_term(rng, pool, depth) for _ in range(arity)),
             )
             body = []
             for _ in range(rng.randint(0, max_body)):
@@ -127,7 +134,9 @@ def random_definite_program(
                 body.append(
                     Compound(
                         bname,
-                        tuple(_random_term(rng, pool) for _ in range(barity)),
+                        tuple(
+                            _random_term(rng, pool, depth) for _ in range(barity)
+                        ),
                     )
                 )
             clauses.append(SourceClause(head, tuple(body)))

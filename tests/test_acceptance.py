@@ -43,6 +43,7 @@ from conftest import (
     decoded_canonical,
     first_answer_steps,
     oracle_canonical,
+    pass_on_sets_definite,
     pass_on_sets_moded,
     same_answer_sequence,
 )
@@ -70,11 +71,7 @@ from chainform.terms import (
     term_vars,
     unify,
 )
-from chainform.transform import (
-    pass_on_set_definite,
-    transform_definite,
-    transform_moded,
-)
+from chainform.transform import transform_definite, transform_moded
 
 
 class _Criterion:
@@ -155,10 +152,10 @@ def test_criterion_2_worked_examples():
             )
 
         append = load_fixture("append")
-        ap_profile = pass_on_set_definite(append.clauses[1])
-        assert [v.name for v in ap_profile.sets[0]] == ["A"]
-        assert ap_profile.sigmas[0] == cons(
-            ap_profile.sets[0][0], ap_profile.stack_var
+        ap_profile = pass_on_sets_definite(append.clauses[1])
+        assert [[v.name for v in s] for s in ap_profile.sets] == [[], ["A"], []]
+        assert ap_profile.sigmas[1] == cons(
+            ap_profile.sets[1][0], ap_profile.stack_var
         )
         ap_chain = transform_definite(append)
         h0_ap = ap_chain.clauses[2]

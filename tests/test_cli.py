@@ -9,7 +9,7 @@ import sys
 from collections import Counter
 
 import pytest
-from conftest import CORPUS_GOALS
+from conftest import CORPUS_GOALS, long_body_text
 
 import chainform
 from chainform import cli
@@ -424,6 +424,13 @@ class TestResources:
             "chain: 1 violation(s)",
             "  clause 1, condition 1: head p is not binary",
         ]
+
+    def test_long_body_solved(self, tmp_path, capsys, default_recursion_limit):
+        # A clause of 5000 body atoms under the definite conversion.
+        path = tmp_path / "long.pl"
+        path.write_text(long_body_text(5000), encoding="utf-8")
+        assert main(["solve", str(path), "-g", "p(a,Y)"]) == 0
+        assert capsys.readouterr().out == "Y = a\n"
 
     @pytest.mark.parametrize("n", [20000, 100000])
     def test_deep_nonground_clause_answered(self, tmp_path, n):

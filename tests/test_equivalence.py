@@ -4,17 +4,20 @@ inner atoms only, repeated variables within an atom, 0-ary predicates,
 duplicate clauses and goals that only the occurs check refutes; then the
 definite pipeline on long lists and on random programs, and the moded
 pipeline on random programs, through all five engines, with a band of
-random programs whose bodies have up to six atoms; and the corpus
-through tests/pyversions.py, the standard-library-only run of the same
+random programs whose bodies have up to six atoms and a deeper band, also
+run through the CLI; a 200-atom body; and the corpus through
+tests/pyversions.py, the standard-library-only run of the same
 comparison."""
 
 import functools
 import hashlib
+import itertools
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -24,6 +27,7 @@ from conftest import (
     build_pipeline,
     corpus_pipelines,
     counted_search,
+    long_body_text,
     recursion_limit,
     same_answer_sequence,
 )
@@ -34,7 +38,9 @@ from genprog import (
     random_open_goal,
 )
 
+from chainform import oracle
 from chainform.chainir import compile_to_registry
+from chainform.cli import EXIT_BUDGET, EXIT_OK, main
 from chainform.engines import (
     BudgetExceededError,
     enumerate_prolog,
@@ -44,8 +50,8 @@ from chainform.engines import (
     eval_stream,
 )
 from chainform.oracle import canonical_answer, sld_solve
-from chainform.syntax import goal_to_str, parse_goal, parse_program
-from chainform.terms import NIL, canonical, term_vars
+from chainform.syntax import goal_to_str, parse_goal, parse_program, print_program
+from chainform.terms import NIL, Compound, canonical, term_vars, unify
 from chainform.transform import compile_goal, transform_definite, transform_moded
 from chainform.units import (
     compile_unit,
@@ -216,6 +222,19 @@ def test_definite_pipeline_at_size(fixture, goal_text, count):
     assert_engines_match_oracle(reference, plan.goal, exhaustive)
 
 
+def test_long_body_matches_oracle():
+    """The definite conversion of a 200-atom body through the five engines.
+    The oracle stays at this size: it applies every unifier to the whole
+    goal list, so it is quadratic in the body's length."""
+    program = parse_program(long_body_text(200))
+    chain = transform_definite(program)
+    plan = compile_goal(parse_goal("p(a,Y)"), chain, "definite")
+    exhaustive = five_engine_answers(plan, compile_to_registry(chain), 10**6)
+    reference = sld_solve(program, plan.goal, 10_000)
+    assert len(reference.answers) == 1
+    assert_engines_match_oracle(reference, plan.goal, exhaustive)
+
+
 def test_moded_name_at_two_arities():
     """Each body atom calls the predicate of its own arity, also when its
     name is used at another arity too."""
@@ -315,17 +334,42 @@ def random_cases(kind):
     return generated_cases(kind, 7, 300)
 
 
-def compare_with_oracle(kind, cases):
+class _OracleCut(Exception):
+    """The oracle has spent its unifications."""
+
+
+def capped_sld_solve(program, goal, depth_budget, unifies):
+    """sld_solve, or None once it has called unify that many times."""
+    calls = itertools.count()
+
+    def counting(a, b):
+        if next(calls) == unifies:
+            raise _OracleCut
+        return unify(a, b)
+
+    with mock.patch.object(oracle, "unify", counting):
+        try:
+            return sld_solve(program, goal, depth_budget)
+        except _OracleCut:
+            return None
+
+
+def compare_with_oracle(kind, cases, unifies=None):
     """Each case's goal through the five engines under RANDOM_STEPS and
-    through SLD resolution under RANDOM_DEPTH.  Runs where either side was
-    cut off are skipped; the rest must give the oracle's answer list, in
-    order in match mode and as a multiset in unify mode.  Returns the
-    programs compared and how many of their goals have an answer."""
+    through SLD resolution under RANDOM_DEPTH and, given unifies, that many
+    unifications.  Runs where either side was cut off are skipped; the rest
+    must give the oracle's answer list, in order in match mode and as a
+    multiset in unify mode.  Returns the cases compared, each with its
+    oracle's answer count, and how many of their goals have an answer."""
     _, _, _, mode, uni = RANDOM_KINDS[kind]
     compared, answered = [], 0
-    for program, chain, registry, goal in cases:
-        reference = sld_solve(program, goal, RANDOM_DEPTH)
-        if reference.truncated:
+    for case in cases:
+        program, chain, registry, goal = case
+        if unifies is None:
+            reference = sld_solve(program, goal, RANDOM_DEPTH)
+        else:
+            reference = capped_sld_solve(program, goal, RANDOM_DEPTH, unifies)
+        if reference is None or reference.truncated:
             continue
         plan = compile_goal(goal, chain, mode)
         try:
@@ -335,7 +379,7 @@ def compare_with_oracle(kind, cases):
         assert_engines_match_oracle(
             reference, goal, exhaustive, ordered=uni == "match"
         )
-        compared.append(program)
+        compared.append((case, len(reference.answers)))
         answered += bool(reference.answers)
     return compared, answered
 
@@ -379,11 +423,101 @@ def test_long_body_programs_match_oracle(kind):
         kind, LONG_BODY_SEED, LONG_BODY_CASES, max_preds=4, max_body=LONG_BODY
     )
     compared, answered = compare_with_oracle(kind, cases)
-    longest = Counter(max(len(c.body) for c in p.clauses) for p in compared)
+    longest = Counter(longest_body(program) for (program, *_), _ in compared)
     # Guard against a vacuous comparison: enough goals, some answered, and
     # a third of the programs compared with a body of 5 or 6 atoms.
     assert len(compared) >= 100 and answered >= 10
     assert longest[LONG_BODY - 1] + longest[LONG_BODY] >= 50
+
+
+def longest_body(program):
+    return max(len(c.body) for c in program.clauses)
+
+
+def term_depth(t):
+    """Levels of compound nesting in t: 0 for a variable or a constant."""
+    if type(t) is not Compound:
+        return 0
+    return 1 + max(map(term_depth, t.args), default=0)
+
+
+def deepest_term(program):
+    return max(
+        term_depth(a)
+        for c in program.clauses
+        for atom in (c.head, *c.body)
+        for a in atom.args
+    )
+
+
+# The deep band: up to 6 predicates, bodies of up to 8 atoms and argument
+# terms up to 4 levels deep, from a seed of its own.  Its oracle runs are
+# capped at DEEP_BAND_UNIFIES unifications and skipped past them, as runs
+# past the depth budget are: the oracle applies every unifier to the whole
+# goal list, so where a deep clause term repeats a variable, its terms
+# grow geometrically with the depth (one run takes 40 s uncapped).
+DEEP_BAND = {"max_preds": 6, "max_body": 8, "depth": 4}
+DEEP_BAND_SEED = 23
+DEEP_BAND_CASES = 320
+DEEP_BAND_UNIFIES = 300
+
+
+@functools.cache
+def deep_band(kind):
+    """The deep band's cases of one kind, and compare_with_oracle's result
+    on them."""
+    cases = generated_cases(kind, DEEP_BAND_SEED, DEEP_BAND_CASES, **DEEP_BAND)
+    return cases, compare_with_oracle(kind, cases, DEEP_BAND_UNIFIES)
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM_KINDS))
+def test_deep_band_programs_match_oracle(kind):
+    """The differential tests' comparison, on the deep band."""
+    _, (compared, answered) = deep_band(kind)
+    programs = [program for (program, *_), _ in compared]
+    longest = Counter(map(longest_body, programs))
+    deepest = Counter(map(deepest_term, programs))
+    # Guard against a vacuous comparison: enough goals, some answered, and
+    # half of the programs compared with a body of 7 or 8 atoms and a term
+    # 3 or 4 levels deep.
+    assert len(compared) >= 200 and answered >= 10, (len(compared), answered)
+    assert longest[7] + longest[8] >= len(compared) / 2, longest
+    assert deepest[3] + deepest[4] >= len(compared) / 2, deepest
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM_KINDS))
+def test_deep_band_through_the_cli(kind, tmp_path, capsys):
+    """Each deep-band program through cli.main: check exits 0 on a moded
+    program and 0 or 1 on a definite one, and transform --registry converts
+    it with the conversion's clause count.  solve under RANDOM_STEPS gives
+    a goal the band compared the oracle's answer count, and exits 0 or on
+    the budget (3) under CUT_STEPS on any other goal."""
+    cases, (compared, _) = deep_band(kind)
+    counts = {id(case): count for case, count in compared}
+    path = tmp_path / "band.pl"
+    codes = Counter()
+    for case in cases:
+        program, chain, _, goal = case
+        path.write_text(print_program(program), encoding="utf-8")
+        code = main(["check", str(path)])
+        assert code == 0 if kind == "moded" else code in (0, 1)
+        capsys.readouterr()
+        assert main(["transform", str(path), "--mode", kind, "--registry"]) == 0
+        summary = "%d -> %d" % (len(program.clauses), len(chain.clauses))
+        assert capsys.readouterr().err == summary + "\n"
+        budget = RANDOM_STEPS if id(case) in counts else CUT_STEPS
+        code = main([
+            "solve", str(path), "-g", goal_to_str(goal), "--mode", kind,
+            "--budget", str(budget), "--format", "jsonl",
+        ])
+        lines = capsys.readouterr().out.splitlines()
+        if id(case) in counts:
+            assert (code, len(lines)) == (EXIT_OK, counts[id(case)])
+        else:
+            assert code in (EXIT_OK, EXIT_BUDGET)
+        codes[code] += 1
+    # Both outcomes occur: guard against a vacuous run.
+    assert codes[EXIT_OK] and codes[EXIT_BUDGET], codes
 
 
 def searched_cases():

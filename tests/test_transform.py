@@ -1,6 +1,6 @@
 """Conversion-to-chain-form tests: pass-on profiles, clause shapes, clause
-counts, goal compilation, and the conversions pinned on generated
-programs."""
+counts, the size of a long body's conversion, goal compilation, and the
+conversions pinned on generated programs."""
 
 import functools
 import hashlib
@@ -8,7 +8,13 @@ import os
 import random
 
 import pytest
-from conftest import alpha_equivalent, clause_count_law, pass_on_sets_moded
+from conftest import (
+    alpha_equivalent,
+    clause_count_law,
+    long_body_text,
+    pass_on_sets_definite,
+    pass_on_sets_moded,
+)
 from genprog import random_definite_program, random_moded_program
 from hypothesis import example, given, settings, strategies as st
 
@@ -42,7 +48,6 @@ from chainform.transform import (
     GoalError,
     TransformError,
     compile_goal,
-    pass_on_set_definite,
     transform_definite,
     transform_moded,
 )
@@ -134,17 +139,26 @@ def conversion_records():
     )
 
 
-# sha256 over conversion_records(), taken before the moded check and the
-# moded conversion shared one analysis per clause.
-CONVERSION_DIGEST = "3d95c98d28a1960790a9cfdab9a7dd7b4a1c1145b6ce15bc612d5237a32b4a92"
+# sha256 over each column of conversion_records().  The check text and the
+# moded conversion are pinned as they were before the moded check and the
+# moded conversion shared one analysis per clause.  The definite conversion
+# is pinned since it pushes each variable only at the seams that need it.
+CHECK_DIGEST = "4280ef36ce0a3bca13740a6b1ce1dbea3ab09535d8a00568de9be04043925d7c"
+MODED_DIGEST = "fa420a2a24786a4e9e30dc38b97e8add58847dc44927b642d2f618d10a481a43"
+DEFINITE_DIGEST = "f7e3ca906d2e96237d8eca5dfe6fa86d9b46131ec0584a9fdd9335413d80012b"
 
 
 class TestPinnedConversions:
     def test_conversion_digest(self):
-        digest = hashlib.sha256()
+        digests = [hashlib.sha256() for _ in range(3)]
         for record in conversion_records():
-            digest.update(repr(record).encode("utf-8") + b"\n")
-        assert digest.hexdigest() == CONVERSION_DIGEST
+            for digest, column in zip(digests, record):
+                digest.update(repr(column).encode("utf-8") + b"\n")
+        assert [d.hexdigest() for d in digests] == [
+            CHECK_DIGEST,
+            MODED_DIGEST,
+            DEFINITE_DIGEST,
+        ]
 
     def test_check_and_conversion_agree(self):
         """transform_moded refuses exactly the programs check_moded reports
@@ -204,20 +218,31 @@ class TestPassOnModed:
 class TestPassOnDefinite:
     def test_append_recursive_clause(self):
         p = parse_program(APPEND)
-        profile = pass_on_set_definite(p.clauses[1])
-        assert names_of(profile.sets[0]) == {"A"}
-        assert profile.sigmas[0] == cons(profile.sets[0][0], profile.stack_var)
+        profile = pass_on_sets_definite(p.clauses[1])
+        assert [names_of(s) for s in profile.sets] == [set(), {"A"}, set()]
+        st = profile.stack_var
+        assert profile.sigmas[0] is st
+        assert profile.sigmas[1] == cons(profile.sets[1][0], st)
+        assert profile.sigmas[2] is st
 
     def test_unit_clause(self):
         p = parse_program(APPEND)
-        profile = pass_on_set_definite(p.clauses[0])
-        assert profile.sets[0] == ()
-        assert profile.sigmas[0] is profile.stack_var
+        profile = pass_on_sets_definite(p.clauses[0])
+        assert profile.sets == ((), ())
+        assert profile.sigmas[0] is profile.sigmas[1] is profile.stack_var
 
     def test_no_common_variable(self):
+        # X is in the head and r only, Y in the head and q only: each rides
+        # the stack across the one atom that lacks it.  Z lives between q
+        # and r and is never pushed.  X's earliest source group is the head.
         p = parse_program("p(X,Y) :- q(Y,Z), r(Z,X).\nq(a,b).\nr(b,c).")
-        profile = pass_on_set_definite(p.clauses[0])
-        assert names_of(profile.sets[0]) == {"X", "Y", "Z"}
+        profile = pass_on_sets_definite(p.clauses[0])
+        assert [names_of(s) for s in profile.sets] == [
+            set(),
+            {"X"},
+            {"Y"},
+            set(),
+        ]
 
 
 class TestTransformModed:
@@ -307,6 +332,52 @@ class TestTransformModed:
         assert len(hats) == 2
         assert chain.entry[("p", 2)] != chain.entry[("p_hat", 2)]
         assert hats.isdisjoint({"p", "p_hat"})
+
+
+def variable_occurrences(t):
+    """The occurrences of variables in t, each one counted."""
+    count, stack = 0, [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is Variable:
+            count += 1
+        elif type(t) is Compound:
+            stack.extend(t.args)
+    return count
+
+
+def stack_length(t):
+    """The number of variables pushed on stack term t."""
+    n = 0
+    while type(t) is not Variable:
+        n, t = n + 1, t.args[1]
+    return n
+
+
+class TestLongBody:
+    """The definite conversion of a body of n atoms, each sharing one
+    variable with the next: a variable rides the stack only across the
+    atoms that lack it, so the chain program grows linearly with n."""
+
+    @staticmethod
+    def units(n):
+        chain = transform_definite(parse_program(long_body_text(n)))
+        return [c for c in chain.clauses if isinstance(c, Unit)]
+
+    def test_occurrences_linear_in_body_length(self):
+        sizes = [
+            sum(variable_occurrences(mk_tuple([u.input, u.output])) for u in units)
+            for units in (self.units(500), self.units(1000))
+        ]
+        assert sizes[1] <= 2.1 * sizes[0], sizes
+
+    def test_stacks_hold_at_most_two_variables(self):
+        units = self.units(1000)
+        # q's fact and the clause's 1001 units h_0 .. h_1000.
+        assert len(units) == 1002
+        assert max(
+            stack_length(t.args[0]) for u in units for t in (u.input, u.output)
+        ) == 2
 
 
 class TestTransformDefinite:
