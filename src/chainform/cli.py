@@ -445,24 +445,30 @@ def _drive(enum, plan):
 
 def cmd_stats(args) -> int:
     rows = []
-    programs = [(name, fixtures.load_fixture(name)) for name in fixtures.FIXTURE_NAMES]
+    # A bundled fixture's reference count and timing goal are its own: a
+    # file named after one gets neither.
+    programs = [
+        (name, fixtures.load_fixture(name), True) for name in fixtures.FIXTURE_NAMES
+    ]
     for path in args.files:
-        programs.append((os.path.basename(path), _load(path)))
-    for name, program in programs:
+        programs.append((os.path.basename(path), _load(path), False))
+    for name, program, bundled in programs:
         chain, mode = _convert(program, "auto")
         note = ""
-        ref = REFERENCE_COUNTS.get(name)
+        ref = REFERENCE_COUNTS.get(name) if bundled else None
         if ref is not None:
             note = (
                 "matches reference count"
                 if ref == (len(program.clauses), len(chain.clauses))
                 else "expected %d -> %d" % ref
             )
+        goal = TIMING_GOALS.get(name) if bundled else None
         rows.append(
-            (name, len(program.clauses), len(chain.clauses), mode, note, program, chain)
+            (name, len(program.clauses), len(chain.clauses), mode, note, program,
+             chain, goal)
         )
     print("%-12s %7s %12s %-9s %s" % ("fixture", "clauses", "transformed", "mode", "note"))
-    for name, n_src, n_chain, mode, note, _, _ in rows:
+    for name, n_src, n_chain, mode, note, *_ in rows:
         print("%-12s %7d %12d %-9s %s" % (name, n_src, n_chain, mode, note))
     if args.timing:
         print()
@@ -477,8 +483,7 @@ def _timing_report(rows):
         "%-12s %14s %14s %8s"
         % ("fixture", "source (ms)", "converted (ms)", "ratio")
     )
-    for name, _, _, mode, _, program, chain in rows:
-        goal_text = TIMING_GOALS.get(name)
+    for name, _, _, mode, _, program, chain, goal_text in rows:
         if goal_text is None:
             continue
         goal = parse_goal(goal_text)

@@ -67,7 +67,11 @@ unify-mode attempt of a unit of that shape, or, over the cap, its own
 register loop, which that function unrolls.  Each choice point records
 the trail's length at its predicate's selection, and resuming it undoes
 the trail to that mark; an answer is resolved through the store when it
-is yielded, so every engine hands out plain terms.
+is yielded, so every engine hands out plain terms.  In match mode a unit
+that builds a ground ⟨⟩ state returns its bare argument tuple (see the
+units module), which the next unit takes as it is and a choice point holds
+as it is; the search boxes an answer once, as it yields it, so there too
+every engine hands out terms.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ from .terms import is_tuple
 # Unused here: perfbench's kernel counters wrap these names on this module
 # (perfbench/tracing.KERNEL_FUNCTIONS), so they must stay attributes of it.
 from .terms import rename_many, term_vars
-from .units import compile_unit, is_pass_through, resolved, untrail
+from .units import box, compile_unit, is_pass_through, resolved, untrail
 
 # A compiled unit applied to a term, or None.  The engines call these by
 # their module-level names once per unit attempt, match in match mode and
@@ -240,8 +244,10 @@ def _search(run, x, qs):
     trail mark: a compiled unit is applied the same way and the search goes
     on with rest, or, when it fails, resumes the newest choice point; SEAM
     only spends the step.  Resuming a choice point first undoes the trail
-    to its mark.  An answer is yielded as the term itself in match mode and
-    resolved through the binding store in unify mode.
+    to its mark.  In match mode the term between steps, and a choice
+    point's, may be the bare argument tuple of a ground ⟨⟩ (units.run_unit);
+    an answer is yielded boxed (units.box) in match mode and resolved
+    through the binding store in unify mode.
     """
     table = run.table
     matching = run.matching
@@ -260,7 +266,7 @@ def _search(run, x, qs):
         while True:
             if ks is None:
                 run.remaining = remaining
-                yield x if matching else resolved(x, bind)
+                yield box(x) if matching else resolved(x, bind)
                 n = 0
             else:
                 if remaining <= 0:

@@ -57,6 +57,24 @@ compile()'s cost grows with the unit: its last two sections are None and
 the clause (t_in, t_out), run_unit runs it through the reference,
 terms.match and Subst.apply, and unify_unit through its register loop.
 
+In match mode a ground ⟨⟩ state travels between unit steps as its bare
+argument tuple, as the WAM passes a call's arguments in registers and
+builds no structure for the call itself.  Every unit clause either
+conversion emits is ⟨…⟩ -> ⟨…⟩, and a shape's key holds two root flags:
+t_in's root is a loaded ⟨⟩, and t_out's root is a built ⟨⟩.  With the
+first, the match function takes register 0 in either form: a bare tuple
+is the ⟨⟩'s arguments and is ground, a ⟨⟩ compound has its args and its
+flag.  With the second, the ground path returns the bare tuple of the
+root's arguments and builds no compound for it; _finish, which serves a
+subject holding a variable and an open unit, returns a term.  So a bare
+tuple always stands for a ground ⟨⟩, and is never empty: a 0-ary ⟨⟩ is
+ground, so no load or build meets one.  A shape whose t_in has any other
+root (a compound of another functor, a constant, a variable or a ground
+term, a 0-ary ⟨⟩ included) boxes a bare subject on entry with box, as
+run_unit does for a unit over the cap; only a registry built by hand
+hands such a unit a bare subject.  The engines box an answer once, as it
+leaves the search.  Unify mode never sees a bare tuple.
+
 In unify mode the program runs against a binding store (variable serial ->
 term) with a trail, in the manner of the WAM: it reads the subject through
 the store, binds unbound variables where the pattern has structure,
@@ -82,7 +100,15 @@ import threading
 from functools import partial
 from operator import itemgetter
 
-from .terms import Compound, Constant, Variable, _rebuild, _struct_eq, match
+from .terms import (
+    TUPLE_FUNCTOR,
+    Compound,
+    Constant,
+    Variable,
+    _rebuild,
+    _struct_eq,
+    match,
+)
 
 _new_object = object.__new__
 
@@ -240,22 +266,38 @@ def _register_name(p):
 
 
 def run_unit(code, x):
-    """The compiled unit clause applied to x: the output term, or None when
-    x does not match the input.  Equal to match(t_in, x) followed by
-    apply(t_out), which stay the reference.
+    """The compiled unit clause applied to x: the output term, or the bare
+    argument tuple of a ground ⟨⟩ output, or None when x does not match
+    the input.  x is a term or such a bare tuple.  Boxed (box), the result
+    equals match(t_in, box(x)) followed by apply(t_out), which stay the
+    reference.
 
     A unit of at most _MAX_REGISTERS registers runs its shape's generated
     match function.  There an identity unit returns x itself, and every
     register holds a subterm of x or of the clause, so when x is ground
     and the unit is not open every compound the build makes is ground,
-    and its flag is set without a scan of its arguments.  A larger unit
-    runs the reference itself, match and then apply."""
+    and its flag is set without a scan of its arguments; a ⟨⟩ at the root
+    of t_out is then not built at all, and its argument tuple is returned.
+    A larger unit runs the reference itself on box(x), match and then
+    apply, and returns a term."""
     shape = code[11]
     if shape is not None:
         return _MATCHERS[shape](x, code)
     t_in, t_out = code[12]
-    s = match(t_in, x)
+    s = match(t_in, box(x))
     return None if s is None else s.apply(t_out)
+
+
+def box(x):
+    """x as a term: a bare argument tuple, as run_unit returns for a ground
+    ⟨⟩ output, made into that ⟨⟩ in place; a term as it is."""
+    if type(x) is not tuple:
+        return x
+    t = _new_object(Compound)
+    t.functor = TUPLE_FUNCTOR
+    t.args = x
+    t.ground = True
+    return t
 
 
 def _finish(code, regs):
@@ -305,9 +347,11 @@ def _build(build, regs):
 # the same way, into a second table.
 #
 # The match function covers the usual case, a ground subject and a unit
-# that is not open, where every compound built is ground.  Otherwise, once
-# the checks pass, it hands its loaded registers to _finish, which computes
-# the ground flags as Compound does.
+# that is not open, where every compound built is ground and a ⟨⟩ at the
+# root of t_out is returned as its bare argument tuple (see the module
+# docstring).  Otherwise, once the checks pass, it hands its loaded
+# registers to _finish, which computes the ground flags as Compound does
+# and returns a term.
 #
 # The functions live in two tables here, append-only and locked as the
 # gather table is, so a compiled unit holds only a shape id and its lifted
@@ -328,7 +372,7 @@ _MAX_REGISTERS = 64
 # Shape id -> match function, or its stand-in until the shape's first
 # match-mode run; shape id -> unify function, or its stand-in until the
 # shape's first unify-mode run; and the shape key -> its id.  A key is a
-# tuple of ints, never source text.
+# tuple of ints and flags, never source text.
 _MATCHERS = []
 _UNIFIERS = []
 _SHAPE_IDS = {}
@@ -354,6 +398,9 @@ def _shape(
         n_open,
         n_loaded,
         len(tail),
+        # The root flags: t_in's root a loaded ⟨⟩, and t_out's a built one.
+        bool(loads) and loads[0][1] == TUPLE_FUNCTOR,
+        bool(build) and build[-1][0] == TUPLE_FUNCTOR,
     )
     lifted = [functor for _, functor, _ in loads]
     for _, c in consts:
@@ -408,22 +455,33 @@ def _source(key):
     program unrolled for that shape, each register a local."""
     (
         loads, consts, grounds, sames, _, gathered, out, n_open, n_loaded,
-        n_tail,
+        n_tail, bare_in, bare_out,
     ) = key
     k = itertools.count()  # the next lifted constant's index
     lines = ["def match(r0, code):", " k = code[12]"]
     fail = "return None"
+    if bare_in:
+        # A bare subject is the argument tuple of a ground ⟨⟩, and g the
+        # subject's ground flag.
+        lines += [
+            " if type(r0) is tuple: a, g = r0, True",
+            " elif type(r0) is not Compound or r0.functor != k[%d]: %s"
+            % (next(k), fail),
+            " else: a, g = r0.args, r0.ground",
+        ]
+    else:
+        lines.append(" if type(r0) is tuple: r0 = _box(r0)")
     nxt = 1
-    for r, n in loads:
+    for j, (r, n) in enumerate(loads):
         targets = ", ".join("r%d" % i for i in range(nxt, nxt + n))
         nxt += n
-        lines += [
-            " if type(r%d) is not Compound or r%d.functor != k[%d]: %s"
-            % (r, r, next(k), fail),
-            " a = r%d.args" % r,
-            " if len(a) != %d: %s" % (n, fail),
-            " %s, = a" % targets,
-        ]
+        if j or not bare_in:
+            lines += [
+                " if type(r%d) is not Compound or r%d.functor != k[%d]: %s"
+                % (r, r, next(k), fail),
+                " a = r%d.args" % r,
+            ]
+        lines += [" if len(a) != %d: %s" % (n, fail), " %s, = a" % targets]
     for r in consts:
         lines.append(
             " if type(r%d) is not Constant or r%d.symbol != k[%d]"
@@ -457,14 +515,17 @@ def _source(key):
         lines.append(finish)
         return "\n".join(lines) + "\n"
     if loads:
-        lines.append(" if not r0.ground:" + finish)
+        lines.append(" if not %s:" % ("g" if bare_in else "r0.ground") + finish)
     elif not consts and not grounds:
         lines.append(
             " if type(r0) is Variable or type(r0) is Compound and not r0.ground:"
             + finish
         )
     # Every register holds a subterm of a ground subject or of the clause,
-    # so every compound built is ground.
+    # so every compound built is ground.  A ⟨⟩ at the root, built last, is
+    # returned as its bare argument tuple.
+    if bare_out:
+        gathered, root = gathered[:-1], gathered[-1]
     for args in gathered:
         r = len(expr)
         lines += [
@@ -474,7 +535,10 @@ def _source(key):
             " r%d.ground = True" % r,
         ]
         expr.append("r%d" % r)
-    lines.append(" return r%d" % out)
+    if bare_out:
+        lines.append(" return (%s,)" % ", ".join(expr[a] for a in root))
+    else:
+        lines.append(" return r%d" % out)
     return "\n".join(lines) + "\n"
 
 
@@ -600,6 +664,7 @@ _GENERATED_GLOBALS = {
     "Constant": Constant,
     "Variable": Variable,
     "_new": _new_object,
+    "_box": box,
     "_struct_eq": _struct_eq,
     "_finish": _finish,
     "_unify_bound": _unify_bound,
@@ -612,7 +677,7 @@ def _unify_source(key):
     unrolled as unify_unit's register loop runs it, each register a local."""
     (
         loads, consts, grounds, sames, firsts, gathered, out, n_open,
-        n_loaded, n_tail,
+        n_loaded, n_tail, _, _,
     ) = key
     k = itertools.count()  # the next lifted constant's index
     # untrail returns None: this undoes the call's bindings and fails.

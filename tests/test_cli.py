@@ -685,14 +685,34 @@ class TestStats:
         assert "ratio" in out
         assert "x" in out.splitlines()[-1]
 
+    def test_file_named_after_a_fixture(self, tmp_path, capsys):
+        # A user's file gets neither the fixture's reference count nor its
+        # timing goal, whatever its name.
+        paths = []
+        for name in ("length", "split"):
+            path = tmp_path / name
+            path.write_text("p(a).\n", encoding="utf-8")
+            paths.append(str(path))
+        assert main(["stats", "--timing", *paths]) == 0
+        table, timing = capsys.readouterr().out.split("\n\n")
+        rows = table.splitlines()[-2:]
+        assert [row.split() for row in rows] == [
+            ["length", "1", "1", "definite"],
+            ["split", "1", "1", "definite"],
+        ]
+        assert [row.split()[0] for row in timing.splitlines()[1:]] == list(
+            cli.TIMING_GOALS
+        )
+
 
 # Characters the random edits insert or substitute: the language's own
 # punctuation, names, digits and layout, a quote, and a digit int() rejects.
 EDIT_CHARS = "()[]|,.:-_ \n%'aXYs09\u00b2"
 
 # Every command the robustness test runs, each given the program file and
-# the goal: check, transform --registry, and solve under every engine and
-# conversion.
+# the goal: check, transform --registry, solve under every engine and
+# conversion, repl (its input is scripted: see scripted_input), and stats
+# with and without --timing.
 FUZZ_COMMANDS = [
     lambda path, goal: ["check", path],
     lambda path, goal: ["transform", path, "--registry"],
@@ -703,7 +723,26 @@ FUZZ_COMMANDS = [
     ])(engine, mode)
     for engine in SOLVE_ENGINES
     for mode in ("moded", "definite", "auto")
+] + [
+    lambda path, goal: ["repl", path, "--budget", "2000"],
+    lambda path, goal: ["stats", path],
+    lambda path, goal: ["stats", "--timing", path],
 ]
+
+
+def scripted_input(lines, prompts):
+    """A stand-in for input() that appends each prompt to prompts and
+    returns lines in turn, then raises EOFError as input() does at the end
+    of stdin."""
+    lines = iter(lines)
+
+    def read(prompt=""):
+        prompts.append(prompt)
+        for line in lines:
+            return line
+        raise EOFError
+
+    return read
 
 
 def edited(rng, text, edits):
@@ -722,15 +761,18 @@ def edited(rng, text, edits):
 
 
 class TestRobustness:
-    def test_edited_inputs_exit_with_documented_codes(self, tmp_path, capsys):
+    def test_edited_inputs_exit_with_documented_codes(
+        self, tmp_path, capsys, monkeypatch
+    ):
         """cli.main on fixture texts and corpus goals with up to ten random
         character edits each: no exception escapes, every return code is a
-        documented one (0-4), and an exit raised is a usage error (2)."""
+        documented one (0-4), and an exit raised is a usage error (2).  The
+        edited file is named after its fixture, as stats names its row."""
         rng = random.Random(16)
-        path = tmp_path / "edited.pl"
         codes = Counter()
         for _ in range(250):
             fixture = rng.choice(sorted(CORPUS_GOALS))
+            path = tmp_path / fixture
             # Few edits more often than many, so that more runs get past
             # the parser.
             edits = lambda: min(rng.randint(0, 10), rng.randint(0, 10))
@@ -740,6 +782,13 @@ class TestRobustness:
             goal = edited(rng, rng.choice(CORPUS_GOALS[fixture]), edits())
             for command in FUZZ_COMMANDS:
                 argv = command(str(path), goal)
+                # The repl reads the goal, answers "y" to the next two
+                # prompts, and reads the goal again before its input ends.
+                prompts = []
+                monkeypatch.setattr(
+                    "builtins.input",
+                    scripted_input([goal, "y", "y", goal], prompts),
+                )
                 try:
                     code = main(argv)
                 except SystemExit as err:
@@ -747,7 +796,10 @@ class TestRobustness:
                     code = 2
                 assert code in range(5), argv
                 codes[code] += 1
+                codes["repl answered"] += "more? (y/n) " in prompts
                 capsys.readouterr()
-        # Edits that keep a program answerable, and ones that break it.
+        # Edits that keep a program answerable, and ones that break it; 15
+        # of the 250 repl sessions print an answer.
         assert codes[0] and codes[1] and codes[2], codes
+        assert codes["repl answered"] >= 10, codes
 

@@ -15,7 +15,7 @@ from conftest import (
 )
 from hypothesis import example, given, settings, strategies as st
 
-from chainform import units
+from chainform import engines, units
 from chainform.syntax import parse_goal
 from chainform.terms import (
     Compound,
@@ -27,6 +27,7 @@ from chainform.terms import (
     cons,
     fresh_var,
     is_ground,
+    is_tuple,
     match,
     mk_list,
     mk_tuple,
@@ -34,8 +35,9 @@ from chainform.terms import (
     term_vars,
     unify,
     NIL,
+    TUPLE_FUNCTOR,
 )
-from chainform.units import compile_unit, resolved, run_unit, unify_unit
+from chainform.units import box, compile_unit, resolved, run_unit, unify_unit
 
 
 def rename_apart(t):
@@ -228,8 +230,8 @@ def _terms(var_pool, max_depth=3):
     consts = st.sampled_from(
         [a, b, Constant("c"), Constant(0), Constant(1), Constant("1")]
     )
-    variables = st.sampled_from(var_pool)
-    base = st.one_of(consts, variables)
+    # An empty pool draws ground terms.
+    base = st.one_of(consts, st.sampled_from(var_pool)) if var_pool else consts
 
     def extend(children):
         return st.builds(
@@ -533,9 +535,12 @@ def _tables():
 
 
 def _renamed(t, tag):
-    # t with every functor and every string symbol suffixed by tag.
+    # t with every functor but the reserved tuple and every string symbol
+    # suffixed by tag: a renamed ⟨⟩ would be no ⟨⟩, and its root flags
+    # rightly give it another shape.
     if type(t) is Compound:
-        return Compound(t.functor + tag, tuple(_renamed(x, tag) for x in t.args))
+        functor = t.functor if t.functor == TUPLE_FUNCTOR else t.functor + tag
+        return Compound(functor, tuple(_renamed(x, tag) for x in t.args))
     if type(t) is Constant and type(t.symbol) is str:
         return Constant(t.symbol + tag)
     return t
@@ -593,8 +598,9 @@ class TestGeneratedShapes:
 
     def test_renamed_copies_share_shapes(self):
         # The six moded fixtures' units under 40 renamings of every functor
-        # and symbol: the copies add no shape beyond the first's, to either
-        # table, and a unit compiled again adds none either.
+        # but tuple and of every symbol: the copies add no shape beyond the
+        # first's, to either table, and a unit compiled again adds none
+        # either.
         pairs = [
             pair
             for name in MODED_FIXTURES
@@ -696,6 +702,153 @@ class TestGeneratedShapes:
         for key in keys:
             ast.parse(units._source(key), feature_version=(3, 10))
             ast.parse(units._unify_source(key), feature_version=(3, 10))
+
+
+# ---------------------------------------------------------------------------
+# Bare states: in match mode a ground ⟨⟩ travels between unit steps as its
+# argument tuple.
+
+
+def _tuples(var_pool):
+    # Terms with ⟨⟩ at the root, of one to three of _terms' terms.
+    return st.lists(_terms(var_pool), min_size=1, max_size=3).map(mk_tuple)
+
+
+@st.composite
+def tuple_units_and_subjects(draw):
+    """A unit ⟨…⟩ -> ⟨…⟩, as both conversions emit them, or an identity
+    one, and a ⟨⟩ subject: an instance of t_in, ground or not, or any."""
+    t_in = draw(_tuples(_LEFT_VARS))
+    if draw(st.integers(0, 4)):
+        t_out = draw(_tuples(_LEFT_VARS + _FREE_VARS))
+    else:
+        t_out = t_in
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        x = Subst({v: draw(_terms(())) for v in _LEFT_VARS}).apply(t_in)
+    elif kind == 1:
+        bindings = draw(
+            st.dictionaries(st.sampled_from(_LEFT_VARS), _terms(_RIGHT_VARS))
+        )
+        x = Subst(bindings).apply(t_in)
+    else:
+        x = draw(_tuples(_RIGHT_VARS))
+    return t_in, t_out, x
+
+
+def _check_bare_state(code, t_in, t_out, x):
+    """run_unit on the term x and, when x is a ground ⟨⟩, on its bare
+    argument tuple, which stands only for such a term: boxed, both equal
+    the reference, and a bare result is a non-empty tuple of ground terms.
+    The results, for the caller's own checks."""
+    want = _match_then_apply(t_in, t_out, x)
+    outs = [run_unit(code, x)]
+    if is_tuple(x) and x.ground and x.args:
+        outs.append(run_unit(code, x.args))
+    for out in outs:
+        assert box(out) == want
+        if out is not None:
+            _assert_ground_flags(box(out))
+        if type(out) is tuple:
+            assert out and all(map(_variable_free, out))
+    return outs
+
+
+# (t_in, t_out, a ground ⟨⟩ subject) for each root of t_in that is not a
+# loaded ⟨⟩: the match function boxes a bare subject on entry, and over
+# the cap run_unit does.
+# ⟨X1..Xk⟩ -> ⟨Xk..X1⟩ takes 1 + k + 1 registers, one over the cap.
+_K = units._MAX_REGISTERS - 1
+_XS = tuple(Variable("X%d" % i) for i in range(_K))
+ROOT_KINDS = {
+    "non-tuple compound": (f(X_), mk_tuple((X_,)), mk_tuple((a,))),
+    "constant": (a, mk_tuple((a,)), mk_tuple((a,))),
+    "variable": (X_, mk_tuple((X_, f(X_))), mk_tuple((a, b))),
+    "ground tuple": (mk_tuple((a, g(b))), mk_tuple((P_, a)), mk_tuple((a, g(b)))),
+    "0-ary tuple": (Compound(TUPLE_FUNCTOR, ()), mk_tuple((a,)), mk_tuple((a,))),
+    "over the cap": (
+        mk_tuple(_XS),
+        mk_tuple(_XS[::-1]),
+        mk_tuple([Constant(i) for i in range(_K)]),
+    ),
+}
+
+
+class TestBareStates:
+    @given(tuple_units_and_subjects())
+    @settings(max_examples=300)
+    def test_bare_subject_agrees_with_the_term(self, case):
+        _check_bare_state(compile_unit(*case[:2]), *case)
+
+    def test_corpus_units_on_the_states_the_search_meets(
+        self, pipelines, monkeypatch
+    ):
+        # Every unit attempt of a match-mode run of the corpus, its subject
+        # as the search handed it over: bare after a unit built a ground ⟨⟩.
+        seen = []
+
+        def recording(code, x):
+            seen.append((code, x))
+            return run_unit(code, x)
+
+        monkeypatch.setattr(engines, "match", recording)
+        attempts = bare = both = 0
+        for pipe in pipelines:
+            if pipe.uni != "match":
+                continue
+            clauses = {
+                compile_unit(*pair): pair for pair in pipe.registry.unit.values()
+            }
+            seen.clear()
+            for text in pipe.goals():
+                plan = pipe.plan(text)
+                engines.eval_abcde(plan.initial, plan.continuations, pipe.registry)
+            for code, x in seen:
+                t_in, t_out = clauses[code]
+                outs = _check_bare_state(code, t_in, t_out, box(x))
+                attempts += 1
+                bare += type(x) is tuple
+                both += len(outs) == 2
+        # Guards against a vacuous check: every subject is a ground ⟨⟩, so
+        # each is run both ways, and most come bare (398 of 457).
+        assert both == attempts > 400 and bare > attempts // 2, (attempts, bare)
+
+    @pytest.mark.parametrize("kind", sorted(ROOT_KINDS))
+    def test_root_kinds_box_a_bare_subject(self, kind):
+        t_in, t_out, x = ROOT_KINDS[kind]
+        code = compile_unit(t_in, t_out)
+        assert (code[11] is None) == (kind == "over the cap")
+        _check_bare_state(code, t_in, t_out, x)
+
+    def test_box(self):
+        t = box((a, g(b)))
+        assert t == mk_tuple((a, g(b))) and t.ground is True
+        x = mk_tuple((a,))
+        assert box(x) is x and box(None) is None and box(a) is a
+
+    @pytest.mark.parametrize("uni", ["match", "unify"])
+    def test_engines_answer_terms(self, pipelines, uni):
+        # Every engine hands out terms, never a bare tuple.
+        answered = 0
+        for pipe in pipelines:
+            if pipe.uni != uni:
+                continue
+            for text in pipe.goals():
+                plan = pipe.plan(text)
+                args = plan.initial, plan.continuations, pipe.registry, uni
+                sigma = plan.initial.args[0]
+                answers = [
+                    *engines.eval_abcde(*args),
+                    *engines.eval_continuation(*args),
+                    *engines.eval_stream(sigma, [plan.initial], *args[1:]),
+                    *engines.enumerate_prolog(*args),
+                    engines.enumerate_prolog(*args).next(),
+                    engines.eval_bounded(*args).answer,
+                ]
+                for answer in answers:
+                    assert answer is None or type(answer) is Compound, text
+                answered += sum(answer is not None for answer in answers)
+        assert answered > 50, answered
 
 
 @st.composite
