@@ -66,12 +66,12 @@ unify function generated for the unit's shape, made at the first
 unify-mode attempt of a unit of that shape, or, over the cap, its own
 register loop, which that function unrolls.  Each choice point records
 the trail's length at its predicate's selection, and resuming it undoes
-the trail to that mark; an answer is resolved through the store when it
-is yielded, so every engine hands out plain terms.  In match mode a unit
-that builds a ground ⟨⟩ state returns its bare argument tuple (see the
-units module), which the next unit takes as it is and a choice point holds
-as it is; the search boxes an answer once, as it yields it, so there too
-every engine hands out terms.
+the trail to that mark.  A unit that builds a ⟨⟩ state returns its bare
+argument tuple (see the units module): in match mode when the state is
+ground, in unify mode always.  The next unit takes it as it is, and a
+choice point holds it as it is.  The search boxes an answer once, as it
+yields it, and in unify mode then resolves it through the store, so every
+engine hands out plain terms.
 """
 
 from __future__ import annotations
@@ -244,10 +244,10 @@ def _search(run, x, qs):
     trail mark: a compiled unit is applied the same way and the search goes
     on with rest, or, when it fails, resumes the newest choice point; SEAM
     only spends the step.  Resuming a choice point first undoes the trail
-    to its mark.  In match mode the term between steps, and a choice
-    point's, may be the bare argument tuple of a ground ⟨⟩ (units.run_unit);
-    an answer is yielded boxed (units.box) in match mode and resolved
-    through the binding store in unify mode.
+    to its mark.  In either mode the term between steps, and a choice
+    point's, may be the bare argument tuple of a ⟨⟩ (units.run_unit,
+    units.unify_unit); an answer is boxed (units.box) once, as it is
+    yielded, and in unify mode then resolved through the binding store.
     """
     table = run.table
     matching = run.matching
@@ -266,7 +266,8 @@ def _search(run, x, qs):
         while True:
             if ks is None:
                 run.remaining = remaining
-                yield box(x) if matching else resolved(x, bind)
+                x = box(x)
+                yield x if matching else resolved(x, bind)
                 n = 0
             else:
                 if remaining <= 0:

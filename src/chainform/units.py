@@ -57,23 +57,24 @@ compile()'s cost grows with the unit: its last two sections are None and
 the clause (t_in, t_out), run_unit runs it through the reference,
 terms.match and Subst.apply, and unify_unit through its register loop.
 
-In match mode a ground ⟨⟩ state travels between unit steps as its bare
-argument tuple, as the WAM passes a call's arguments in registers and
-builds no structure for the call itself.  Every unit clause either
-conversion emits is ⟨…⟩ -> ⟨…⟩, and a shape's key holds two root flags:
-t_in's root is a loaded ⟨⟩, and t_out's root is a built ⟨⟩.  With the
-first, the match function takes register 0 in either form: a bare tuple
-is the ⟨⟩'s arguments and is ground, a ⟨⟩ compound has its args and its
-flag.  With the second, the ground path returns the bare tuple of the
-root's arguments and builds no compound for it; _finish, which serves a
-subject holding a variable and an open unit, returns a term.  So a bare
-tuple always stands for a ground ⟨⟩, and is never empty: a 0-ary ⟨⟩ is
-ground, so no load or build meets one.  A shape whose t_in has any other
-root (a compound of another functor, a constant, a variable or a ground
-term, a 0-ary ⟨⟩ included) boxes a bare subject on entry with box, as
-run_unit does for a unit over the cap; only a registry built by hand
-hands such a unit a bare subject.  The engines box an answer once, as it
-leaves the search.  Unify mode never sees a bare tuple.
+A ⟨⟩ state travels between unit steps as its bare argument tuple, as the
+WAM passes a call's arguments in registers and builds no structure for
+the call itself.  Every unit clause either conversion emits is
+⟨…⟩ -> ⟨…⟩, and a shape's key holds two root flags: t_in's root is a
+loaded ⟨⟩, and t_out's root is a built ⟨⟩.  With the first, both of the
+shape's functions take register 0 as a bare tuple or as a ⟨⟩ compound.
+With the second, they return the bare tuple of the root's arguments and
+build no compound for it: the match function on its ground path only
+(_finish, for a subject holding a variable or an open unit, returns a
+term), the unify function always.  So a bare tuple stands for a ground
+⟨⟩ in match mode, and for a ⟨⟩ read under the store in unify mode, and
+box computes the ⟨⟩'s ground flag, which _unify_bound and the goal
+decoder trust.  It is never empty: a 0-ary ⟨⟩ is ground, so no load or
+build meets one.  A shape whose t_in has any other root (a compound of
+another functor, a constant, a variable or a ground term, a 0-ary ⟨⟩
+included) boxes a bare subject on entry, as a unit over the cap does;
+only a registry built by hand hands such a unit a bare subject.  The
+engines box an answer once, as it leaves the search.
 
 In unify mode the program runs against a binding store (variable serial ->
 term) with a trail, in the manner of the WAM: it reads the subject through
@@ -87,7 +88,8 @@ store's bindings are undone to a trail mark on failure, when the call made
 any, and on backtracking (untrail), and resolved turns a term read under
 the store into a plain one.  unify_unit runs the shape's generated unify
 function, or over the cap its register loop, which the function unrolls;
-up to renaming both equal terms.rename_many, terms.unify and Subst.apply.
+up to renaming and boxed, both equal terms.rename_many, terms.unify and
+Subst.apply.
 
 Every walk runs over an explicit stack, so terms of any depth are handled at
 the interpreter's default recursion limit.
@@ -289,15 +291,10 @@ def run_unit(code, x):
 
 
 def box(x):
-    """x as a term: a bare argument tuple, as run_unit returns for a ground
-    ⟨⟩ output, made into that ⟨⟩ in place; a term as it is."""
-    if type(x) is not tuple:
-        return x
-    t = _new_object(Compound)
-    t.functor = TUPLE_FUNCTOR
-    t.args = x
-    t.ground = True
-    return t
+    """x as a term: a bare argument tuple, as the runners return for a ⟨⟩
+    output, made into that ⟨⟩ by Compound, which computes its ground
+    flag; a term as it is."""
+    return x if type(x) is not tuple else Compound(TUPLE_FUNCTOR, x)
 
 
 def _finish(code, regs):
@@ -570,8 +567,9 @@ def untrail(bind, trail, mark):
 
 
 def resolved(t, bind):
-    """t with every variable bound in the store replaced by its value, all
-    the way down: a plain term, independent of the store from then on."""
+    """The term t with every variable bound in the store replaced by its
+    value, all the way down: a plain term, independent of the store from
+    then on (box a bare tuple first)."""
     if not bind:
         return t
     get = bind.get
@@ -656,6 +654,9 @@ def _unify_bound(a, b, bind, trail):
 # occurrence, is tested by type.  Dereferencing and write mode are inlined:
 # calling _deref, or a shared helper for write mode, made definite-unify's
 # kernel 1-4% slower for a shorter source.
+# The root flags work as in match mode (see the module docstring): a bare
+# subject is only checked for its arity and unpacked, as it is never a
+# variable, and a ⟨⟩ at t_out's root is returned as its argument tuple.
 
 
 # The globals of every generated function, match and unify.
@@ -677,7 +678,7 @@ def _unify_source(key):
     unrolled as unify_unit's register loop runs it, each register a local."""
     (
         loads, consts, grounds, sames, firsts, gathered, out, n_open,
-        n_loaded, n_tail, _, _,
+        n_loaded, n_tail, bare_in, bare_out,
     ) = key
     k = itertools.count()  # the next lifted constant's index
     # untrail returns None: this undoes the call's bindings and fails.
@@ -691,15 +692,17 @@ def _unify_source(key):
         "  s = v",
         "  ts = type(s)",
     ]
-    lines = [" made = None"] if loads else []  # as in unify_unit
+    lines = [] if bare_in else [" if type(r0) is tuple: r0 = _box(r0)"]
+    if loads:
+        lines.append(" made = None")  # as in unify_unit
     depth = [0]  # register -> the number of loads that are its ancestors
     for j, (r, n) in enumerate(loads):
         fail = "return None" if depth[r] == j else undo
         args = ["r%d" % i for i in range(len(depth), len(depth) + n)]
         depth += [depth[r] + 1] * n
         i = next(k)
-        lines += [" s = r%d" % r, *deref]
-        lines += [
+        load = [" s = r%d" % r, *deref]
+        load += [
             " if ts is Compound:",
             "  if s.functor != k[%d]: %s" % (i, fail),
             "  a = s.args",
@@ -707,10 +710,10 @@ def _unify_source(key):
             "  %s, = a" % ", ".join(args),
             " elif ts is Variable:",
         ]
-        lines += ["  %s = Variable(names[%s])" % (v, v[1:]) for v in args]
+        load += ["  %s = Variable(names[%s])" % (v, v[1:]) for v in args]
         # Only the first load's write mode always finds made unset.
         once = "if made is None: " if j else ""
-        lines += [
+        load += [
             "  %smade = %s.serial" % (once, args[0]),
             "  c = _new(Compound)",
             "  c.functor = k[%d]" % i,
@@ -719,6 +722,18 @@ def _unify_source(key):
             "  bind[s.serial] = c",
             "  trail.append(s.serial)",
             " else: " + fail,
+        ]
+        if j or not bare_in:
+            lines += load
+            continue
+        # A bare subject is the ⟨⟩'s arguments: no store to read through,
+        # no functor to test and no write mode.
+        lines += [
+            " if type(r0) is tuple:",
+            "  if len(r0) != %d: %s" % (n, fail),
+            "  %s, = r0" % ", ".join(args),
+            " else:",
+            *[" " + line for line in load],
         ]
     fresh = "ts is Variable"
     if loads:
@@ -773,6 +788,10 @@ def _unify_source(key):
             lines.append(" %s = Variable(k[%d].name)" % (v, next(k)))
             expr.append(v)
             ground.append(False)
+    # A ⟨⟩ at the root, built last, is returned as its bare argument tuple,
+    # with no flag computed.
+    if bare_out:
+        gathered, root = gathered[:-1], gathered[-1]
     for args in gathered:
         # A compound built is not ground in the clause, so some argument's
         # flag is not None.
@@ -787,7 +806,10 @@ def _unify_source(key):
         ]
         expr.append(v)
         ground.append("%s.ground" % v)
-    lines.append(" return %s" % expr[out])
+    if bare_out:
+        lines.append(" return (%s,)" % ", ".join(expr[a] for a in root))
+    else:
+        lines.append(" return %s" % expr[out])
     body = "\n".join(lines)
     head = ["def unify(r0, code, bind, trail):", " k = code[12]"]
     for local, value, use in (
@@ -802,7 +824,9 @@ def _unify_source(key):
 
 def unify_unit(code, x, bind, trail):
     """The compiled unit clause resolved against x under the store: the
-    output term, or None when x does not unify with the input.
+    output term, or the bare argument tuple of a ⟨⟩ output, or None when
+    x does not unify with the input.  x is a term or such a bare tuple,
+    read under the store.
 
     The unit's variables are fresh for each call, as if the clause were
     renamed apart.  A load reads its register through the store where it
@@ -818,18 +842,20 @@ def unify_unit(code, x, bind, trail):
     match mode builds it off the usual case, not resolved: it means what
     it says only under the store.  An identity unit's output is register
     0, the subject as read.  On failure every binding this call made is
-    undone.  Up to renaming, resolved(output, bind) equals the reference:
-    rename_many, unify, then Subst.apply.
+    undone.  Up to renaming, resolved(box(output), bind) equals the
+    reference: rename_many, unify, then Subst.apply.
 
     A unit of at most _MAX_REGISTERS registers runs its shape's generated
     unify function, this register loop unrolled: the same bindings in the
     same order, and the same variables, made in the same order under the
-    same names.  A larger unit runs the loop.  The reference would give
-    the same answers there but binds every variable of the renamed clause
-    in the store, where the loop binds only subject variables: on the
-    generated definite goal p0(f(G0), g(g(a,G0), g(G0,a)), G0) it made 800
-    bindings in 200 unit calls against the loop's 1, and its 400-step
-    budget took 2.1 s against 2.5 ms.
+    same names.  There a ⟨⟩ at the root of t_out is not built, and its
+    argument tuple is returned.  A larger unit runs the loop on box(x) and
+    returns a term.  The reference would give the same answers there but
+    binds every variable of the renamed clause in the store, where the
+    loop binds only subject variables: on the generated definite goal
+    p0(f(G0), g(g(a,G0), g(G0,a)), G0) it made 800 bindings in 200 unit
+    calls against the loop's 1, and its 400-step budget took 2.1 s against
+    2.5 ms.
     """
     shape = code[11]
     if shape is not None:
@@ -841,7 +867,7 @@ def unify_unit(code, x, bind, trail):
     mark = len(trail)
     get = bind.get
     made = None  # the serial of the first variable this call makes
-    regs = [x]
+    regs = [box(x)]
     for r, functor, n in loads:
         s = regs[r]
         ts = type(s)

@@ -16,6 +16,7 @@ from conftest import (
 from hypothesis import example, given, settings, strategies as st
 
 from chainform import engines, units
+from chainform.chainir import Registry
 from chainform.syntax import parse_goal
 from chainform.terms import (
     Compound,
@@ -825,6 +826,11 @@ class TestBareStates:
         assert t == mk_tuple((a, g(b))) and t.ground is True
         x = mk_tuple((a,))
         assert box(x) is x and box(None) is None and box(a) is a
+        # In unify mode a bare tuple may hold a variable, at any depth.
+        for args in ((X_, a), (a, g(b, X_))):
+            t = box(args)
+            assert t == mk_tuple(args) and t.ground is False
+            _assert_well_built(t)
 
     @pytest.mark.parametrize("uni", ["match", "unify"])
     def test_engines_answer_terms(self, pipelines, uni):
@@ -907,20 +913,26 @@ def _runners(t_in, t_out):
     return generated, interpreted
 
 
-def _check_rename_unify_apply(code, t_in, t_out, x, pre):
-    # One runner against the reference, from a store holding pre.
+def _check_rename_unify_apply(code, t_in, t_out, subject, pre):
+    # One runner against the reference, from a store holding pre.  The
+    # subject is a term or the bare argument tuple of a ⟨⟩, and the output
+    # is compared boxed: a bare one is a non-empty tuple.
     bind, trail = _store(pre)
     before = (dict(bind), list(trail))
+    x = box(subject)
     s_pre = Subst(pre)
     # U's value may hold V: two passes resolve the store's chains.
     x_pre = s_pre.apply(s_pre.apply(x))
     want = _rename_unify_apply(t_in, t_out, x_pre)
-    got = unify_unit(code, x, bind, trail)
+    got = unify_unit(code, subject, bind, trail)
     if got is None:
         assert want is None
         assert (bind, trail) == before
         return
     assert want is not None
+    assert got != ()
+    got = box(got)
+    _assert_well_built(got)
     pair = resolved(mk_tuple((x, got)), bind)
     assert canonical(pair) == canonical(want)
     _assert_ground_flags(pair)
@@ -929,7 +941,7 @@ def _check_rename_unify_apply(code, t_in, t_out, x, pre):
     # Every variable the call made is new: none of the unit's own, and
     # none shared with a second call from the same store.
     bind2, trail2 = _store(pre)
-    again = resolved(unify_unit(code, x, bind2, trail2), bind2)
+    again = resolved(box(unify_unit(code, subject, bind2, trail2)), bind2)
     made = set(term_vars(resolved(got, bind))) - set(term_vars(x_pre))
     made_again = set(term_vars(again)) - set(term_vars(x_pre))
     assert not made & made_again
@@ -1069,7 +1081,7 @@ class TestStoreRunner:
                 assert (bind, trail) == _store(pre)
                 results.append(None)
             else:
-                pair = resolved(mk_tuple((x, got)), bind)
+                pair = resolved(mk_tuple((x, box(got))), bind)
                 results.append((_as_made(pair), len(trail)))
         assert results[0] == results[1]
 
@@ -1110,6 +1122,136 @@ class TestStoreRunner:
         second = unify_unit(code, a, bind, trail)
         p1, p2 = first.args[1], second.args[1]
         assert p1.name == "P" and p1 is first.args[2] and p1 != p2 != P_
+
+
+# ---------------------------------------------------------------------------
+# Bare states in unify mode: a ⟨⟩ travels between unit steps as its argument
+# tuple there too, and that tuple may hold variables.
+
+
+@st.composite
+def tuple_units_subjects_stores(draw):
+    """tuple_units_and_subjects, with a binding store that may already bind
+    subject variables, as units_subjects_stores draws it."""
+    t_in, t_out, x = draw(tuple_units_and_subjects())
+    U, V, W = _RIGHT_VARS
+    pre = {}
+    if draw(st.booleans()):
+        pre[V] = draw(_terms((W,)))
+    if draw(st.booleans()):
+        pre[U] = draw(_terms((V, W)))
+    return t_in, t_out, x, pre
+
+
+def _non_tuple_root_registry():
+    """A registry built by hand: r :- p, q, with p's unit ⟨A⟩ -> ⟨A,b⟩,
+    which returns a bare tuple, and q's X -> g(X), whose input's root is
+    no ⟨⟩, so it boxes that tuple on entry."""
+    A, X = Variable("A"), Variable("X")
+    return Registry(
+        defn={"r": ("r_1",), "p": ("p_1",), "q": ("q_1",)},
+        nonunit={"r_1": ("p", "q")},
+        unit={"p_1": (mk_tuple((A,)), mk_tuple((A, b))), "q_1": (X, g(X))},
+        isunit=frozenset({"p_1", "q_1"}),
+    )
+
+
+class TestBareUnifyStates:
+    @given(tuple_units_subjects_stores())
+    @settings(max_examples=300)
+    # A subject variable in the bare tuple, bound in the store; a repeated
+    # variable across the tuple; write mode below a bare root; a ground
+    # ⟨⟩ input (checked, not loaded), and an identity.
+    @example((mk_tuple((X_, f(Y_))), mk_tuple((Y_, X_)), mk_tuple((U_, V_)),
+              {V_: f(W_)}))
+    @example((mk_tuple((X_, X_)), mk_tuple((X_, P_)), mk_tuple((U_, g(a))), {}))
+    @example((mk_tuple((f(g(X_)), Y_)), mk_tuple((Y_, X_)), mk_tuple((U_, a)),
+              {}))
+    @example((mk_tuple((a, b)), mk_tuple((P_,)), mk_tuple((U_, b)), {U_: a}))
+    @example((mk_tuple((X_, Y_)), mk_tuple((X_, Y_)), mk_tuple((U_, g(V_))), {}))
+    # A bare subject of another width.
+    @example((mk_tuple((X_, Y_)), mk_tuple((Y_,)), mk_tuple((U_,)), {}))
+    @example((mk_tuple((X_,)), mk_tuple((X_, a)), mk_tuple((U_, a)), {}))
+    def test_bare_subject_agrees_with_the_reference(self, case):
+        # Both runners, on the term and, for a ⟨⟩ that is not 0-ary, ground
+        # or not, on its bare argument tuple.
+        t_in, t_out, x, pre = case
+        subjects = (x, x.args) if is_tuple(x) and x.args else (x,)
+        for code in _runners(t_in, t_out):
+            for subject in subjects:
+                _check_rename_unify_apply(code, t_in, t_out, subject, pre)
+
+    def test_corpus_attempts_on_the_states_the_search_meets(
+        self, pipelines, monkeypatch
+    ):
+        # Every unit attempt of a unify-mode run of the corpus, on the
+        # subject as the search handed it over and on box of it, each from
+        # a copy of the store as it stood: the same outcome, the same
+        # number of bindings, and, resolved and boxed, the same subject and
+        # output up to renaming.
+        counts = {"attempts": 0, "bare": 0}
+
+        def recording(code, x, bind, trail):
+            outs = []
+            for subject in (x, box(x)):
+                b, t = dict(bind), list(trail)
+                out = unify_unit(code, subject, b, t)
+                if out is not None:
+                    out = canonical(resolved(mk_tuple((box(x), box(out))), b))
+                outs.append((out, len(t)))
+            assert outs[0] == outs[1]
+            counts["attempts"] += 1
+            counts["bare"] += type(x) is tuple
+            return unify_unit(code, x, bind, trail)
+
+        monkeypatch.setattr(engines, "unify", recording)
+        for pipe in pipelines:
+            if pipe.uni != "unify":
+                continue
+            for text in pipe.goals():
+                plan = pipe.plan(text)
+                engines.eval_abcde(
+                    plan.initial, plan.continuations, pipe.registry, "unify"
+                )
+        # Guards against a vacuous check: most subjects come bare (118 of
+        # 160).
+        attempts, bare = counts["attempts"], counts["bare"]
+        assert attempts > 150 and bare > attempts // 2, (attempts, bare)
+
+    @pytest.mark.parametrize("cap", ["within the cap", "over the cap"])
+    def test_non_tuple_root_boxes_a_bare_subject(self, cap, monkeypatch):
+        # q's unit runs as its generated function, or, with the cap patched
+        # to 0 where it is compiled, as unify_unit's register loop.  Either
+        # way every answer is g of a ⟨⟩ term, never of a Python tuple, with
+        # exact ground flags: ⟨c,b⟩ is ground, ⟨Y',b⟩ is not.
+        compiled = {}
+
+        def compiling(t_in, t_out):
+            if cap == "over the cap" and not is_tuple(t_in):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(units, "_MAX_REGISTERS", 0)
+                    code = compile_unit(t_in, t_out)
+            else:
+                code = compile_unit(t_in, t_out)
+            compiled[is_tuple(t_in)] = code
+            return code
+
+        monkeypatch.setattr(engines, "compile_unit", compiling)
+        registry = _non_tuple_root_registry()
+        c, Y = Constant("c"), Variable("Y")
+        for seed, ground in ((mk_tuple((c,)), True), (mk_tuple((Y,)), False)):
+            (answer,) = engines.eval_abcde(seed, ["r"], registry, "unify")
+            (state,) = answer.args
+            assert answer.functor == "g" and type(state) is Compound
+            assert is_tuple(state) and state.ground is ground
+            _assert_well_built(answer)
+            want = mk_tuple((c if ground else Variable("A"), b))
+            assert alpha_equivalent(state, want)
+        # p ran as its generated function and handed q a bare tuple.
+        p_code, q_code = compiled[True], compiled[False]
+        assert p_code[11] is not None
+        assert type(unify_unit(p_code, mk_tuple((c,)), {}, [])) is tuple
+        assert (q_code[11] is None) == (cap == "over the cap")
 
 
 class TestAlgebraicLaws:
