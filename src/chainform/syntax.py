@@ -118,11 +118,15 @@ class SourceProgram:
 # ---------------------------------------------------------------------------
 # Lexer
 
-# Each match is one token: ':-', a run of decimal digits, a word, any other
-# character but whitespace and '%', or a '%' line comment, which _tokens
-# drops.  Whitespace is skipped between matches.  \s, \w and \d agree with
-# str.isspace, str.isalnum or '_', and str.isdecimal on every character.
-_TOKEN = re.compile(r":-|\d+|[^\W\d]\w*|[^\s%]|%.*")
+# Each match is one token: a word, any character but whitespace, '%', ':'
+# and a digit, ':-', a run of decimal digits, a lone ':', or a '%' line
+# comment, which _tokens drops.  Whitespace is skipped between matches.
+# Whatever character a token starts with, one alternative alone matches
+# there (a word takes every word character but a digit), so their order
+# changes no token, only how soon a match is found: words, the commonest
+# tokens, come first.  \s, \w and \d agree with str.isspace,
+# str.isalnum or '_', and str.isdecimal on every character.
+_TOKEN = re.compile(r"[^\W\d]\w*|[^\s%:\d]|:-|\d+|:|%.*")
 
 _PUNCT = {"(", ")", "[", "]", ",", "|", ".", TUPLE_OPEN, TUPLE_CLOSE}
 

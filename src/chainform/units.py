@@ -86,7 +86,14 @@ or write mode at run time, on what the subject holds there.  It reads a
 register through the store only where the register holds a variable.  The
 store's bindings are undone to a trail mark on failure, when the call made
 any, and on backtracking (untrail), and resolved turns a term read under
-the store into a plain one.  unify_unit runs the shape's generated unify
+the store into a plain one.  As the WAM's switch_on_term and get_constant
+reject a clause before they bind anything, a unit whose t_in is a loaded
+⟨⟩ tests the subject's root arguments first: where the subject holds a
+compound or a constant at one that t_in fixes, a compound of another
+functor or arity, or a constant of another symbol or symbol type, clashes,
+and the call fails before it reads the store, renames a variable or binds
+one.  A rejected subject makes no binding and no variable; a variable there
+is read and bound as before.  unify_unit runs the shape's generated unify
 function, or over the cap its register loop, which the function unrolls;
 up to renaming and boxed, both equal terms.rename_many, terms.unify and
 Subst.apply.
@@ -656,21 +663,14 @@ def _unify_bound(a, b, bind, trail):
 # kernel 1-4% slower for a shorter source.
 # The root flags work as in match mode (see the module docstring): a bare
 # subject is only checked for its arity and unpacked, as it is never a
-# variable, and a ⟨⟩ at t_out's root is returned as its argument tuple.
-
-
-# The globals of every generated function, match and unify.
-_GENERATED_GLOBALS = {
-    "Compound": Compound,
-    "Constant": Constant,
-    "Variable": Variable,
-    "_new": _new_object,
-    "_box": box,
-    "_struct_eq": _struct_eq,
-    "_finish": _finish,
-    "_unify_bound": _unify_bound,
-    "untrail": untrail,
-}
+# variable, and a ⟨⟩ at t_out's root is returned as its argument tuple.  A
+# ⟨⟩ compound subject, read through the store, is unpacked the same way,
+# and a subject that is an unbound variable, which no conversion's search
+# hands over, goes to the register loop for the root's write mode.  Right
+# after the unpacking come the root tests (_root_tests, as _root_clash in
+# the loop), and only then the locals names, get, mark and made, so a
+# subject rejected there costs a few type tests and no binding, variable or
+# untrail.
 
 
 def _unify_source(key):
@@ -693,16 +693,40 @@ def _unify_source(key):
         "  ts = type(s)",
     ]
     lines = [] if bare_in else [" if type(r0) is tuple: r0 = _box(r0)"]
-    if loads:
+    # The loads that may take write mode here: a bare_in shape's root load
+    # hands an unbound variable to the loop.
+    writes = loads[1:] if bare_in else loads
+    if writes:
         lines.append(" made = None")  # as in unify_unit
+    pre = []  # a bare_in shape's root load and root tests, before any local
     depth = [0]  # register -> the number of loads that are its ancestors
     for j, (r, n) in enumerate(loads):
         fail = "return None" if depth[r] == j else undo
         args = ["r%d" % i for i in range(len(depth), len(depth) + n)]
         depth += [depth[r] + 1] * n
         i = next(k)
-        load = [" s = r%d" % r, *deref]
-        load += [
+        if bare_in and not j:
+            # A ⟨⟩ compound's arguments, read through the store, are taken
+            # as a bare subject is; an unbound variable takes write mode in
+            # the register loop, this function's reference.  r0 stays the
+            # subject, an identity unit's output.
+            pre += [
+                " a = r0",
+                " if type(a) is not tuple:",
+                "  s = r0",
+                "  while type(s) is Variable:",
+                "   s = bind.get(s.serial)",
+                "   if s is None: return _unify_loop(code, r0, bind, trail)",
+                "  if type(s) is not Compound or s.functor != k[%d]: %s"
+                % (i, fail),
+                "  a = s.args",
+                " if len(a) != %d: %s" % (n, fail),
+                " %s, = a" % ", ".join(args),
+            ]
+            pre += _root_tests(loads, consts)
+            continue
+        lines += [" s = r%d" % r, *deref]
+        lines += [
             " if ts is Compound:",
             "  if s.functor != k[%d]: %s" % (i, fail),
             "  a = s.args",
@@ -710,10 +734,10 @@ def _unify_source(key):
             "  %s, = a" % ", ".join(args),
             " elif ts is Variable:",
         ]
-        load += ["  %s = Variable(names[%s])" % (v, v[1:]) for v in args]
+        lines += ["  %s = Variable(names[%s])" % (v, v[1:]) for v in args]
         # Only the first load's write mode always finds made unset.
         once = "if made is None: " if j else ""
-        load += [
+        lines += [
             "  %smade = %s.serial" % (once, args[0]),
             "  c = _new(Compound)",
             "  c.functor = k[%d]" % i,
@@ -723,20 +747,8 @@ def _unify_source(key):
             "  trail.append(s.serial)",
             " else: " + fail,
         ]
-        if j or not bare_in:
-            lines += load
-            continue
-        # A bare subject is the ⟨⟩'s arguments: no store to read through,
-        # no functor to test and no write mode.
-        lines += [
-            " if type(r0) is tuple:",
-            "  if len(r0) != %d: %s" % (n, fail),
-            "  %s, = r0" % ", ".join(args),
-            " else:",
-            *[" " + line for line in load],
-        ]
     fresh = "ts is Variable"
-    if loads:
+    if writes:
         fresh += " and (made is None or s.serial < made)"
     for r in firsts:
         lines += [" if type(r%d) is Variable:" % r, "  s = r%d" % r]
@@ -811,7 +823,7 @@ def _unify_source(key):
     else:
         lines.append(" return %s" % expr[out])
     body = "\n".join(lines)
-    head = ["def unify(r0, code, bind, trail):", " k = code[12]"]
+    head = ["def unify(r0, code, bind, trail):", " k = code[12]", *pre]
     for local, value, use in (
         ("names", "code[10]", "names["),
         ("get", "bind.get", "get("),
@@ -820,6 +832,56 @@ def _unify_source(key):
         if use in body:
             head.append(" %s = %s" % (local, value))
     return "\n".join(head) + "\n" + body + "\n"
+
+
+def _root_clash(loads, consts, regs):
+    # True iff regs, loaded with a ⟨⟩ subject's arguments in read mode, hold
+    # a compound or a constant at a root argument of t_in that clashes with
+    # it: a compound of another functor or arity where t_in has a load, any
+    # constant there, and a compound or another constant where t_in has a
+    # constant check, symbol and type compared.  A variable never clashes.
+    width = loads[0][2]
+    for r, functor, n in loads:
+        if 0 < r <= width:
+            s = regs[r]
+            ts = type(s)
+            if ts is Constant or ts is Compound and (
+                s.functor != functor or len(s.args) != n
+            ):
+                return True
+    for r, c in consts:
+        if r <= width:
+            s = regs[r]
+            ts = type(s)
+            if ts is Compound or ts is Constant and (
+                s.symbol != c or type(s.symbol) is not type(c)
+            ):
+                return True
+    return False
+
+
+def _root_tests(loads, consts):
+    # The lines that reject a bare subject on its root arguments, as
+    # _root_clash does: one per root argument of t_in that is a load (its
+    # functor k[j] and arity) or a constant check (its symbol and type).
+    width = loads[0][1]
+    lines = []
+    for j, (r, n) in enumerate(loads):
+        if j and r <= width:
+            lines += [
+                " t = type(r%d)" % r,
+                " if t is Compound and (r%d.functor != k[%d] or len(r%d.args)"
+                " != %d) or t is Constant: return None" % (r, j, r, n),
+            ]
+    for i, r in enumerate(consts):
+        if r <= width:
+            c = len(loads) + 2 * i
+            lines += [
+                " t = type(r%d)" % r,
+                " if t is Constant and (r%d.symbol != k[%d] or type(r%d.symbol)"
+                " is not k[%d]) or t is Compound: return None" % (r, c, r, c + 1),
+            ]
+    return lines
 
 
 def unify_unit(code, x, bind, trail):
@@ -845,14 +907,22 @@ def unify_unit(code, x, bind, trail):
     undone.  Up to renaming, resolved(box(output), bind) equals the
     reference: rename_many, unify, then Subst.apply.
 
+    Where t_in is a ⟨⟩ and the root load reads one, each root argument
+    that t_in fixes is tested before anything else: a compound or a
+    constant of the subject there that clashes with t_in's load (functor
+    and arity) or constant (symbol and symbol type) returns None at once
+    (_root_clash).  So a rejected subject makes no binding and no
+    variable, and the store and trail are as they were.
+
     A unit of at most _MAX_REGISTERS registers runs its shape's generated
     unify function, this register loop unrolled: the same bindings in the
     same order, and the same variables, made in the same order under the
-    same names.  There a ⟨⟩ at the root of t_out is not built, and its
-    argument tuple is returned.  A larger unit runs the loop on box(x) and
-    returns a term.  The reference would give the same answers there but
-    binds every variable of the renamed clause in the store, where the
-    loop binds only subject variables: on the generated definite goal
+    same names, and none of either on a rejected subject.  There a ⟨⟩ at
+    the root of t_out is not built, and its argument tuple is returned.  A
+    larger unit runs the loop on box(x) and returns a term.  The reference
+    would give the same answers there but binds every variable of the
+    renamed clause in the store, where the loop binds only subject
+    variables: on the generated definite goal
     p0(f(G0), g(g(a,G0), g(G0,a)), G0) it made 800 bindings in 200 unit
     calls against the loop's 1, and its 400-step budget took 2.1 s against
     2.5 ms.
@@ -860,6 +930,11 @@ def unify_unit(code, x, bind, trail):
     shape = code[11]
     if shape is not None:
         return _UNIFIERS[shape](x, code, bind, trail)
+    return _unify_loop(code, x, bind, trail)
+
+
+def _unify_loop(code, x, bind, trail):
+    # unify_unit's register loop, for any compiled unit.
     (
         loads, checked, consts, grounds, sames, tail, build, out, n_open,
         firsts, names, _, _,
@@ -880,6 +955,12 @@ def unify_unit(code, x, bind, trail):
                     untrail(bind, trail, mark)
                 return None
             regs += s.args
+            if (
+                not r
+                and functor == TUPLE_FUNCTOR
+                and _root_clash(loads, consts, regs)
+            ):
+                return None
         elif ts is Variable:
             k = len(regs)
             args = [Variable(name) for name in names[k : k + n]]
@@ -940,3 +1021,18 @@ def unify_unit(code, x, bind, trail):
         regs[-n_open:] = [Variable(v.name) for v in regs[-n_open:]]
     _build(build, regs)
     return regs[out]
+
+
+# The globals of every generated function, match and unify.
+_GENERATED_GLOBALS = {
+    "Compound": Compound,
+    "Constant": Constant,
+    "Variable": Variable,
+    "_new": _new_object,
+    "_box": box,
+    "_struct_eq": _struct_eq,
+    "_finish": _finish,
+    "_unify_bound": _unify_bound,
+    "_unify_loop": _unify_loop,
+    "untrail": untrail,
+}

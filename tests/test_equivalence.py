@@ -288,9 +288,7 @@ def test_moded_unit_over_the_cap(mode, depth, inner, second):
     exhaustive = five_engine_answers(plan, registry, 10_000, uni=uni)
     reference = sld_solve(program, goal, 100)
     assert len(reference.answers) == 1
-    assert_engines_match_oracle(
-        reference, goal, exhaustive, ordered=mode == "moded"
-    )
+    assert_engines_match_oracle(reference, goal, exhaustive, ordered=True)
 
 
 # The generated programs of the differential tests: generator, goal
@@ -358,9 +356,10 @@ def compare_with_oracle(kind, cases, unifies=None):
     """Each case's goal through the five engines under RANDOM_STEPS and
     through SLD resolution under RANDOM_DEPTH and, given unifies, that many
     unifications.  Runs where either side was cut off are skipped; the rest
-    must give the oracle's answer list, in order in match mode and as a
-    multiset in unify mode.  Returns the cases compared, each with its
-    oracle's answer count, and how many of their goals have an answer."""
+    must give the oracle's answer list in order, in either mode: both take
+    clauses in definition order, depth first.  Returns the cases compared,
+    each with its oracle's answer count, and how many of their goals have
+    an answer."""
     _, _, _, mode, uni = RANDOM_KINDS[kind]
     compared, answered = [], 0
     for case in cases:
@@ -376,9 +375,7 @@ def compare_with_oracle(kind, cases, unifies=None):
             exhaustive = five_engine_answers(plan, registry, RANDOM_STEPS, uni=uni)
         except BudgetExceededError:
             continue
-        assert_engines_match_oracle(
-            reference, goal, exhaustive, ordered=uni == "match"
-        )
+        assert_engines_match_oracle(reference, goal, exhaustive, ordered=True)
         compared.append((case, len(reference.answers)))
         answered += bool(reference.answers)
     return compared, answered
@@ -388,7 +385,7 @@ def test_random_definite_programs_match_oracle():
     """Differential test: random definite programs and random goals with open
     variables, every engine in unify mode under a step budget, against SLD
     resolution under a depth budget.  Runs where either side was cut off are
-    skipped; the rest must agree as multisets."""
+    skipped; the rest must give the oracle's answer list, in order."""
     compared, answered = compare_with_oracle("definite", random_cases("definite"))
     # Guard against a generator change that makes the comparison vacuous.
     assert len(compared) >= 150 and answered >= 40

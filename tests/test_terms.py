@@ -54,6 +54,10 @@ def g(*args):
     return Compound("g", args)
 
 
+def h(*args):
+    return Compound("h", args)
+
+
 a = Constant("a")
 b = Constant("b")
 
@@ -1252,6 +1256,121 @@ class TestBareUnifyStates:
         assert p_code[11] is not None
         assert type(unify_unit(p_code, mk_tuple((c,)), {}, [])) is tuple
         assert (q_code[11] is None) == (cap == "over the cap")
+
+
+# ---------------------------------------------------------------------------
+# Rejected subjects: a unit whose t_in is a ⟨⟩ tests the subject's root
+# arguments against what t_in fixes there before it binds anything.
+
+_FUNCTORS = ("f", "g", "h")
+_CONSTANTS = (a, b, Constant("c"), Constant(0), Constant(1), Constant("1"))
+# Constants whose symbols are of two types, and spelled alike or equal in
+# value: only the type test tells 1 from True.
+_TWINS = (
+    (Constant(1), Constant("1")),
+    (Constant("1"), Constant(1)),
+    (Constant(1), Constant(True)),
+    (Constant(0), Constant(False)),
+)
+# The leaves of a clashing compound's arguments.
+_LEAVES = st.sampled_from(_RIGHT_VARS + _CONSTANTS)
+CLASH_KINDS = (
+    "another functor",
+    "another arity",
+    "another constant",
+    "another symbol type",
+    "compound against a constant",
+    "constant against a compound",
+)
+
+
+@st.composite
+def clashing_tuple_units(draw):
+    """A unit ⟨…⟩ -> ⟨…⟩ or an identity one, whose t_in is not ground and
+    fixes a root argument, a compound that holds a variable or a constant,
+    and the argument tuple of a subject that clashes with it there.  Each
+    other argument of the subject is that of an instance of t_in or an
+    unbound variable, and a store may bind its variables."""
+    args = draw(st.lists(_terms(_LEFT_VARS), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(CLASH_KINDS))
+    if kind in ("another functor", "another arity", "constant against a compound"):
+        fn = draw(st.sampled_from(_FUNCTORS))
+        rest = draw(st.lists(st.sampled_from(_LEFT_VARS + _CONSTANTS), max_size=2))
+        fixed = Compound(fn, (draw(st.sampled_from(_LEFT_VARS)), *rest))
+        clash_args = tuple(draw(st.lists(_LEAVES, max_size=4)))
+        if kind == "another functor":
+            clash = Compound(
+                draw(st.sampled_from([x for x in _FUNCTORS if x != fn])),
+                clash_args or (a,),
+            )
+        elif kind == "another arity":
+            if len(clash_args) == len(fixed.args):
+                clash_args += (b,)
+            clash = Compound(fn, clash_args)
+        else:
+            clash = draw(st.sampled_from(_CONSTANTS))
+    elif kind == "another symbol type":
+        fixed, clash = draw(st.sampled_from(_TWINS))
+    else:
+        fixed = draw(st.sampled_from(_CONSTANTS))
+        if kind == "another constant":
+            others = [c for c in _CONSTANTS if c.symbol != fixed.symbol]
+            clash = draw(st.sampled_from(others))
+        else:
+            clash = draw(_terms(_RIGHT_VARS).filter(lambda t: type(t) is Compound))
+    i = draw(st.integers(0, len(args)))
+    args.insert(i, fixed)
+    if all(map(_variable_free, args)):
+        args[i - 1] = draw(st.sampled_from(_LEFT_VARS))
+    t_in = mk_tuple(args)
+    t_out = t_in if not draw(st.integers(0, 4)) else draw(
+        _tuples(_LEFT_VARS + _FREE_VARS)
+    )
+    bindings = draw(st.dictionaries(st.sampled_from(_LEFT_VARS), _terms(_RIGHT_VARS)))
+    subject = [
+        draw(st.one_of(st.just(x), st.sampled_from(_RIGHT_VARS)))
+        for x in Subst(bindings).apply(t_in).args
+    ]
+    subject[i] = clash
+    U, V, W = _RIGHT_VARS
+    pre = {}
+    if draw(st.booleans()):
+        pre[V] = draw(_terms((W,)))
+    if draw(st.booleans()):
+        pre[U] = draw(_terms((V, W)))
+    return t_in, t_out, tuple(subject), pre
+
+
+class TestRejectedSubjects:
+    @given(clashing_tuple_units())
+    @settings(max_examples=200)
+    # The base clause ⟨St,[],L,L⟩ -> ⟨St,L⟩ on a cons, and one case of each
+    # clash kind.  In each, before the clashing argument's own load or
+    # check in the program's order, a first occurrence meets an unbound
+    # subject variable, or a load takes write mode on one.
+    @example((mk_tuple((X_, NIL, Y_, Y_)), mk_tuple((X_, Y_)),
+              (U_, mk_list([V_], W_), W_, V_), {}))
+    @example((mk_tuple((f(X_), g(Y_))), mk_tuple((Y_,)), (h(V_), U_), {}))
+    @example((mk_tuple((f(X_), g(Y_))), mk_tuple((X_, Y_)),
+              (f(V_, W_), U_), {}))
+    @example((mk_tuple((f(X_), g(Y_))), mk_tuple((X_, P_)), (a, U_), {}))
+    @example((mk_tuple((X_, a)), mk_tuple((X_,)), (U_, b), {U_: V_}))
+    @example((mk_tuple((X_, Constant(1))), mk_tuple((X_,)),
+              (U_, Constant(True)), {}))
+    @example((mk_tuple((X_, a)), mk_tuple((X_, a)), (U_, f(V_)), {}))
+    def test_rejected_before_any_binding_or_variable(self, case):
+        # Both runners, on the bare tuple and on its ⟨⟩: None, the store
+        # and trail as they were, and no variable made, which the serials
+        # of two probe variables show, as serials grow by one per variable.
+        t_in, t_out, args, pre = case
+        assert is_tuple(t_in) and not t_in.ground
+        for code in _runners(t_in, t_out):
+            for subject in (args, box(args)):
+                bind, trail = _store(pre)
+                before = Variable("probe").serial
+                assert unify_unit(code, subject, bind, trail) is None
+                assert Variable("probe").serial == before + 1
+                assert (bind, trail) == _store(pre)
 
 
 class TestAlgebraicLaws:
