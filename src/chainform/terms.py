@@ -50,6 +50,8 @@ BACKEND = "python"
 
 # Fresh-serial issuance is the only mutable global.  itertools.count.__next__
 # is atomic under the GIL, so concurrent readers of shared terms are safe.
+# The units module's generated unify functions, which make their fresh
+# variables in place, draw their serials from it too.
 _serials = itertools.count(1)
 
 

@@ -92,11 +92,17 @@ reject a clause before they bind anything, a unit whose t_in is a loaded
 compound or a constant at one that t_in fixes, a compound of another
 functor or arity, or a constant of another symbol or symbol type, clashes,
 and the call fails before it reads the store, renames a variable or binds
-one.  A rejected subject makes no binding and no variable; a variable there
-is read and bound as before.  unify_unit runs the shape's generated unify
-function, or over the cap its register loop, which the function unrolls;
-up to renaming and boxed, both equal terms.rename_many, terms.unify and
-Subst.apply.
+one.  A rejected subject makes no binding and no variable.  In the
+generated function these root tests are the only test of a root argument
+the subject fills with a compound or a constant, as a get instruction
+tests its register once: a compound that passes is unpacked there and a
+constant that passes is done with, and only a variable there, bound or
+not, is read through the store and bound as before.  The function makes
+each fresh variable in place, as the build makes a compound: its name, a
+pattern variable's and interned already, and the next serial.
+unify_unit runs the shape's generated unify function, or over the cap its
+register loop, which the function unrolls; up to renaming and boxed, both
+equal terms.rename_many, terms.unify and Subst.apply.
 
 Every walk runs over an explicit stack, so terms of any depth are handled at
 the interpreter's default recursion limit.
@@ -115,6 +121,7 @@ from .terms import (
     Constant,
     Variable,
     _rebuild,
+    _serials,
     _struct_eq,
     match,
 )
@@ -660,17 +667,27 @@ def _unify_bound(a, b, bind, trail):
 # and a loaded one, which holds what the subject put at a variable's first
 # occurrence, is tested by type.  Dereferencing and write mode are inlined:
 # calling _deref, or a shared helper for write mode, made definite-unify's
-# kernel 1-4% slower for a shorter source.
+# kernel 1-4% slower for a shorter source.  Every fresh variable, of write
+# mode, of a renamed first occurrence or of the open tail, is made in place
+# (_fresh): object.__new__, its name, and the next serial of
+# terms._serials, as Variable() would give it, so the same variables come
+# in the same order.  The store's get and the unit's names are read where
+# a dereference or a fresh variable needs them, not kept as locals.
 # The root flags work as in match mode (see the module docstring): a bare
 # subject is only checked for its arity and unpacked, as it is never a
 # variable, and a ⟨⟩ at t_out's root is returned as its argument tuple.  A
 # ⟨⟩ compound subject, read through the store, is unpacked the same way,
 # and a subject that is an unbound variable, which no conversion's search
 # hands over, goes to the register loop for the root's write mode.  Right
-# after the unpacking come the root tests (_root_tests, as _root_clash in
-# the loop), and only then the locals names, get, mark and made, so a
-# subject rejected there costs a few type tests and no binding, variable or
-# untrail.
+# after the unpacking come the root tests (as _root_clash in the loop), and
+# only then the locals mark and made, so a subject rejected there costs a
+# few type tests and no binding, variable or untrail.  The root tests are
+# the only test of a root argument that the subject fills: one that holds
+# a compound is unpacked there, its load's read mode done, and one that
+# holds a constant needs nothing more; the program reads the argument
+# through the store only where it holds a variable.  The register loop
+# tests such an argument again at its own load or check, to the same
+# outcome.
 
 
 def _unify_source(key):
@@ -687,7 +704,7 @@ def _unify_source(key):
     deref = [
         " ts = type(s)",
         " while ts is Variable:",
-        "  v = get(s.serial)",
+        "  v = bind.get(s.serial)",
         "  if v is None: break",
         "  s = v",
         "  ts = type(s)",
@@ -698,6 +715,11 @@ def _unify_source(key):
     writes = loads[1:] if bare_in else loads
     if writes:
         lines.append(" made = None")  # as in unify_unit
+    # A bare_in shape's root arguments are registers 1 to width.  The root
+    # tests in pre settle each one that t_in fixes and the subject fills
+    # with a compound or a constant; the program below reads it only where
+    # it holds a variable, which the local t<r>, the type of r<r>, tells.
+    width = loads[0][1] if bare_in else 0
     pre = []  # a bare_in shape's root load and root tests, before any local
     depth = [0]  # register -> the number of loads that are its ancestors
     for j, (r, n) in enumerate(loads):
@@ -705,6 +727,7 @@ def _unify_source(key):
         args = ["r%d" % i for i in range(len(depth), len(depth) + n)]
         depth += [depth[r] + 1] * n
         i = next(k)
+        unpack = "%s, = a" % ", ".join(args)
         if bare_in and not j:
             # A ⟨⟩ compound's arguments, read through the store, are taken
             # as a bare subject is; an unbound variable takes write mode in
@@ -721,23 +744,23 @@ def _unify_source(key):
                 % (i, fail),
                 "  a = s.args",
                 " if len(a) != %d: %s" % (n, fail),
-                " %s, = a" % ", ".join(args),
+                " " + unpack,
             ]
-            pre += _root_tests(loads, consts)
             continue
-        lines += [" s = r%d" % r, *deref]
-        lines += [
+        load = [" s = r%d" % r, *deref]
+        load += [
             " if ts is Compound:",
             "  if s.functor != k[%d]: %s" % (i, fail),
             "  a = s.args",
             "  if len(a) != %d: %s" % (n, fail),
-            "  %s, = a" % ", ".join(args),
+            "  " + unpack,
             " elif ts is Variable:",
         ]
-        lines += ["  %s = Variable(names[%s])" % (v, v[1:]) for v in args]
+        for v in args:
+            load += _fresh("  ", v, "code[10][%s]" % v[1:])
         # Only the first load's write mode always finds made unset.
         once = "if made is None: " if j else ""
-        lines += [
+        load += [
             "  %smade = %s.serial" % (once, args[0]),
             "  c = _new(Compound)",
             "  c.functor = k[%d]" % i,
@@ -747,31 +770,56 @@ def _unify_source(key):
             "  trail.append(s.serial)",
             " else: " + fail,
         ]
+        if 0 < r <= width:
+            # A root argument: the root tests unpack a compound there, as
+            # read mode does, and reject a constant; only a variable, bound
+            # or not, takes the load.
+            pre += [
+                " t%d = type(r%d)" % (r, r),
+                " if t%d is Compound:" % r,
+                "  if r%d.functor != k[%d]: return None" % (r, i),
+                "  a = r%d.args" % r,
+                "  if len(a) != %d: return None" % n,
+                "  " + unpack,
+                " elif t%d is Constant: return None" % r,
+            ]
+            load = [" if t%d is Variable:" % r, *[" " + line for line in load]]
+        lines += load
     fresh = "ts is Variable"
     if writes:
         fresh += " and (made is None or s.serial < made)"
     for r in firsts:
         lines += [" if type(r%d) is Variable:" % r, "  s = r%d" % r]
         lines += [" " + line for line in deref]
+        lines += ["  if %s:" % fresh, *_fresh("   ", "r%d" % r, "code[10][%d]" % r)]
         lines += [
-            "  if %s:" % fresh,
-            "   r%d = Variable(names[%d])" % (r, r),
             "   bind[s.serial] = r%d" % r,
             "   trail.append(s.serial)",
             "  else: r%d = s" % r,
         ]
     bound = bool(loads or firsts)  # whether a binding may have been made
     for r in consts:
-        i = next(k)
-        lines += [" s = r%d" % r, *deref]
-        lines += [
+        i, ti = next(k), next(k)  # the symbol's index, and its type's
+        check = [" s = r%d" % r, *deref]
+        check += [
             " if ts is Variable:",
             "  bind[s.serial] = Constant(k[%d])" % i,
             "  trail.append(s.serial)",
             " elif ts is not Constant or s.symbol != k[%d]"
             " or type(s.symbol) is not k[%d]: %s"
-            % (i, next(k), undo if bound else "return None"),
+            % (i, ti, undo if bound else "return None"),
         ]
+        if 0 < r <= width:
+            # A root argument: the root tests compare a constant there and
+            # reject a compound; only a variable takes the check.
+            pre += [
+                " t%d = type(r%d)" % (r, r),
+                " if t%d is Constant and (r%d.symbol != k[%d] or type(r%d.symbol)"
+                " is not k[%d]) or t%d is Compound: return None"
+                % (r, r, i, r, ti, r),
+            ]
+            check = [" if t%d is Variable:" % r, *[" " + line for line in check]]
+        lines += check
         bound = True
     for r in grounds:
         lines.append(
@@ -797,7 +845,7 @@ def _unify_source(key):
             ground.append(None)
         else:
             v = "r%d" % len(expr)
-            lines.append(" %s = Variable(k[%d].name)" % (v, next(k)))
+            lines += _fresh(" ", v, "k[%d].name" % next(k))
             expr.append(v)
             ground.append(False)
     # A ⟨⟩ at the root, built last, is returned as its bare argument tuple,
@@ -824,14 +872,20 @@ def _unify_source(key):
         lines.append(" return %s" % expr[out])
     body = "\n".join(lines)
     head = ["def unify(r0, code, bind, trail):", " k = code[12]", *pre]
-    for local, value, use in (
-        ("names", "code[10]", "names["),
-        ("get", "bind.get", "get("),
-        ("mark", "len(trail)", "mark)"),
-    ):
-        if use in body:
-            head.append(" %s = %s" % (local, value))
+    if "mark)" in body:
+        head.append(" mark = len(trail)")
     return "\n".join(head) + "\n" + body + "\n"
+
+
+def _fresh(indent, v, name):
+    # The lines that make a fresh variable named name into the local v, in
+    # place as the build makes a compound: name is a pattern variable's,
+    # interned already.
+    return [
+        "%s%s = _new(Variable)" % (indent, v),
+        "%s%s.name = %s" % (indent, v, name),
+        "%s%s.serial = _serial()" % (indent, v),
+    ]
 
 
 def _root_clash(loads, consts, regs):
@@ -858,30 +912,6 @@ def _root_clash(loads, consts, regs):
             ):
                 return True
     return False
-
-
-def _root_tests(loads, consts):
-    # The lines that reject a bare subject on its root arguments, as
-    # _root_clash does: one per root argument of t_in that is a load (its
-    # functor k[j] and arity) or a constant check (its symbol and type).
-    width = loads[0][1]
-    lines = []
-    for j, (r, n) in enumerate(loads):
-        if j and r <= width:
-            lines += [
-                " t = type(r%d)" % r,
-                " if t is Compound and (r%d.functor != k[%d] or len(r%d.args)"
-                " != %d) or t is Constant: return None" % (r, j, r, n),
-            ]
-    for i, r in enumerate(consts):
-        if r <= width:
-            c = len(loads) + 2 * i
-            lines += [
-                " t = type(r%d)" % r,
-                " if t is Constant and (r%d.symbol != k[%d] or type(r%d.symbol)"
-                " is not k[%d]) or t is Compound: return None" % (r, c, r, c + 1),
-            ]
-    return lines
 
 
 def unify_unit(code, x, bind, trail):
@@ -917,9 +947,13 @@ def unify_unit(code, x, bind, trail):
     A unit of at most _MAX_REGISTERS registers runs its shape's generated
     unify function, this register loop unrolled: the same bindings in the
     same order, and the same variables, made in the same order under the
-    same names, and none of either on a rejected subject.  There a ⟨⟩ at
-    the root of t_out is not built, and its argument tuple is returned.  A
-    larger unit runs the loop on box(x) and returns a term.  The reference
+    same names, and none of either on a rejected subject.  There the root
+    tests are the only test of a root argument that the subject fills with
+    a compound or a constant, and only a variable there is read through
+    the store; each fresh variable is made in place, with the name and
+    serial Variable() would give it.  A ⟨⟩ at the root of t_out is not
+    built, and its argument tuple is returned.  A larger unit runs the
+    loop on box(x) and returns a term.  The reference
     would give the same answers there but binds every variable of the
     renamed clause in the store, where the loop binds only subject
     variables: on the generated definite goal
@@ -1029,6 +1063,7 @@ _GENERATED_GLOBALS = {
     "Constant": Constant,
     "Variable": Variable,
     "_new": _new_object,
+    "_serial": _serials.__next__,
     "_box": box,
     "_struct_eq": _struct_eq,
     "_finish": _finish,

@@ -10,9 +10,10 @@ Each goal of corpus.CORPUS_RUNS is answered by eval_abcde,
 eval_continuation and eval_stream, by the first answer enumerate_prolog
 yields that the goal accepts, and by eval_bounded's answer when the goal
 accepts it.  The answers are compared with oracle.sld_solve's on the source
-program: in order under the moded conversion, as multisets under the
-definite one, where a first answer need only be one of the oracle's.  It
-then hashes the parse outcomes of corpus.parse_corpus(11, 2000), as
+program, in order under both conversions, as tests/test_equivalence.py
+compares them: the engines, like SLD resolution, take clauses in
+definition order, depth first, so a first answer must be the oracle's
+first.  It then hashes the parse outcomes of corpus.parse_corpus(11, 2000), as
 test_syntax's TestPinnedParse does, and compares the digest with
 corpus.CORPUS_DIGEST.  It prints one line per disagreement, a line on the
 digest and a summary line, and exits 1 when any run disagrees or the digest
@@ -21,7 +22,6 @@ differs.
 
 import os
 import sys
-from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
@@ -83,14 +83,8 @@ def engine_answers(plan, registry, uni):
     yield "bounded", None if decoded is None else [decoded], True
 
 
-def agrees(got, want, ordered, first_only):
-    if got is None:
-        return True
-    if first_only:
-        if not ordered:
-            return got == [] if not want else len(got) == 1 and got[0] in want
-        want = want[:1]
-    return got == want if ordered else Counter(got) == Counter(want)
+def agrees(got, want, first_only):
+    return got is None or got == (want[:1] if first_only else want)
 
 
 def main():
@@ -114,7 +108,7 @@ def main():
                 got = None if answers is None else [
                     canonical_answer(goal, s) for s in answers
                 ]
-                if not agrees(got, want, mode == "moded", first_only):
+                if not agrees(got, want, first_only):
                     wrong.append("%s %s %s %s: %r, expected %r"
                                  % (name, mode, text, engine, got, want))
     for line in wrong:

@@ -235,6 +235,24 @@ def test_long_body_matches_oracle():
     assert_engines_match_oracle(reference, plan.goal, exhaustive)
 
 
+def test_long_body_answer_order():
+    """The definite conversion of a 6-atom body over a predicate of five
+    facts, a path of 6 steps through a graph on a, b and c: 22 answers of
+    3 distinct values, which the five engines give in the oracle's order,
+    so taking the facts in any other order shows."""
+    program = parse_program(
+        "q(a,b).\nq(b,b).\nq(b,c).\nq(c,c).\n" + long_body_text(6)
+    )
+    chain = transform_definite(program)
+    goal = parse_goal("p(a,Y)")
+    plan = compile_goal(goal, chain, "definite")
+    exhaustive = five_engine_answers(plan, compile_to_registry(chain), 10**6)
+    reference = sld_solve(program, goal, 100)
+    want = [canonical_answer(goal, a.bindings) for a in reference.answers]
+    assert len(want) == 22 and len(set(want)) == 3
+    assert_engines_match_oracle(reference, goal, exhaustive, ordered=True)
+
+
 def test_moded_name_at_two_arities():
     """Each body atom calls the predicate of its own arity, also when its
     name is used at another arity too."""

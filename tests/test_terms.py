@@ -1373,6 +1373,104 @@ class TestRejectedSubjects:
                 assert (bind, trail) == _store(pre)
 
 
+# ---------------------------------------------------------------------------
+# Root arguments, one kind at a time: the root tests are the only test of a
+# root argument that the subject fills with a compound or a constant, and
+# only a variable there, bound or not, is read through the store.
+
+# ⟨f(X,Y), a, g(Z), Q⟩ -> ⟨Y, g(X,Q), Z, P⟩.  Its program loads g(Z) before
+# f(X,Y), and checks a after the first occurrences, so a clash at f(X,Y) or
+# at a comes after a binding: g(Z)'s write mode, or Q's fresh variable.
+_ROOT_UNIT = (
+    mk_tuple((f(X_, Y_), a, g(_LEFT_VARS[2]), _FREE_VARS[1])),
+    mk_tuple((Y_, g(X_, _FREE_VARS[1]), _LEFT_VARS[2], P_)),
+)
+ROOT_ARGUMENTS = {
+    # kind -> (subject's arguments, store before the call, outcome)
+    "a compound of the right functor": ((f(b, V_), a, g(b), U_), {}, True),
+    "a variable bound to such a compound": (
+        (V_, a, g(b), U_), {V_: f(b, W_)}, True,
+    ),
+    "an unbound variable at a load": ((V_, a, U_, W_), {}, True),
+    "a constant at a constant check": ((f(a, b), a, g(V_), U_), {}, True),
+    "a variable bound to that constant": ((f(a, b), V_, g(b), U_), {V_: a}, True),
+    "an unbound variable at a constant check": ((f(a, b), V_, g(b), U_), {}, True),
+    "a variable bound to a compound of another functor": (
+        (V_, a, U_, b), {V_: h(b, b)}, False,
+    ),
+    "a variable bound to a compound of another arity": (
+        (V_, a, U_, b), {V_: f(b)}, False,
+    ),
+    "a variable bound to a constant at a load": ((V_, a, U_, b), {V_: a}, False),
+    "a variable bound to another constant": ((f(a, b), V_, g(b), U_), {V_: b}, False),
+    "a variable bound to a constant of another symbol type": (
+        (f(a, b), V_, g(b), U_), {V_: Constant(1)}, False,
+    ),
+    "a variable bound to a compound at a constant check": (
+        (f(a, b), V_, g(b), U_), {V_: g(a)}, False,
+    ),
+}
+
+
+def _made_view(t, before):
+    # t as nested tuples, each variable the call made (serial past before)
+    # as its name and its serial's offset, so two runs that make the same
+    # variables in the same order under the same names read alike; and
+    # each compound with its ground flag.
+    tt = type(t)
+    if tt is Variable:
+        return ("var", t.name, _serial_view(t.serial, before))
+    if tt is Constant:
+        return ("const", t.symbol, type(t.symbol))
+    return (t.functor, t.ground, *(_made_view(x, before) for x in t.args))
+
+
+def _serial_view(serial, before):
+    return ("made", serial - before) if serial > before else serial
+
+
+class TestRootArguments:
+    @pytest.mark.parametrize("kind", ROOT_ARGUMENTS)
+    def test_each_kind_of_root_argument(self, kind, monkeypatch):
+        # The generated function and the register loop, on the bare tuple and
+        # on its ⟨⟩: the same outcome, the same bindings in the same trail
+        # order, the same variables made, and equal boxed outputs, which
+        # agree with the reference.  A clash undoes at least one binding and
+        # leaves the store and trail as they were.
+        undone, real = [], units.untrail
+
+        def untrail(bind, trail, mark):
+            undone.append(len(trail) - mark)
+            return real(bind, trail, mark)
+
+        monkeypatch.setitem(units._GENERATED_GLOBALS, "untrail", untrail)
+        args, pre, ok = ROOT_ARGUMENTS[kind]
+        want = _rename_unify_apply(*_ROOT_UNIT, Subst(pre).apply(box(args)))
+        assert (want is not None) == ok
+        for subject in (args, box(args)):
+            runs = []
+            for code in _runners(*_ROOT_UNIT):
+                bind, trail = _store(pre)
+                before = Variable("probe").serial
+                with monkeypatch.context() as mp:
+                    mp.setattr(units, "untrail", untrail)
+                    out = unify_unit(code, subject, bind, trail)
+                made = Variable("probe").serial - before - 1
+                if out is None:
+                    assert not ok and undone.pop() > 0 and not undone
+                    assert (bind, trail) == _store(pre)
+                    continue
+                got = resolved(mk_tuple((box(args), box(out))), bind)
+                assert canonical(got) == canonical(want)
+                runs.append((
+                    [(_serial_view(v, before), _made_view(bind[v], before))
+                     for v in trail],
+                    _made_view(box(out), before),
+                    made,
+                ))
+            assert len(runs) == 2 * ok and runs[:1] == runs[1:]
+
+
 class TestAlgebraicLaws:
     @given(_terms(_ANY_VARS), any_bindings)
     @settings(max_examples=300)
