@@ -17,39 +17,23 @@ import sys
 import time
 
 from . import fixtures
-from .chainir import (
-    UndefinedPredicateError,
-    compile_to_registry,
-    dump_registry,
-)
-from .engines import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    enumerate_prolog,
-    eval_abcde,
-    eval_continuation,
-    eval_stream,
-)
-from .forms import CHECKERS, MissingModeError, check_gchain
+from .chainir import UndefinedPredicateError, compile_to_registry, dump_registry
+from .engines import DEFAULT_BUDGET, BudgetExceededError
+from .forms import CHECKERS, MissingModeError
 from .oracle import sld_solve
+from .session import Session, convert
 from .syntax import (
     Goal,
     ParseError,
     SourceProgram,
+    _display_names,
     clause_to_str,
     parse_goal,
     parse_program,
     term_to_str,
 )
-from .syntax import _display_names
-from .terms import NIL, is_ground, mk_tuple, term_vars
-from .transform import (
-    GoalError,
-    TransformError,
-    compile_goal,
-    transform_definite,
-    transform_moded,
-)
+from .terms import mk_tuple, term_vars
+from .transform import GoalError, TransformError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -231,21 +215,6 @@ def cmd_check(args) -> int:
 # transform
 
 
-def _convert(program, mode):
-    """The chain program and the conversion that made it.  auto takes the
-    moded conversion when the program is moded, the definite one otherwise."""
-    if mode == "auto":
-        if program.fully_moded():
-            try:
-                return transform_moded(program), "moded"
-            except TransformError:
-                pass
-        mode = "definite"
-    if mode == "moded":
-        return transform_moded(program), mode
-    return transform_definite(program), mode
-
-
 def _render_chain(chain):
     lines = ["%% converted to chain form (%s conversion)" % chain.kind]
     source = chain.to_source()
@@ -258,7 +227,7 @@ def _render_chain(chain):
 def cmd_transform(args) -> int:
     program = _load(args.file)
     try:
-        chain, _ = _convert(program, args.mode)
+        chain, _ = convert(program, args.mode)
         registry = compile_to_registry(chain) if args.registry else None
     except COMPILE_ERRORS as err:
         print("error: %s" % err, file=sys.stderr)
@@ -282,26 +251,6 @@ def cmd_transform(args) -> int:
 
 # ---------------------------------------------------------------------------
 # solve and repl
-
-
-class _Session:
-    """A chain program, the conversion that made it, its registry and its
-    form, built once: every goal of a session runs over the same registry,
-    so goals share its dispatch table (Registry.dispatch)."""
-
-    def __init__(self, chain, mode):
-        self.chain = chain
-        self.mode = mode
-        self.registry = compile_to_registry(chain)
-        self.gchain = check_gchain(chain.to_source()).holds
-
-    def plan(self, goal):
-        """The goal's plan and the unification its evaluation needs:
-        one-sided matching suffices when the chain program is G-chain and
-        the seed is ground; otherwise unit resolution needs full
-        unification."""
-        plan = compile_goal(goal, self.chain, self.mode)
-        return plan, "match" if self.gchain and is_ground(plan.initial) else "unify"
 
 
 def _answer(goal: Goal, subst):
@@ -332,45 +281,31 @@ def cmd_solve(args) -> int:
     program = _load(args.file)
     goal = parse_goal(args.goal)
     try:
-        session = _Session(*_convert(program, args.mode))
-        plan, uni = session.plan(goal)
+        session = Session(program, args.mode)
+        if args.engine == "bounded":
+            enum, answers = session.enumerate(goal, args.budget)
+        else:
+            answers = session.answers(goal, args.engine, args.budget)
     except COMPILE_ERRORS as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_CHECK_FAILED
-    registry, budget = session.registry, args.budget
     if args.engine == "bounded":
         # The first answer the goal accepts, and the composition steps spent
         # finding it; raw answers the goal's own bindings reject are skipped.
-        enum = enumerate_prolog(
-            plan.initial, plan.continuations, registry, uni, budget
-        )
-        decoded = _next_decoded(enum, plan)
+        # A ground goal's answer is the empty Subst, which is falsy.
+        decoded = next(answers, None)
         if args.format == "jsonl":
-            payload = {
-                "answer": _binding_json(goal, decoded) if decoded is not None else None,
-                "resource": enum.steps,
-            }
-            print(json.dumps(payload))
+            answer = None if decoded is None else _binding_json(goal, decoded)
+            print(json.dumps({"answer": answer, "resource": enum.steps}))
         else:
             print(_binding_line(goal, decoded) if decoded is not None else "no answers")
             print("resource=%d" % enum.steps)
         return EXIT_OK
-    if args.engine == "abcde":
-        answers = eval_abcde(plan.initial, plan.continuations, registry, uni, budget)
-    elif args.engine == "continuation":
-        answers = eval_continuation(
-            plan.initial, plan.continuations, registry, uni, budget
-        )
-    else:
-        answers = eval_stream(
-            NIL, [plan.initial], plan.continuations, registry, uni, budget
-        )
-    decoded = plan.decode_all(answers)
-    if not decoded:
+    if not answers:
         if args.format == "text":
             print("no answers")
         return EXIT_OK
-    for subst in decoded:
+    for subst in answers:
         if args.format == "jsonl":
             print(json.dumps({"answer": _binding_json(goal, subst)}))
         else:
@@ -393,43 +328,29 @@ def cmd_repl(args) -> int:
             continue
         try:
             if session is None:
-                session = _Session(*_convert(_load(args.file), args.mode))
-            plan, uni = session.plan(parse_goal(line))
+                session = Session(_load(args.file), args.mode)
+            goal = parse_goal(line)
+            enum, answers = session.enumerate(goal, args.budget)
         except ParseError as err:
             print("parse error: %s" % err)
             continue
         except (FileAccessError, *COMPILE_ERRORS) as err:
             print("error: %s" % err)
             continue
-        enum = enumerate_prolog(
-            plan.initial, plan.continuations, session.registry, uni, args.budget
-        )
-        _drive(enum, plan)
+        _drive(enum, answers, goal)
 
 
-def _next_decoded(enum, plan):
-    """The next answer the goal's own bindings accept, decoded; None once
-    the search is exhausted."""
-    while True:
-        raw = enum.next()
-        if raw is None:
-            return None
-        decoded = plan.decode(raw)
-        if decoded is not None:
-            return decoded
-
-
-def _drive(enum, plan):
+def _drive(enum, answers, goal):
     while True:
         try:
-            decoded = _next_decoded(enum, plan)
+            decoded = next(answers, None)
         except BudgetExceededError as err:
             print("error: %s" % err)
             return
         if decoded is None:
             print("no more answers")
             return
-        print(_binding_line(plan.goal, decoded))
+        print(_binding_line(goal, decoded))
         try:
             reply = input("more? (y/n) ")
         except EOFError:
@@ -453,7 +374,7 @@ def cmd_stats(args) -> int:
     for path in args.files:
         programs.append((os.path.basename(path), _load(path), False))
     for name, program, bundled in programs:
-        chain, mode = _convert(program, "auto")
+        chain, mode = convert(program, "auto")
         note = ""
         ref = REFERENCE_COUNTS.get(name) if bundled else None
         if ref is not None:
@@ -464,8 +385,7 @@ def cmd_stats(args) -> int:
             )
         goal = TIMING_GOALS.get(name) if bundled else None
         rows.append(
-            (name, len(program.clauses), len(chain.clauses), mode, note, program,
-             chain, goal)
+            (name, len(program.clauses), len(chain.clauses), mode, note, program, goal)
         )
     print("%-12s %7s %12s %-9s %s" % ("fixture", "clauses", "transformed", "mode", "note"))
     for name, n_src, n_chain, mode, note, *_ in rows:
@@ -478,25 +398,24 @@ def cmd_stats(args) -> int:
 
 def _timing_report(rows):
     """Informational only: how the conversion plus the interpretation layer
-    affects runtime relative to direct resolution of the source."""
+    affects runtime relative to direct resolution of the source.  The
+    converted side is Session.answers: the goal's plan, its search and the
+    decoding of its answers."""
     print(
         "%-12s %14s %14s %8s"
         % ("fixture", "source (ms)", "converted (ms)", "ratio")
     )
-    for name, _, _, mode, _, program, chain, goal_text in rows:
+    for name, _, _, _, _, program, goal_text in rows:
         if goal_text is None:
             continue
         goal = parse_goal(goal_text)
-        session = _Session(chain, mode)
-        plan, uni = session.plan(goal)
+        session = Session(program)
         t0 = time.perf_counter()
         reference = sld_solve(program, goal, depth_budget=100_000)
         t1 = time.perf_counter()
-        answers = eval_abcde(
-            plan.initial, plan.continuations, session.registry, uni
-        )
+        answers = session.answers(goal)
         t2 = time.perf_counter()
-        assert len(plan.decode_all(answers)) == len(reference.answers)
+        assert len(answers) == len(reference.answers)
         src_ms = (t1 - t0) * 1000
         conv_ms = (t2 - t1) * 1000
         ratio = conv_ms / src_ms if src_ms > 0 else float("inf")

@@ -24,13 +24,8 @@ from chainform.terms import (
     rename_many,
     unify,
 )
-from chainform.transform import (
-    _identity_grouping,
-    _pass_on,
-    compile_goal,
-    transform_definite,
-    transform_moded,
-)
+from chainform.session import convert
+from chainform.transform import _identity_grouping, _pass_on, compile_goal
 
 
 def alpha_equivalent(a, b) -> bool:
@@ -108,13 +103,12 @@ class Pipeline:
 
 
 def build_pipeline(name, mode):
+    """The fixture under the given conversion, run in that conversion's own
+    kernel (match for moded, unify for definite), whatever Session.plan
+    would pick: every definite pipeline exercises unify mode."""
     source = load_fixture(name)
-    if mode == "moded":
-        chain = transform_moded(source)
-        uni = "match"
-    else:
-        chain = transform_definite(source)
-        uni = "unify"
+    chain, _ = convert(source, mode)
+    uni = "match" if mode == "moded" else "unify"
     return Pipeline(name, mode, uni, chain=chain, source=source,
                     registry=compile_to_registry(chain))
 

@@ -8,16 +8,16 @@ pytest included:
 
 Each goal of corpus.CORPUS_RUNS is answered by eval_abcde,
 eval_continuation and eval_stream, by the first answer enumerate_prolog
-yields that the goal accepts, and by eval_bounded's answer when the goal
-accepts it.  The answers are compared with oracle.sld_solve's on the source
-program, in order under both conversions, as tests/test_equivalence.py
-compares them: the engines, like SLD resolution, take clauses in
-definition order, depth first, so a first answer must be the oracle's
-first.  It then hashes the parse outcomes of corpus.parse_corpus(11, 2000), as
-test_syntax's TestPinnedParse does, and compares the digest with
-corpus.CORPUS_DIGEST.  It prints one line per disagreement, a line on the
-digest and a summary line, and exits 1 when any run disagrees or the digest
-differs.
+yields that the goal accepts (session.accepted), and by eval_bounded's
+answer when the goal accepts it.  The answers are compared with
+oracle.sld_solve's on the source program, in order under both conversions,
+as tests/test_equivalence.py compares them: the engines, like SLD
+resolution, take clauses in definition order, depth first, so a first
+answer must be the oracle's first.  It then hashes the parse outcomes of
+corpus.parse_corpus(11, 2000), as test_syntax's TestPinnedParse does, and
+compares the digest with corpus.CORPUS_DIGEST.  It prints one line per
+disagreement, a line on the digest and a summary line, and exits 1 when any
+run disagrees or the digest differs.
 """
 
 import os
@@ -44,28 +44,10 @@ from chainform.engines import (  # noqa: E402
 )
 from chainform.fixtures import load_fixture  # noqa: E402
 from chainform.oracle import canonical_answer, sld_solve  # noqa: E402
+from chainform.session import accepted, convert  # noqa: E402
 from chainform.syntax import parse_goal  # noqa: E402
 from chainform.terms import NIL  # noqa: E402
-from chainform.transform import (  # noqa: E402
-    compile_goal,
-    transform_definite,
-    transform_moded,
-)
-
-CONVERSIONS = {"moded": transform_moded, "definite": transform_definite}
-
-
-def first_accepted(plan, registry, uni):
-    """The first answer enumerate_prolog yields that the goal accepts."""
-    enum = enumerate_prolog(plan.initial, plan.continuations, registry, uni)
-    while True:
-        raw = enum.next()
-        if raw is None:
-            return None
-        decoded = plan.decode(raw)
-        if decoded is not None:
-            enum.halt()
-            return decoded
+from chainform.transform import compile_goal  # noqa: E402
 
 
 def engine_answers(plan, registry, uni):
@@ -75,7 +57,9 @@ def engine_answers(plan, registry, uni):
     yield "continuation", plan.decode_all(eval_continuation(*args)), False
     stream = eval_stream(NIL, [plan.initial], *args[1:])
     yield "stream", plan.decode_all(stream), False
-    decoded = first_accepted(plan, registry, uni)
+    enum = enumerate_prolog(*args)
+    decoded = next(accepted(enum, plan), None)
+    enum.halt()
     yield "enumerate", [] if decoded is None else [decoded], True
     raw = eval_bounded(*args).answer
     decoded = None if raw is None else plan.decode(raw)
@@ -92,8 +76,10 @@ def main():
     wrong = []
     for name, mode in CORPUS_RUNS:
         source = load_fixture(name)
-        chain = CONVERSIONS[mode](source)
+        chain, _ = convert(source, mode)
         registry = compile_to_registry(chain)
+        # Each conversion's own kernel, whatever Session.plan would pick:
+        # every definite run exercises unify mode.
         uni = "match" if mode == "moded" else "unify"
         for text in CORPUS_GOALS[name]:
             goal = parse_goal(text)

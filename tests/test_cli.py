@@ -12,7 +12,7 @@ import pytest
 from conftest import CORPUS_GOALS, long_body_text
 
 import chainform
-from chainform import cli
+from chainform import cli, session
 from chainform.chainir import compile_to_registry
 from chainform.cli import EXIT_RESOURCE, main
 from chainform.fixtures import fixture_text
@@ -247,6 +247,15 @@ class TestSolve:
     def test_ground_goal_prints_true(self, split_file, capsys):
         assert main(["solve", split_file, "-g", "s([a],[a],[])"]) == 0
         assert capsys.readouterr().out.strip() == "true"
+
+    def test_bounded_ground_goal(self, split_file, capsys):
+        # A ground goal's accepted answer is the empty Subst, which is falsy
+        # and still an answer.
+        argv = ["solve", split_file, "-g", "s([a],[a],[])", "--engine", "bounded"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == ["true", "resource=4"]
+        assert main(argv + ["--format", "jsonl"]) == 0
+        assert capsys.readouterr().out == '{"answer": {}, "resource": 4}\n'
 
     @pytest.mark.parametrize(
         "fixture, argv, answers",
@@ -523,6 +532,14 @@ class TestRepl:
         assert code == 0
         assert "no more answers" in out
 
+    def test_ground_goal(self, split_file, monkeypatch, capsys):
+        # The empty Subst is an answer: true, then no more.
+        code, out = self.run_repl(
+            monkeypatch, capsys, split_file, "s([a],[a],[])\ny\n"
+        )
+        assert code == 0
+        assert out == "?- true\nmore? (y/n) no more answers\n?- \n"
+
     def test_superscript_digit_reported_and_session_goes_on(
         self, split_file, monkeypatch, capsys
     ):
@@ -551,8 +568,8 @@ class TestRepl:
             checked.append(program)
             return check_gchain(program)
 
-        monkeypatch.setattr(cli, "compile_to_registry", counting)
-        monkeypatch.setattr(cli, "check_gchain", checking)
+        monkeypatch.setattr(session, "compile_to_registry", counting)
+        monkeypatch.setattr(session, "check_gchain", checking)
         code, out = self.run_repl(
             monkeypatch, capsys, split_file, "s([a,b],Y,Z)\ny\ny\ny\ns([a],Y,Z)\nn\n"
         )
