@@ -98,13 +98,12 @@ class Registry:
     # the engines' shared empty marker at a pass-through seam, and the
     # name otherwise (see engines._Run.resolve); a predicate only bodies
     # push resolved gets no entry.  The alternatives hold strings and
-    # compiled units, whose builds name registers, or gathers in units'
-    # shared table, rather than holding getters, and whose match
-    # functions, generated one per shape, are named by an id in another
-    # shared table of units rather than held, so the garbage collector
-    # stops tracking them.  Filling an entry compiles its units; a shape's
-    # function is generated at its first match-mode run.  Not part of
-    # the registry's value: never compared, printed or dumped.
+    # compiled units, whose builds name registers, and whose functions,
+    # generated one per shape, are named by an id in units' shared tables
+    # rather than held, so the garbage collector stops tracking them.
+    # Filling an entry compiles its units; a shape's function is generated
+    # at its first run in that mode.  Not part of the registry's value:
+    # never compared, printed or dumped.
     dispatch: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

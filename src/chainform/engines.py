@@ -54,21 +54,22 @@ recursion runs in constant choice-stack space.
 Unit resolution runs that one compiled form in one of two ways.  In match
 mode (for ground evaluation over G-chain programs) the query term is matched
 one-way against the unit input by units.run_unit, bound here as match,
-which calls the straight-line match function generated for the unit's
-shape, or, for a unit over units' _MAX_REGISTERS, the reference matcher
+which calls its shape's entry in units' match table: the straight-line
+match function generated for the shape, or, for a unit over units'
+_MAX_REGISTERS, whose shape is units' _OVER_CAP, the reference matcher
 terms.match and Subst.apply; the function is made at the first
 match-mode attempt of a unit of that shape and shared by every unit of
 that shape, in every registry.  In unify mode units.unify_unit, bound
 here as unify, unifies the query term with the unit input over the run's
 binding store and trail, as if the unit were renamed apart, so query
-variables stay stable for the goal decoder; it calls the straight-line
-unify function generated for the unit's shape, made at the first
-unify-mode attempt of a unit of that shape, or, over the cap, its own
-register loop, which that function unrolls.  Each choice point records
-the trail's length at its predicate's selection, and resuming it undoes
-the trail to that mark.  A unit that builds a ⟨⟩ state returns its bare
-argument tuple (see the units module): in match mode when the state is
-ground, in unify mode always.  The next unit takes it as it is, and a
+variables stay stable for the goal decoder; it calls its shape's entry in
+units' unify table: the straight-line unify function generated for the
+shape, made at the first unify-mode attempt of a unit of that shape, or,
+over the cap, unify_unit's register loop, which that function unrolls.
+Each choice point records the trail's length at its predicate's
+selection, and resuming it undoes the trail to that mark.  A unit that
+builds a ⟨⟩ state returns its bare argument tuple (see the units module):
+in match mode when the state is ground, in unify mode always.  The next unit takes it as it is, and a
 choice point holds it as it is.  The search boxes an answer once, as it
 yields it, and in unify mode then resolves it through the store, so every
 engine hands out plain terms.

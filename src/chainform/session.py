@@ -21,7 +21,8 @@ from .transform import TransformError, compile_goal, transform_definite, transfo
 
 def convert(program, mode):
     """The chain program and the conversion that made it.  auto takes the
-    moded conversion when the program is moded, the definite one otherwise."""
+    moded conversion when the program is moded, the definite one otherwise;
+    any mode but auto, moded and definite is a ValueError."""
     if mode == "auto":
         if program.fully_moded():
             try:
@@ -31,7 +32,9 @@ def convert(program, mode):
         mode = "definite"
     if mode == "moded":
         return transform_moded(program), mode
-    return transform_definite(program), mode
+    if mode == "definite":
+        return transform_definite(program), mode
+    raise ValueError("unknown mode: %r" % mode)
 
 
 def accepted(enum, plan):
@@ -61,7 +64,10 @@ class Session:
 
     def answers(self, goal, engine="abcde", budget=DEFAULT_BUDGET):
         """Every answer of the goal the engine (abcde, continuation or
-        stream) finds, decoded, in the engine's order."""
+        stream) finds, decoded, in the engine's order.  Any other engine is
+        a ValueError."""
+        if engine not in ("abcde", "continuation", "stream"):
+            raise ValueError("unknown engine: %r" % engine)
         plan, uni = self.plan(goal)
         args = (plan.continuations, self.registry, uni, budget)
         if engine == "stream":

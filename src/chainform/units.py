@@ -10,18 +10,15 @@ unpack in place; this module is the one that knows that format.  As in the
 WAM, a unit has one program for both evaluation modes, and the runner
 decides how each instruction meets the subject.
 
-The build makes each compound of t_out from one record (functor, arg,
-unary), and the compound made goes into the next register.  A unary
-compound's arg is the register of its one argument; any other's is a
-gather id, naming an operator.itemgetter over the registers of the
-compound's arguments.  The getters live in one table here, shared by every
-unit whose compounds gather the same registers, so that a compiled unit
-holds only ints, strings, flags and terms of the clause itself: its ground
-subterms and the variables of t_out absent from t_in.  Once collected, the
-garbage collector no longer tracks a unit that has neither, and compiling
-one adds no tracked object.  Those ground subterms and variables of t_out
-take the registers after the loaded ones.  A unit over the cap (below)
-also holds its clause, so the collector keeps tracking it.
+The build makes each compound of t_out from one record (functor,
+*registers), the registers of its arguments in order, and the compound
+made goes into the next register.  So a compiled unit holds only ints,
+strings, flags and terms of the clause itself: its ground subterms and the
+variables of t_out absent from t_in.  Once collected, the garbage
+collector no longer tracks a unit that has neither.  Those ground
+subterms and variables of t_out take the registers after the loaded ones.
+A unit over the cap (below) also holds its clause, so the collector keeps
+tracking it.
 
 Both runners build each compound of the output in place: object.__new__
 and its three slots set directly, with no call of Compound.__init__, so
@@ -52,10 +49,12 @@ compiled unit still holds no function object, which the collector would
 track, and renamed copies of a program share every function.  The
 generated source refers to registers and to positions in the constants
 tuple only: no text of a clause reaches it, and it exists only in memory.
-A unit of more than _MAX_REGISTERS registers gets no function, since
-compile()'s cost grows with the unit: its last two sections are None and
-the clause (t_in, t_out), run_unit runs it through the reference,
-terms.match and Subst.apply, and unify_unit through its register loop.
+A unit of more than _MAX_REGISTERS registers gets no generated function,
+since compile()'s cost grows with the unit: its shape is the reserved
+_OVER_CAP, whose two entries are the references, terms.match and
+Subst.apply on the clause (t_in, t_out) that its last section holds, and
+unify_unit's register loop.  So each runner is one call through its
+table, and the cap is decided only where a unit gets its shape.
 
 A ⟨⟩ state travels between unit steps as its bare argument tuple, as the
 WAM passes a call's arguments in registers and builds no structure for
@@ -100,9 +99,9 @@ constant that passes is done with, and only a variable there, bound or
 not, is read through the store and bound as before.  The function makes
 each fresh variable in place, as the build makes a compound: its name, a
 pattern variable's and interned already, and the next serial.
-unify_unit runs the shape's generated unify function, or over the cap its
-register loop, which the function unrolls; up to renaming and boxed, both
-equal terms.rename_many, terms.unify and Subst.apply.
+unify_unit runs the shape's generated unify function, or over the cap the
+register loop, which that function unrolls; up to renaming and boxed,
+both equal terms.rename_many, terms.unify and Subst.apply.
 
 Every walk runs over an explicit stack, so terms of any depth are handled at
 the interpreter's default recursion limit.
@@ -113,7 +112,6 @@ from __future__ import annotations
 import itertools
 import threading
 from functools import partial
-from operator import itemgetter
 
 from .terms import (
     TUPLE_FUNCTOR,
@@ -127,21 +125,6 @@ from .terms import (
 )
 
 _new_object = object.__new__
-
-# The gather table: gather id -> itemgetter over register indices, and the
-# indices -> their id.  It only grows, by one getter per distinct index
-# tuple, whatever the number of units or registries compiled.
-_GATHERS = []
-_GATHER_IDS = {}
-_GATHER_LOCK = threading.Lock()
-
-
-def _gather_id(indices):
-    with _GATHER_LOCK:
-        gid = _GATHER_IDS.setdefault(indices, len(_GATHERS))
-        if gid == len(_GATHERS):
-            _GATHERS.append(itemgetter(*indices))
-    return gid
 
 
 def compile_unit(t_in, t_out):
@@ -164,11 +147,9 @@ def compile_unit(t_in, t_out):
       tail:    the terms that take the registers after the loaded ones: the
                ground subterms of t_out at its leaves, then its variables
                absent from t_in
-      build:   (functor, arg, unary)  one per compound of t_out, in postfix
-               order: the compound of that functor, put in the next
-               register.  A unary compound's arg is the register of its
-               one argument; any other's is the gather id of the getter
-               that picks its arguments' registers
+      build:   (functor, *registers)  one per compound of t_out, in
+               postfix order: the compound of that functor over those
+               registers, put in the next register
       out:     the register that holds t_out once the build is done; 0,
                with no tail and no build, when t_out equals t_in
       open:    the number of t_out's variables absent from t_in, the last
@@ -178,15 +159,15 @@ def compile_unit(t_in, t_out):
                                     occurrence
       names:   one name per loaded register: the pattern variable's there,
                else _
-      shape:   the id of the unit's generated functions in the shape
-               tables, or None for a unit of more than _MAX_REGISTERS
-               registers (loaded, tail and built)
+      shape:   the id of the unit's functions in the shape tables:
+               generated ones, or, for a unit of more than _MAX_REGISTERS
+               registers (loaded, tail and built), the reserved _OVER_CAP
       lifted:  the constants those functions read, in the order _source
                and _unify_source number them: each load's functor, each
                constant check's symbol and its type, each ground check's
                term, the tail, and each build record's functor; for a unit
-               over the cap, the clause (t_in, t_out), which run_unit
-               hands to the reference
+               over the cap, the clause (t_in, t_out), which _OVER_CAP's
+               match entry hands to the reference
     A variable of t_in is bound at its first occurrence by being that
     register, so matching within the cap allocates no substitution.
     Functors come from the clause's own compounds, so they are interned
@@ -214,15 +195,24 @@ def compile_unit(t_in, t_out):
             stack.extend(zip(p.args, range(len(names), len(names) + len(p.args))))
             names += map(_register_name, p.args)
     checks = tuple(consts), tuple(grounds), tuple(sames)
-    head = (tuple(loads), any(checks), *checks)
-    if _struct_eq(t_in, t_out):
-        # An identity unit: the subject, once checked, is the output.
-        return (
-            *head, (), (), 0, 0, tuple(firsts), tuple(names),
-            *_shape(t_in, t_out, head, firsts, (), (), 0, 0, len(names)),
-        )
-    # The leaves of t_out no load provides, each once: ground subterms,
-    # then variables absent from t_in, as dicts used for ordered sets.
+    # An identity unit has no tail and no build: the subject, once checked,
+    # is the output.
+    rest = (
+        ((), (), 0, 0) if _struct_eq(t_in, t_out)
+        else _output(t_out, first, len(names))
+    )
+    code = (
+        tuple(loads), any(checks), *checks, *rest, tuple(firsts), tuple(names),
+    )
+    return code + _shape(t_in, t_out, code)
+
+
+def _output(t_out, first, n_loaded):
+    # The tail, build, out and open sections of a unit whose t_out is not
+    # its t_in, given its variables' first registers and the number of
+    # loaded registers.  The leaves of t_out no load provides, each once:
+    # ground subterms, then variables absent from t_in, as dicts used for
+    # ordered sets.
     leaves, free = {}, {}
     stack = [t_out]
     while stack:
@@ -236,8 +226,8 @@ def compile_unit(t_in, t_out):
             stack.extend(reversed(t.args))
     tail = (*leaves, *free)
     at = dict(first)
-    at.update(zip(tail, range(len(names), len(names) + len(tail))))
-    build, gathered = [], []
+    at.update(zip(tail, range(n_loaded, n_loaded + len(tail))))
+    build = []
     done_regs = []  # the registers of the finished subterms, postfix
     stack = [(t_out, False)]
     while stack:
@@ -246,24 +236,13 @@ def compile_unit(t_in, t_out):
             done_regs.append(at[t])
         elif done:
             n = len(t.args)
-            args = tuple(done_regs[-n:])
+            build.append((t.functor, *done_regs[-n:]))
             del done_regs[-n:]
-            done_regs.append(len(names) + len(tail) + len(build))
-            arg = args[0] if n == 1 else _gather_id(args)
-            build.append((t.functor, arg, n == 1))
-            gathered.append(args)
+            done_regs.append(n_loaded + len(tail) + len(build) - 1)
         else:
             stack.append((t, True))
             stack.extend((a, False) for a in reversed(t.args))
-    build = tuple(build)
-    return (
-        *head, tail, build, done_regs[0], len(free), tuple(firsts),
-        tuple(names),
-        *_shape(
-            t_in, t_out, head, firsts, tail, build, done_regs[0], len(free),
-            len(names), gathered,
-        ),
-    )
+    return tail, tuple(build), done_regs[0], len(free)
 
 
 def is_pass_through(code):
@@ -294,11 +273,14 @@ def run_unit(code, x):
     and the unit is not open every compound the build makes is ground,
     and its flag is set without a scan of its arguments; a ⟨⟩ at the root
     of t_out is then not built at all, and its argument tuple is returned.
-    A larger unit runs the reference itself on box(x), match and then
-    apply, and returns a term."""
-    shape = code[11]
-    if shape is not None:
-        return _MATCHERS[shape](x, code)
+    A larger unit's shape is _OVER_CAP, whose entry runs the reference
+    itself on box(x), match and then apply, and returns a term."""
+    return _MATCHERS[code[11]](x, code)
+
+
+def _match_reference(x, code):
+    # _OVER_CAP's match entry: the reference on the clause that the lifted
+    # section of a unit over the cap holds.
     t_in, t_out = code[12]
     s = match(t_in, box(x))
     return None if s is None else s.apply(t_out)
@@ -323,11 +305,10 @@ def _finish(code, regs):
 def _build(build, regs):
     # The build over regs, each compound's ground flag computed from its
     # arguments as Compound computes it.
-    gathers = _GATHERS
-    for functor, arg, unary in build:
+    for functor, *at in build:
         t = _new_object(Compound)
         t.functor = functor
-        t.args = args = (regs[arg],) if unary else gathers[arg](regs)
+        t.args = args = tuple([regs[r] for r in at])
         ground = True
         for a in args:
             ta = type(a)
@@ -364,13 +345,14 @@ def _build(build, regs):
 # registers to _finish, which computes the ground flags as Compound does
 # and returns a term.
 #
-# The functions live in two tables here, append-only and locked as the
-# gather table is, so a compiled unit holds only a shape id and its lifted
-# tuple, and the collector stops tracking it as before.  A function object
-# per unit would be a tracked object per unit, which every collection
-# walks.  A unit of more than _MAX_REGISTERS registers gets no function:
-# run_unit runs it through the reference, terms.match and Subst.apply, and
-# unify_unit through its register loop.  Generating a match function costs
+# The functions live in two tables, append-only and locked, so a compiled
+# unit holds only a shape id and its lifted tuple, and the collector stops
+# tracking it as before.  A function object per unit would be a tracked
+# object per unit, which every collection walks.  A unit of more than
+# _MAX_REGISTERS registers gets no generated function: its shape is the
+# reserved _OVER_CAP, whose entries are the references, terms.match and
+# Subst.apply in match mode and unify_unit's register loop in unify mode,
+# so the cap is decided only in _shape.  Generating a match function costs
 # about 0.35 ms for a small shape and grows with the unit, by 10 µs a
 # register on a flat unit and 50-65 µs on a deeply nested one (Python
 # 3.11), so a unit of thousands of registers is not worth it.  No benchmark
@@ -380,34 +362,28 @@ def _build(build, regs):
 # registers.
 _MAX_REGISTERS = 64
 
-# Shape id -> match function, or its stand-in until the shape's first
-# match-mode run; shape id -> unify function, or its stand-in until the
-# shape's first unify-mode run; and the shape key -> its id.  A key is a
-# tuple of ints and flags, never source text.
-_MATCHERS = []
-_UNIFIERS = []
-_SHAPE_IDS = {}
-_SHAPE_LOCK = threading.Lock()
+# The shape of every unit over the cap, whose table entries are the
+# references (the tables are at the end of the module).
+_OVER_CAP = 0
 
 
-def _shape(
-    t_in, t_out, head, firsts, tail, build, out, n_open, n_loaded, gathered=(),
-):
-    # The last two sections of a compiled unit: its shape id and its lifted
-    # constants, or, over the cap, None and the clause (t_in, t_out) itself.
-    loads, _, consts, grounds, sames = head
-    if n_loaded + len(tail) + len(build) > _MAX_REGISTERS:
-        return None, (t_in, t_out)
+def _shape(t_in, t_out, code):
+    # The last two sections of a compiled unit, given the others: its shape
+    # id and its lifted constants, or, over the cap, _OVER_CAP and the
+    # clause (t_in, t_out) itself.
+    loads, _, consts, grounds, sames, tail, build, out, n_open, firsts, names = code
+    if len(names) + len(tail) + len(build) > _MAX_REGISTERS:
+        return _OVER_CAP, (t_in, t_out)
     key = (
         tuple([(r, n) for r, _, n in loads]),
         tuple([r for r, _ in consts]),
         tuple([r for r, _ in grounds]),
         sames,
-        tuple(firsts),
-        tuple(gathered),
+        firsts,
+        tuple([record[1:] for record in build]),
         out,
         n_open,
-        n_loaded,
+        len(names),
         len(tail),
         # The root flags: t_in's root a loaded ⟨⟩, and t_out's a built one.
         bool(loads) and loads[0][1] == TUPLE_FUNCTOR,
@@ -418,7 +394,7 @@ def _shape(
         lifted += (c, type(c))
     lifted += [t for _, t in grounds]
     lifted += tail
-    lifted += [functor for functor, _, _ in build]
+    lifted += [record[0] for record in build]
     return _shape_id(key), tuple(lifted)
 
 
@@ -739,7 +715,7 @@ def _unify_source(key):
                 "  s = r0",
                 "  while type(s) is Variable:",
                 "   s = bind.get(s.serial)",
-                "   if s is None: return _unify_loop(code, r0, bind, trail)",
+                "   if s is None: return _unify_loop(r0, code, bind, trail)",
                 "  if type(s) is not Compound or s.functor != k[%d]: %s"
                 % (i, fail),
                 "  a = s.args",
@@ -952,23 +928,21 @@ def unify_unit(code, x, bind, trail):
     a compound or a constant, and only a variable there is read through
     the store; each fresh variable is made in place, with the name and
     serial Variable() would give it.  A ⟨⟩ at the root of t_out is not
-    built, and its argument tuple is returned.  A larger unit runs the
-    loop on box(x) and returns a term.  The reference
-    would give the same answers there but binds every variable of the
-    renamed clause in the store, where the loop binds only subject
-    variables: on the generated definite goal
+    built, and its argument tuple is returned.  A larger unit's shape is
+    _OVER_CAP, whose entry is the loop itself, run on box(x), returning a
+    term.  The reference would give the same answers there but binds every
+    variable of the renamed clause in the store, where the loop binds only
+    subject variables: on the generated definite goal
     p0(f(G0), g(g(a,G0), g(G0,a)), G0) it made 800 bindings in 200 unit
     calls against the loop's 1, and its 400-step budget took 2.1 s against
     2.5 ms.
     """
-    shape = code[11]
-    if shape is not None:
-        return _UNIFIERS[shape](x, code, bind, trail)
-    return _unify_loop(code, x, bind, trail)
+    return _UNIFIERS[code[11]](x, code, bind, trail)
 
 
-def _unify_loop(code, x, bind, trail):
-    # unify_unit's register loop, for any compiled unit.
+def _unify_loop(x, code, bind, trail):
+    # unify_unit's register loop, for any compiled unit: _OVER_CAP's unify
+    # entry, and the generated functions' reference.
     (
         loads, checked, consts, grounds, sames, tail, build, out, n_open,
         firsts, names, _, _,
@@ -1056,6 +1030,16 @@ def _unify_loop(code, x, bind, trail):
     _build(build, regs)
     return regs[out]
 
+
+# Shape id -> match function, or its stand-in until the shape's first
+# match-mode run; shape id -> unify function, or its stand-in until the
+# shape's first unify-mode run; and the shape key -> its id.  A key is a
+# tuple of ints and flags, never source text.  _OVER_CAP's entries are the
+# references and it has no key.
+_MATCHERS = [_match_reference]
+_UNIFIERS = [_unify_loop]
+_SHAPE_IDS = {}
+_SHAPE_LOCK = threading.Lock()
 
 # The globals of every generated function, match and unify.
 _GENERATED_GLOBALS = {

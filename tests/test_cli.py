@@ -6,7 +6,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from conftest import CORPUS_GOALS, long_body_text
@@ -701,6 +703,33 @@ class TestStats:
         out = capsys.readouterr().out
         assert "ratio" in out
         assert "x" in out.splitlines()[-1]
+
+    def test_timing_is_warm(self, monkeypatch, capsys):
+        # Each fixture's converted side is timed on a session whose first,
+        # untimed Session.answers call filled its dispatch table.  The clock
+        # is read before and after the source side, then after the timed
+        # call, which finds the table filled.
+        events = []
+        clock, answers = time.perf_counter, session.Session.answers
+
+        def read_clock():
+            events.append("clock")
+            return clock()
+
+        def traced_answers(self, *args):
+            events.append(bool(self.registry.dispatch))
+            return answers(self, *args)
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=read_clock))
+        monkeypatch.setattr(session.Session, "answers", traced_answers)
+        assert main(["stats", "--timing"]) == 0
+        timed = [
+            filled
+            for t0, t1, filled, t2 in zip(events, events[1:], events[2:], events[3:])
+            if t0 == t1 == t2 == "clock" != filled
+        ]
+        assert timed == [True] * len(cli.TIMING_GOALS)
+        assert events.count(False) == len(cli.TIMING_GOALS)
 
     def test_file_named_after_a_fixture(self, tmp_path, capsys):
         # A user's file gets neither the fixture's reference count nor its

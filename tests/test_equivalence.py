@@ -54,6 +54,7 @@ from chainform.syntax import goal_to_str, parse_goal, parse_program, print_progr
 from chainform.terms import NIL, Compound, canonical, term_vars, unify
 from chainform.transform import compile_goal, transform_definite, transform_moded
 from chainform.units import (
+    _OVER_CAP,
     compile_unit,
     is_pass_through,
     resolved,
@@ -297,7 +298,7 @@ def test_moded_unit_over_the_cap(mode, depth, inner, second):
     chain = convert(program)
     registry = compile_to_registry(chain)
     assert any(
-        compile_unit(*pair)[11] is None for pair in registry.unit.values()
+        compile_unit(*pair)[11] == _OVER_CAP for pair in registry.unit.values()
     )
     goal = parse_goal(
         "p(%s%s%s,%s)" % ("s(" * depth, inner, ")" * depth, second)

@@ -5,7 +5,7 @@ import pytest
 from corpus import CORPUS_GOALS, CORPUS_RUNS, DEFINITE_FIXTURES, MODED_FIXTURES
 
 from chainform.fixtures import load_fixture
-from chainform.session import Session
+from chainform.session import Session, convert
 from chainform.syntax import parse_goal
 
 # The one definite corpus run whose seed is ground over a G-chain
@@ -26,3 +26,18 @@ def test_kernel_choice(name, mode):
 def test_auto_takes_moded_on_moded_programs(name):
     want = "moded" if name in MODED_FIXTURES else "definite"
     assert Session(load_fixture(name)).mode == want
+
+
+@pytest.mark.parametrize("engine", ["bounded", "enumerate", "ABCDE", ""])
+def test_unknown_engine_is_rejected(engine):
+    session = Session(load_fixture("append"))
+    with pytest.raises(ValueError, match="unknown engine"):
+        session.answers(parse_goal("ap(X,Y,[a,b])"), engine)
+
+
+@pytest.mark.parametrize("mode", ["bounded", "Moded", ""])
+def test_unknown_mode_is_rejected(mode):
+    with pytest.raises(ValueError, match="unknown mode"):
+        convert(load_fixture("split"), mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        Session(load_fixture("split"), mode)

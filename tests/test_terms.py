@@ -447,12 +447,12 @@ class TestCompiledUnit:
             ((2, g(a, b)),),  # grounds: (r, ground term)
             ((3, 1),),  # sames: (first register, later register)
         )
-        # build: (functor, the registers gathered, unary), postfix
-        build = (("h", (3, 7), False), ("g", (8, 5), False))
+        # build: (functor, *the registers of its arguments), postfix
+        build = (("h", 3, 7), ("g", 8, 5))
         code = compile_unit(t_in, t_out)
         assert code[:5] == (loads, *checks)
         assert code[5] == (P_,)  # tail: P itself, in register 7
-        assert _gathered(code[6]) == build
+        assert code[6] == build
         assert code[7:11] == (
             9,  # out
             1,  # open: P is absent from t_in, and the tail's last register
@@ -467,7 +467,7 @@ class TestCompiledUnit:
         assert compile_unit(t_in, g(X_, Y_))[8] == 0
         # A unary constructor's record holds its one register.
         unary = compile_unit(f(X_), Compound("s", (X_,)))
-        assert unary[6] == (("s", 1, True),)
+        assert unary[6] == (("s", 1),)
         assert unary[1] is False  # nothing to check
 
     def test_compiled_units_stay_out_of_the_collector(self):
@@ -480,15 +480,6 @@ class TestCompiledUnit:
         for _ in range(3):
             gc.collect()
         assert not gc.is_tracked(code)
-        # Units gather through one shared table: the same program, parsed
-        # and converted again, adds no getter to it.
-        for t_in, t_out in registry.unit.values():
-            compile_unit(t_in, t_out)
-        size = len(units._GATHERS)
-        again = build_pipeline("nrev", "moded").registry
-        for t_in, t_out in again.unit.values():
-            compile_unit(t_in, t_out)
-        assert len(units._GATHERS) == size
 
     def test_identity_unit(self):
         # nrev's h_2_2_1, <St,R> -> <St,R>: no build and no tail, the output
@@ -516,15 +507,6 @@ class TestCompiledUnit:
         bind, trail = {}, []
         assert unify_unit(code, mk_tuple((a, b)), bind, trail) is None
         assert bind == {} and trail == []
-
-
-def _gathered(build):
-    # Each build record with its register or gather id replaced by the
-    # registers it names: applied to range(n), a getter returns its indices.
-    return tuple(
-        (functor, arg if unary else units._GATHERS[arg](range(100)), unary)
-        for functor, arg, unary in build
-    )
 
 
 def _source_of(code, source=units._source):
@@ -588,7 +570,7 @@ class TestGeneratedShapes:
         _check_match_then_apply(t_in, t_out, x)
         wrong = Compound(names[0], (a, *x.args[1:4], b))
         _check_match_then_apply(t_in, t_out, wrong)
-        assert compile_unit(t_in, t_out)[11] is not None
+        assert compile_unit(t_in, t_out)[11] != units._OVER_CAP
 
     def test_no_clause_text_in_the_source(self):
         t_in, t_out, x = _hostile_unit(HOSTILE)
@@ -630,7 +612,7 @@ class TestGeneratedShapes:
             xs = [Variable("X%d" % i) for i in range(k)]
             t_in, t_out = Compound("f", xs), Compound("g", xs[::-1])
             code = compile_unit(t_in, t_out)
-            assert (code[11] is not None) == generated
+            assert (code[11] != units._OVER_CAP) == generated
             assert len(code[10]) + len(code[5]) + len(code[6]) == k + 2
             ground = [Constant(i) for i in range(k)]
             x = Compound("f", ground)
@@ -648,7 +630,7 @@ class TestGeneratedShapes:
             (t_out, Compound("f", (U_, *ground[1:]))),
         ):
             code = compile_unit(t_in, t_out)
-            assert code[11] is None
+            assert code[11] == units._OVER_CAP
             _check_match_then_apply(t_in, t_out, x)
             _check_rename_unify_apply(code, t_in, t_out, x, {})
         assert _tables() == size
@@ -701,7 +683,7 @@ class TestGeneratedShapes:
             for pipe in pipelines
             for pair in pipe.registry.unit.values()
         }
-        assert None not in shapes
+        assert units._OVER_CAP not in shapes
         keys = [k for k, sid in units._SHAPE_IDS.items() if sid in shapes]
         assert len(keys) == len(shapes) > 40
         for key in keys:
@@ -822,7 +804,7 @@ class TestBareStates:
     def test_root_kinds_box_a_bare_subject(self, kind):
         t_in, t_out, x = ROOT_KINDS[kind]
         code = compile_unit(t_in, t_out)
-        assert (code[11] is None) == (kind == "over the cap")
+        assert (code[11] == units._OVER_CAP) == (kind == "over the cap")
         _check_bare_state(code, t_in, t_out, x)
 
     def test_box(self):
@@ -913,7 +895,7 @@ def _runners(t_in, t_out):
         mp.setattr(units, "_MAX_REGISTERS", 0)
         interpreted = compile_unit(t_in, t_out)
     generated = compile_unit(t_in, t_out)
-    assert interpreted[11] is None and generated[11] is not None
+    assert interpreted[11] == units._OVER_CAP != generated[11]
     return generated, interpreted
 
 
@@ -1253,9 +1235,9 @@ class TestBareUnifyStates:
             assert alpha_equivalent(state, want)
         # p ran as its generated function and handed q a bare tuple.
         p_code, q_code = compiled[True], compiled[False]
-        assert p_code[11] is not None
+        assert p_code[11] != units._OVER_CAP
         assert type(unify_unit(p_code, mk_tuple((c,)), {}, [])) is tuple
-        assert (q_code[11] is None) == (cap == "over the cap")
+        assert (q_code[11] == units._OVER_CAP) == (cap == "over the cap")
 
 
 # ---------------------------------------------------------------------------
@@ -1613,10 +1595,7 @@ class TestDeepTerms:
         X, Y = fresh_var("X"), fresh_var("Y")
         t_in = mk_tuple((self.numeral(self.N, X), Y, Y))
         t_out = self.numeral(self.N, mk_tuple((Y, X)))
-        size = len(units._GATHERS)
         code = compile_unit(t_in, t_out)
-        # Unary constructors name their register: only the pair gathers.
-        assert len(units._GATHERS) - size <= 1
         # The repeated Y is compared with two equal, distinct deep terms.
         deep_a = self.numeral(self.N, a)
         x = mk_tuple((self.numeral(self.N, f(b)), deep_a, self.numeral(self.N, a)))
